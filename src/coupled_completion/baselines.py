@@ -10,12 +10,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .norms import NormDescriptor
-from .prox import svt
+# svt is not called here; bench/test_bench.py patches and checks baselines.svt
+from .prox import svt  # noqa: F401
 from .solver import CompletionResult, CoupledProblem, SolverOptions, solve
 from .tensor_ops import ObservationMask, mask_apply, unfold
 
 __all__ = [
-    "MatrixCompletionResult",
     "CpFactors",
     "complete_matrix_mtn",
     "complete_tensor",
@@ -25,13 +25,20 @@ __all__ = [
 RIDGE = 1e-8
 
 
-@dataclass
-class MatrixCompletionResult:
-    matrix: np.ndarray
-    iterations: int
-    converged: bool
-    final_primal_residual: float
-    final_dual_residual: float
+def _solve_alone(
+    tensor: np.ndarray,
+    tensor_mask: ObservationMask,
+    matrix: np.ndarray,
+    matrix_mask: ObservationMask,
+    tags: tuple[str, str, str],
+    lam: float,
+    opts: SolverOptions,
+) -> CompletionResult:
+    """The coupled solver on a problem whose tensor or matrix part is empty."""
+    if opts.lam != lam:
+        opts = replace(opts, lam=lam)
+    problem = CoupledProblem(tensor, tensor_mask, matrix, matrix_mask, coupled_mode=1)
+    return solve(problem, NormDescriptor(1, tags), opts)
 
 
 def complete_matrix_mtn(
@@ -39,35 +46,17 @@ def complete_matrix_mtn(
     mask: ObservationMask,
     lam: float,
     opts: SolverOptions = SolverOptions(),
-) -> MatrixCompletionResult:
-    """Trace-norm regularized matrix completion via single-block ADMM."""
+) -> CompletionResult:
+    """Trace-norm regularized matrix completion (MTN).
+
+    The coupled solver with an empty ``(n1, 0, 0)`` tensor: under
+    ``1:(O,O,O)`` only the coupled mode-1 block, which is the matrix
+    itself, carries a trace norm.
+    """
     M_obs = np.asarray(M_obs, dtype=float)
-    omega = mask.indicator()
-    data = mask_apply(M_obs, mask)
-    beta = opts.beta
-    M = np.zeros_like(M_obs)
-    X = np.zeros_like(M_obs)
-    W = np.zeros_like(M_obs)
-    res_scale = max(1.0, float(np.linalg.norm(data)))
-    converged = False
-    primal = dual = np.inf
-    it = 0
-    for it in range(1, opts.max_iters + 1):
-        M = (data - W + beta * X) / (omega + beta)
-        newX = svt(M + W / beta, lam / beta)
-        dual = beta * float(np.linalg.norm(newX - X))
-        X = newX
-        W = W + beta * (M - X)
-        primal = float(np.linalg.norm(M - X))
-        if primal <= opts.tol_primal * res_scale and dual <= opts.tol_dual * res_scale:
-            converged = True
-            break
-    return MatrixCompletionResult(
-        matrix=M,
-        iterations=it,
-        converged=converged,
-        final_primal_residual=primal,
-        final_dual_residual=dual,
+    empty = np.zeros((M_obs.shape[0], 0, 0))
+    return _solve_alone(
+        empty, ObservationMask.empty(empty.shape), M_obs, mask, ("O", "O", "O"), lam, opts
     )
 
 
@@ -85,18 +74,11 @@ def complete_tensor(
     tags = {"overlapped": ("O", "O", "O"), "scaled_latent": ("S", "S", "S")}
     if norm not in tags:
         raise ValueError(f"norm must be one of {sorted(tags)}, got {norm!r}")
-    if opts.lam != lam:
-        opts = replace(opts, lam=lam)
     T_obs = np.asarray(T_obs, dtype=float)
     empty = np.zeros((T_obs.shape[0], 0))
-    problem = CoupledProblem(
-        tensor=T_obs,
-        tensor_mask=mask,
-        matrix=empty,
-        matrix_mask=ObservationMask.empty(empty.shape),
-        coupled_mode=1,
+    return _solve_alone(
+        T_obs, mask, empty, ObservationMask.empty(empty.shape), tags[norm], lam, opts
     )
-    return solve(problem, NormDescriptor(1, tags[norm]), opts)
 
 
 @dataclass

@@ -14,14 +14,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, datagen, norms, solver
-from .solver import CompletionResult, CoupledProblem, SolverOptions
-from .tensor_ops import ObservationMask, mask_apply
+from .solver import CoupledProblem, SolverOptions
+from .tensor_ops import ObservationMask
 
 __all__ = [
     "ExperimentConfig",
@@ -158,12 +159,13 @@ class CellResult:
     norm: str
     fraction: float
     repetition: int
-    selected_lambda: float
-    validation_mse: float
-    test_mse_tensor: float
-    test_mse_matrix: float
-    iterations: int
-    converged: bool
+    # a failed cell keeps these defaults and carries the error text
+    selected_lambda: float = float("nan")
+    validation_mse: float = float("nan")
+    test_mse_tensor: float = float("nan")
+    test_mse_matrix: float = float("nan")
+    iterations: int = 0
+    converged: bool = False
     error: str = ""
     wall_time: float = 0.0
 
@@ -176,26 +178,25 @@ class ExperimentReport:
     def failures(self) -> list[CellResult]:
         return [c for c in self.cells if c.error]
 
-    def mean_test_mse(self, norm: str, fraction: float, which: str = "tensor") -> float:
+    def test_mses(self, norm: str, fraction: float, which: str) -> list[float]:
+        """Non-NaN test MSEs (``which`` is tensor or matrix) of successful cells."""
         vals = [
             getattr(c, f"test_mse_{which}")
             for c in self.cells
             if c.norm == norm and c.fraction == fraction and not c.error
         ]
-        vals = [v for v in vals if not math.isnan(v)]
+        return [v for v in vals if not math.isnan(v)]
+
+    def mean_test_mse(self, norm: str, fraction: float, which: str = "tensor") -> float:
+        vals = self.test_mses(norm, fraction, which)
         return float(np.mean(vals)) if vals else float("nan")
 
 
-def _mse(truth: np.ndarray, pred: np.ndarray, mask: ObservationMask) -> float:
-    if len(mask) == 0:
-        return float("nan")
-    ix = mask.as_tuple()
-    diff = truth[ix] - pred[ix]
-    return float(np.mean(diff**2))
-
-
 def _pooled_mse(pairs) -> float:
-    """MSE pooled over several (truth, pred, mask) triples."""
+    """MSE pooled over (truth, pred, mask) triples; empty masks add nothing.
+
+    NaN when no triple has an observed entry.
+    """
     sq = 0.0
     n = 0
     for truth, pred, mask in pairs:
@@ -229,11 +230,7 @@ def _cell_opts(cfg: ExperimentConfig, lam: float) -> SolverOptions:
     beta = cfg.solver.beta
     if cfg.beta_tracks_lambda:
         beta = max(lam, 1e-3) * cfg.solver.beta
-    return SolverOptions(
-        lam=lam, beta=beta, max_iters=cfg.solver.max_iters,
-        tol_primal=cfg.solver.tol_primal, tol_dual=cfg.solver.tol_dual,
-        record_objective=False,
-    )
+    return replace(cfg.solver, lam=lam, beta=beta, record_objective=False)
 
 
 def _fit_cell(
@@ -245,11 +242,22 @@ def _fit_cell(
     m_masks: tuple[ObservationMask, ObservationMask, ObservationMask],
     cell_seed: int = 0,
 ) -> tuple[float, float, float, float, int, bool]:
-    """Fit one cell; returns (lambda, val_mse, test_t, test_m, iters, conv)."""
+    """Fit one cell; returns (lambda, val_mse, test_t, test_m, iters, conv).
+
+    Validation MSE pools the parts the norm fits: the matrix for MTN, the
+    tensor for OTN/SLTN, both otherwise; a part the norm does not fit gets
+    a NaN test MSE.
+    """
     t_train, t_val, t_test = t_masks
     m_train, m_val, m_test = m_masks
-    lam_values = cfg.lambda_grid.values()
-    matrix_val_counts = len(m_val) > 0
+    fits_tensor = norm_id != "MTN"
+    fits_matrix = norm_id not in ("OTN", "SLTN")
+
+    def val_mse(T_hat: np.ndarray, M_hat: np.ndarray) -> float:
+        return _pooled_mse(
+            ([(T, T_hat, t_val)] if fits_tensor else [])
+            + ([(M, M_hat, m_val)] if fits_matrix else [])
+        )
 
     if norm_id == "CP":
         factors = baselines.coupled_cp_als(
@@ -258,71 +266,32 @@ def _fit_cell(
         )
         T_hat = factors.reconstruct_tensor()
         M_hat = factors.reconstruct_matrix()
-        val = _pooled_mse(
-            [(T, T_hat, t_val)] + ([(M, M_hat, m_val)] if matrix_val_counts else [])
-        )
-        return (
-            float("nan"),
-            val,
-            _mse(T, T_hat, t_test),
-            _mse(M, M_hat, m_test),
-            len(factors.objective_trace),
-            True,
-        )
+        lam, val = float("nan"), val_mse(T_hat, M_hat)
+        iters, conv = len(factors.objective_trace), True
+    else:
+        # fit(lam, opts) -> CompletionResult
+        if norm_id == "MTN":
+            fit = partial(baselines.complete_matrix_mtn, M, m_train)
+        elif norm_id in ("OTN", "SLTN"):
+            kind = "overlapped" if norm_id == "OTN" else "scaled_latent"
+            fit = partial(baselines.complete_tensor, T, t_train, kind)
+        else:
+            d = norms.parse_descriptor(norm_id)
+            problem = CoupledProblem(T, t_train, M, m_train, coupled_mode=d.coupled_mode)
 
-    if norm_id == "MTN":
+            def fit(lam, opts):
+                return solver.solve(problem, d, opts)
+
         fits = []
-        for lam in lam_values:
-            res = baselines.complete_matrix_mtn(M, m_train, lam, _cell_opts(cfg, lam))
-            fits.append((lam, res, _mse(M, res.matrix, m_val)))
+        for lam in cfg.lambda_grid.values():
+            res = fit(lam, _cell_opts(cfg, lam))
+            fits.append((lam, res, val_mse(res.tensor, res.matrix)))
         lam, res, val = cross_validate(fits)
-        return (
-            lam,
-            val,
-            float("nan"),
-            _mse(M, res.matrix, m_test),
-            res.iterations,
-            res.converged,
-        )
-
-    if norm_id in ("OTN", "SLTN"):
-        kind = "overlapped" if norm_id == "OTN" else "scaled_latent"
-        fits = []
-        for lam in lam_values:
-            res = baselines.complete_tensor(T, t_train, kind, lam, _cell_opts(cfg, lam))
-            fits.append((lam, res, _mse(T, res.tensor, t_val)))
-        lam, res, val = cross_validate(fits)
-        return (
-            lam,
-            val,
-            _mse(T, res.tensor, t_test),
-            float("nan"),
-            res.iterations,
-            res.converged,
-        )
-
-    d = norms.parse_descriptor(norm_id)
-    problem = CoupledProblem(
-        tensor=T, tensor_mask=t_train, matrix=M, matrix_mask=m_train,
-        coupled_mode=d.coupled_mode,
-    )
-    fits = []
-    for lam in lam_values:
-        res = solver.solve(problem, d, _cell_opts(cfg, lam))
-        val = _pooled_mse(
-            [(T, res.tensor, t_val)]
-            + ([(M, res.matrix, m_val)] if matrix_val_counts else [])
-        )
-        fits.append((lam, res, val))
-    lam, res, val = cross_validate(fits)
-    return (
-        lam,
-        val,
-        _mse(T, res.tensor, t_test),
-        _mse(M, res.matrix, m_test),
-        res.iterations,
-        res.converged,
-    )
+        T_hat, M_hat = res.tensor, res.matrix
+        iters, conv = res.iterations, res.converged
+    test_t = _pooled_mse([(T, T_hat, t_test)] if fits_tensor else [])
+    test_m = _pooled_mse([(M, M_hat, m_test)] if fits_matrix else [])
+    return lam, val, test_t, test_m, iters, conv
 
 
 def _load_data(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, ObservationMask | None, ObservationMask | None]:
@@ -371,25 +340,12 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
             for norm_id in cfg.norms:
                 t0 = time.perf_counter()
                 try:
-                    lam, val, mse_t, mse_m, iters, conv = _fit_cell(
-                        cfg, norm_id, T, M, t_masks, m_masks,
-                        cell_seed=mask_seed + 7,
-                    )
-                    cell = CellResult(
-                        norm=norm_id, fraction=fraction, repetition=rep,
-                        selected_lambda=lam, validation_mse=val,
-                        test_mse_tensor=mse_t, test_mse_matrix=mse_m,
-                        iterations=iters, converged=conv,
-                    )
+                    # _fit_cell returns the fields after repetition, in order
+                    cell = CellResult(norm_id, fraction, rep, *_fit_cell(
+                        cfg, norm_id, T, M, t_masks, m_masks, cell_seed=mask_seed + 7,
+                    ))
                 except Exception as exc:  # per-cell failure; run continues
-                    cell = CellResult(
-                        norm=norm_id, fraction=fraction, repetition=rep,
-                        selected_lambda=float("nan"),
-                        validation_mse=float("nan"),
-                        test_mse_tensor=float("nan"),
-                        test_mse_matrix=float("nan"),
-                        iterations=0, converged=False, error=str(exc),
-                    )
+                    cell = CellResult(norm_id, fraction, rep, error=str(exc))
                 cell.wall_time = time.perf_counter() - t0
                 report.cells.append(cell)
     return report
@@ -430,6 +386,8 @@ def load_sparse_tensor(path: str | Path) -> tuple[np.ndarray, ObservationMask]:
             value = float(parts[3])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed entry") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite value {parts[3]!r}")
         if not all(1 <= x <= n for x, n in zip((i, j, k), dims)):
             raise ValueError(f"{path}:{lineno}: index out of range for dims {dims}")
         pos = (i - 1, j - 1, k - 1)
@@ -474,6 +432,8 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, ObservationMask]:
                 raise ValueError(
                     f"{path}:{i + 1}: non-numeric cell {cell!r}"
                 ) from None
+            if not math.isfinite(M[i, j]):
+                raise ValueError(f"{path}:{i + 1}: non-finite cell {cell!r}")
             indices.append((i, j))
     return M, ObservationMask(M.shape, np.array(indices, dtype=np.intp).reshape(-1, 2))
 
@@ -540,12 +500,7 @@ def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path
             for fraction in cfg.train_fractions:
                 row = [norm_id, fraction]
                 for which in ("tensor", "matrix"):
-                    vals = [
-                        getattr(c, f"test_mse_{which}")
-                        for c in report.cells
-                        if c.norm == norm_id and c.fraction == fraction and not c.error
-                    ]
-                    vals = [v for v in vals if not math.isnan(v)]
+                    vals = report.test_mses(norm_id, fraction, which)
                     if vals:
                         row += [float(np.mean(vals)), float(np.std(vals))]
                     else:

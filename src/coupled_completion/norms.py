@@ -8,22 +8,23 @@ tag per tensor mode.  Tag semantics:
 * ``L`` -- the mode gets its own latent tensor, regularized only on that
   mode.
 * ``S`` -- like ``L`` but the trace-norm term is scaled by ``1/sqrt(n_k)``.
-* ``-`` -- the mode is not regularized.
 
 All-``O`` norms have a closed form; every descriptor containing latent
 components is defined as an infimum over additive decompositions and is
-evaluated by an internal splitting solve.
+evaluated by the solver's ADMM iteration (:func:`solver.decompose`).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import spectral_norm, svt, trace_norm
-from .tensor_ops import concat_mode1, fold, unfold
+from .prox import spectral_norm, trace_norm
+# svt is not called here; bench/test_bench.py patches and checks norms.svt
+from .prox import svt  # noqa: F401
+from .tensor_ops import concat_mode1, unfold
 
 __all__ = [
     "TAGS",
@@ -40,7 +41,7 @@ __all__ = [
     "dual_norm_overlapped_upper",
 ]
 
-TAGS = ("O", "L", "S", "-")
+TAGS = ("O", "L", "S")
 
 
 class InvalidDescriptorError(ValueError):
@@ -49,16 +50,10 @@ class InvalidDescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class NormDescriptor:
-    """Symbolic form of a coupled norm: coupled mode + per-mode tags.
-
-    ``second_coupling``, when present, is ``(mode, )``-style metadata for the
-    two-matrix extension: a second matrix concatenated on that mode's
-    unfolding of the component regularizing it.
-    """
+    """Symbolic form of a coupled norm: coupled mode + per-mode tags."""
 
     coupled_mode: int
     tags: tuple[str, str, str]
-    second_coupled_mode: int | None = None
 
     def __post_init__(self):
         if self.coupled_mode not in (1, 2, 3):
@@ -69,13 +64,6 @@ class NormDescriptor:
             raise InvalidDescriptorError(
                 f"tags must be a triple over {TAGS}, got {self.tags!r}"
             )
-        if self.second_coupled_mode is not None:
-            if self.second_coupled_mode not in (1, 2, 3):
-                raise InvalidDescriptorError("second coupled mode must be 1, 2 or 3")
-            if self.second_coupled_mode == self.coupled_mode:
-                raise InvalidDescriptorError(
-                    "second coupling must use a different mode"
-                )
 
     @property
     def is_all_overlapped(self) -> bool:
@@ -88,47 +76,21 @@ class NormDescriptor:
 def validate(d: NormDescriptor) -> None:
     """Check descriptor against the tag grammar; raise on violation.
 
-    Rules: at most one unregularized mode; an overlapped group needs at
-    least two modes, so exactly one ``O`` tag is invalid; without a dash the
-    accepted patterns are all-``O``, all-``L``, all-``S`` and a single
-    ``L``/``S`` mode with the other two ``O``.
+    An overlapped group needs at least two modes, so exactly one ``O`` tag
+    is invalid; the accepted patterns are all-``O``, all-``L``, all-``S``
+    and a single ``L``/``S`` mode with the other two ``O``.
     """
     tags = d.tags
-    n_dash = tags.count("-")
-    if n_dash > 1:
-        raise InvalidDescriptorError("at most one mode may be unregularized ('-')")
     n_o = tags.count("O")
     if n_o == 1:
         raise InvalidDescriptorError(
             "an overlapped group needs at least two modes tagged 'O'"
         )
-    latent = [t for t in tags if t in ("L", "S")]
-    if n_dash == 0:
-        ok = (
-            tags == ("O", "O", "O")
-            or tags == ("L", "L", "L")
-            or tags == ("S", "S", "S")
-            or (n_o == 2 and len(latent) == 1)
+    if n_o != 2 and tags not in (("O", "O", "O"), ("L", "L", "L"), ("S", "S", "S")):
+        raise InvalidDescriptorError(
+            f"unsupported tag pattern {tags}: mixing requires exactly one "
+            "latent-style mode with the other two overlapped"
         )
-        if not ok:
-            raise InvalidDescriptorError(
-                f"unsupported tag pattern {tags}: mixing requires exactly one "
-                "latent-style mode with the other two overlapped"
-            )
-    else:
-        # with a dash the remaining two modes are either both overlapped or
-        # both latent-style singletons
-        if n_o not in (0, 2):
-            raise InvalidDescriptorError(
-                f"unsupported tag pattern {tags} with an unregularized mode"
-            )
-    if d.second_coupled_mode is not None:
-        if tags[d.second_coupled_mode - 1] == "-":
-            raise InvalidDescriptorError(
-                "second coupled mode must be regularized"
-            )
-    if tags[d.coupled_mode - 1] == "-":
-        raise InvalidDescriptorError("the coupled mode must be regularized")
 
 
 @dataclass(frozen=True)
@@ -144,20 +106,18 @@ class ComponentLayout:
     dims: tuple[int, int, int]
     coupled_mode: int
     components: tuple[tuple[tuple[int, float], ...], ...]
-    coupled_component: int
-    second_coupled_mode: int | None = None
-    owner: dict[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        owner = {}
-        for c, terms in enumerate(self.components):
-            for mode, _ in terms:
-                owner[mode] = c
-        object.__setattr__(self, "owner", owner)
+    @property
+    def owner(self) -> dict[int, int]:
+        return {mode: c for c, terms in enumerate(self.components) for mode, _ in terms}
 
     @property
     def n_components(self) -> int:
         return len(self.components)
+
+    @property
+    def coupled_component(self) -> int:
+        return self.owner[self.coupled_mode]
 
     def regularized_modes(self) -> list[tuple[int, float, int]]:
         """Flat list of ``(mode, scale, component)`` over all norm terms."""
@@ -182,27 +142,21 @@ def layout(d: NormDescriptor, dims: tuple[int, int, int]) -> ComponentLayout:
             components.append([(k, 1.0)])
         elif tag == "S":
             components.append([(k, 1.0 / np.sqrt(dims[k - 1]))])
-    owner = {}
-    for c, terms in enumerate(components):
-        for mode, _ in terms:
-            owner[mode] = c
     return ComponentLayout(
         dims=dims,
         coupled_mode=d.coupled_mode,
         components=tuple(tuple(terms) for terms in components),
-        coupled_component=owner[d.coupled_mode],
-        second_coupled_mode=d.second_coupled_mode,
     )
 
 
 _DESC_RE = re.compile(
-    r"^\s*(?P<a>[123])(?:,(?P<a2>[123]))?\s*:\s*\(\s*(?P<b>[OLS-])\s*,"
-    r"\s*(?P<c>[OLS-])\s*,\s*(?P<d>[OLS-])\s*\)\s*$"
+    r"^\s*(?P<a>[123])\s*:\s*\(\s*(?P<b>[OLS])\s*,"
+    r"\s*(?P<c>[OLS])\s*,\s*(?P<d>[OLS])\s*\)\s*$"
 )
 
 
 def parse_descriptor(text: str) -> NormDescriptor:
-    """Parse the text form, e.g. ``"1:(O,S,O)"`` or ``"1,3:(O,S,O)"``."""
+    """Parse the text form, e.g. ``"1:(O,S,O)"``."""
     m = _DESC_RE.match(text)
     if not m:
         raise InvalidDescriptorError(
@@ -211,33 +165,27 @@ def parse_descriptor(text: str) -> NormDescriptor:
     d = NormDescriptor(
         coupled_mode=int(m.group("a")),
         tags=(m.group("b"), m.group("c"), m.group("d")),
-        second_coupled_mode=int(m.group("a2")) if m.group("a2") else None,
     )
     validate(d)
     return d
 
 
 def format_descriptor(d: NormDescriptor) -> str:
-    modes = str(d.coupled_mode)
-    if d.second_coupled_mode is not None:
-        modes += f",{d.second_coupled_mode}"
-    return f"{modes}:({d.tags[0]},{d.tags[1]},{d.tags[2]})"
+    return f"{d.coupled_mode}:({d.tags[0]},{d.tags[1]},{d.tags[2]})"
 
 
 def _coupled_unfolding(
-    T: np.ndarray, mode: int, M: np.ndarray | None
+    T: np.ndarray, mode: int, M: np.ndarray, coupled_mode: int
 ) -> np.ndarray:
+    """Mode unfolding of ``T``, with ``M`` concatenated on the coupled mode."""
     Tk = unfold(T, mode)
-    if M is None:
-        return Tk
-    return concat_mode1(Tk, M)
+    return concat_mode1(Tk, M) if mode == coupled_mode else Tk
 
 
 def evaluate_overlapped(
     T: np.ndarray,
     M: np.ndarray,
     d: NormDescriptor,
-    second_matrix: np.ndarray | None = None,
 ) -> float:
     """Closed-form value of an all-overlapped coupled norm."""
     validate(d)
@@ -245,44 +193,19 @@ def evaluate_overlapped(
         raise InvalidDescriptorError(
             f"closed-form evaluation needs (O,O,O), got {d.tags}"
         )
-    total = 0.0
-    for k in (1, 2, 3):
-        if k == d.coupled_mode:
-            total += trace_norm(_coupled_unfolding(T, k, M))
-        elif k == d.second_coupled_mode:
-            total += trace_norm(_coupled_unfolding(T, k, second_matrix))
-        else:
-            total += trace_norm(unfold(T, k))
-    return total
-
-
-def _matrix_for_mode(
-    lay: ComponentLayout,
-    mode: int,
-    component: int,
-    M: np.ndarray,
-    second_matrix: np.ndarray | None,
-) -> np.ndarray | None:
-    if mode == lay.coupled_mode and component == lay.coupled_component:
-        return M
-    if lay.second_coupled_mode is not None and mode == lay.second_coupled_mode:
-        if lay.owner[mode] == component:
-            return second_matrix
-    return None
+    return sum(trace_norm(_coupled_unfolding(T, k, M, d.coupled_mode)) for k in (1, 2, 3))
 
 
 def decomposition_value(
     components: list[np.ndarray],
     lay: ComponentLayout,
     M: np.ndarray,
-    second_matrix: np.ndarray | None = None,
 ) -> float:
     """Norm-term sum of a concrete additive decomposition (an upper bound)."""
-    total = 0.0
-    for mode, scale, c in lay.regularized_modes():
-        Mb = _matrix_for_mode(lay, mode, c, M, second_matrix)
-        total += scale * trace_norm(_coupled_unfolding(components[c], mode, Mb))
-    return total
+    return sum(
+        scale * trace_norm(_coupled_unfolding(components[c], mode, M, lay.coupled_mode))
+        for mode, scale, c in lay.regularized_modes()
+    )
 
 
 def evaluate(
@@ -292,97 +215,27 @@ def evaluate(
     tol: float = 1e-6,
     max_iters: int = 5000,
     beta: float = 1.0,
-    second_matrix: np.ndarray | None = None,
 ) -> float:
     """Value of the coupled norm at ``(T, M)``.
 
     All-overlapped descriptors are closed-form.  Latent-containing ones are
-    infima over additive decompositions and are computed by a consensus ADMM
-    on the decomposition constraint, run until the constraint residuals fall
-    below ``tol``; the returned value comes from the feasible primal
+    infima over additive decompositions and are computed by the solver's
+    ADMM on the decomposition constraint, run until the constraint residuals
+    fall below ``tol``; the returned value comes from the feasible primal
     decomposition, so it never undershoots the true infimum.
     """
+    # function-local: solver imports this module at load time, so a
+    # module-level import of solver would be circular
+    from .solver import decompose
+
     validate(d)
     T = np.asarray(T, dtype=float)
     M = np.asarray(M, dtype=float)
     if d.is_all_overlapped:
-        return evaluate_overlapped(T, M, d, second_matrix=second_matrix)
+        return evaluate_overlapped(T, M, d)
     lay = layout(d, T.shape)
-    comps = _latent_decomposition(
-        T, M, lay, tol=tol, max_iters=max_iters, beta=beta,
-        second_matrix=second_matrix,
-    )
-    return decomposition_value(comps, lay, M, second_matrix=second_matrix)
-
-
-def _latent_decomposition(
-    T: np.ndarray,
-    M: np.ndarray,
-    lay: ComponentLayout,
-    tol: float,
-    max_iters: int,
-    beta: float,
-    second_matrix: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Minimize the norm terms subject to the components summing to ``T``.
-
-    Splitting scheme: per regularized mode an auxiliary copy of its owning
-    component is thresholded (SVT); the components are then re-projected onto
-    the sum constraint by an exact entrywise equality-constrained solve.
-    Matrices stay fixed: their concatenated blocks carry their own dual so
-    the joint SVT is the correct partial prox.
-    """
-    terms = lay.regularized_modes()
-    C = lay.n_components
-    comps = [T / C for _ in range(C)]
-    Y = {mode: np.array(comps[c]) for mode, _, c in terms}
-    W = {mode: np.zeros_like(T) for mode, _, _ in terms}
-    # one dual block per attached matrix
-    WM: dict[int, np.ndarray] = {}
-    mats: dict[int, np.ndarray] = {}
-    for mode, _, c in terms:
-        Mb = _matrix_for_mode(lay, mode, c, M, second_matrix)
-        if Mb is not None:
-            mats[mode] = Mb
-            WM[mode] = np.zeros_like(Mb)
-    g = np.array([sum(1 for _, _, c in terms if c == ci) for ci in range(C)])
-    scale_norm = max(1.0, float(np.linalg.norm(T)), float(np.linalg.norm(M)))
-
-    for _ in range(max_iters):
-        # component update: entrywise least squares subject to sum == T
-        vbar = []
-        for ci in range(C):
-            acc = np.zeros_like(T)
-            for mode, _, c in terms:
-                if c == ci:
-                    acc += Y[mode] - W[mode] / beta
-            vbar.append(acc / g[ci])
-        mu = (sum(vbar) - T) / float(np.sum(1.0 / (beta * g)))
-        comps = [vbar[ci] - mu / (beta * g[ci]) for ci in range(C)]
-
-        # auxiliary SVT per regularized mode
-        max_primal = 0.0
-        max_dual = 0.0
-        for mode, scale, c in terms:
-            arg = unfold(comps[c] + W[mode] / beta, mode)
-            nt = arg.shape[1]
-            if mode in mats:
-                arg = concat_mode1(arg, mats[mode] + WM[mode] / beta)
-            Z = svt(arg, scale / beta)
-            Yk = fold(Z[:, :nt], mode, T.shape)
-            max_dual = max(max_dual, beta * float(np.linalg.norm(Yk - Y[mode])))
-            Y[mode] = Yk
-            W[mode] += beta * (comps[c] - Y[mode])
-            max_primal = max(max_primal, float(np.linalg.norm(comps[c] - Y[mode])))
-            if mode in mats:
-                X = Z[:, nt:]
-                WM[mode] += beta * (mats[mode] - X)
-                max_primal = max(
-                    max_primal, float(np.linalg.norm(mats[mode] - X))
-                )
-        if max_primal <= tol * scale_norm and max_dual <= tol * scale_norm:
-            break
-    return comps
+    comps = decompose(T, M, lay, tol=tol, max_iters=max_iters, beta=beta)
+    return decomposition_value(comps, lay, M)
 
 
 def dual_norm_latent_type(
@@ -402,9 +255,8 @@ def dual_norm_latent_type(
     dims = T.shape
     vals = []
     for k in (1, 2, 3):
-        Mb = M if k == d.coupled_mode else None
         w = np.sqrt(dims[k - 1]) if d.tags[k - 1] == "S" else 1.0
-        vals.append(w * spectral_norm(_coupled_unfolding(T, k, Mb)))
+        vals.append(w * spectral_norm(_coupled_unfolding(T, k, M, d.coupled_mode)))
     return max(vals)
 
 
@@ -417,8 +269,4 @@ def dual_norm_overlapped_upper(
     tensor to any single mode gives this min-of-spectral-norms bound.
     """
     T = np.asarray(T, dtype=float)
-    vals = []
-    for k in (1, 2, 3):
-        Mb = M if k == coupled_mode else None
-        vals.append(spectral_norm(_coupled_unfolding(T, k, Mb)))
-    return min(vals)
+    return min(spectral_norm(_coupled_unfolding(T, k, M, coupled_mode)) for k in (1, 2, 3))

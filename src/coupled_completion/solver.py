@@ -1,27 +1,35 @@
-"""ADMM solver for coupled matrix-tensor completion.
+"""ADMM for coupled matrix-tensor completion and coupled-norm evaluation.
 
-Minimizes, over the tensor and the matrix jointly,
+Completion minimizes, over the tensor and the matrix jointly,
 
     0.5 * ||mask_M(M - M_obs)||_F^2 + 0.5 * ||mask_T(T - T_obs)||_F^2
         + lam * coupled_norm(T, M)
 
-for any supported norm descriptor.  The tensor is represented through the
+for any valid norm descriptor.  The tensor is represented through the
 latent components dictated by the descriptor's layout; per regularized mode
 an auxiliary unfolding is singular-value thresholded, the coupled mode's
 unfolding being thresholded jointly with the matrix block.  Because the
 observation operators are entrywise 0/1, every linear subproblem is solved
 in closed form entry by entry.
+
+One iteration loop (:func:`_admm`) serves completion (:func:`solve`) and the
+evaluation of latent-type norms (:func:`decompose`, the infimum over
+additive decompositions with the matrix held fixed); only the primal
+data-fit step differs between the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import norms
 from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
-from .prox import svd
+# svd is not called here; bench/test_bench.py patches and checks solver.svd
+from .prox import svd  # noqa: F401
+from .prox import svt, trace_norm
 from .tensor_ops import ObservationMask, concat_mode1, fold, mask_apply, unfold
 
 __all__ = [
@@ -30,7 +38,7 @@ __all__ = [
     "SolverState",
     "CompletionResult",
     "solve",
-    "supported",
+    "decompose",
     "update_matrix",
     "update_tensors",
     "update_auxiliaries",
@@ -82,7 +90,6 @@ class SolverOptions:
     max_iters: int = 2000
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
-    seed: int = 0
     record_objective: bool = True
 
     def __post_init__(self):
@@ -105,7 +112,6 @@ class SolverState:
     Y: dict[int, np.ndarray]
     WM: np.ndarray
     W: dict[int, np.ndarray]
-    iteration: int = 0
 
 
 @dataclass
@@ -123,15 +129,6 @@ class CompletionResult:
     layout: ComponentLayout = field(repr=False, default=None)
 
 
-def supported(d: NormDescriptor) -> bool:
-    """Solver-supported descriptors: single coupling, no dash tags."""
-    try:
-        norms.validate(d)
-    except InvalidDescriptorError:
-        return False
-    return "-" not in d.tags and d.second_coupled_mode is None
-
-
 def _init_state(problem: CoupledProblem, lay: ComponentLayout) -> SolverState:
     dims = problem.dims
     C = lay.n_components
@@ -145,6 +142,13 @@ def _init_state(problem: CoupledProblem, lay: ComponentLayout) -> SolverState:
         WM=np.zeros_like(problem.matrix),
         W={mode: zeros_t() for mode, _, _ in lay.regularized_modes()},
     )
+
+
+def _term_counts(lay: ComponentLayout) -> np.ndarray:
+    """Number of norm terms attached to each component."""
+    return np.bincount(
+        [c for _, _, c in lay.regularized_modes()], minlength=lay.n_components
+    ).astype(float)
 
 
 def update_matrix(
@@ -173,10 +177,7 @@ def update_tensors(
     lay = state.layout
     beta = opts.beta
     C = lay.n_components
-    g = np.array(
-        [sum(1 for _, _, c in lay.regularized_modes() if c == ci) for ci in range(C)],
-        dtype=float,
-    )
+    g = _term_counts(lay)
     omega = problem.tensor_mask.indicator()
     t_obs = mask_apply(problem.tensor, problem.tensor_mask)
     rhs = []
@@ -193,42 +194,34 @@ def update_tensors(
     return [u[ci] - correction / (beta * g[ci]) for ci in range(C)]
 
 
-def _threshold(arg: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
-    """SVT returning the thresholded matrix and its trace norm."""
-    if min(arg.shape, default=0) == 0:
-        return arg.copy(), 0.0
-    f = svd(arg)
-    s = np.maximum(f.S - tau, 0.0)
-    if tau == 0.0:
-        # identity prox: keep the argument bit-exact
-        return arg.copy(), float(s.sum())
-    return (f.U * s) @ f.Vt, float(s.sum())
-
-
 def update_auxiliaries(
-    state: SolverState, problem: CoupledProblem, opts: SolverOptions
+    state: SolverState, opts: SolverOptions
 ) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
     """Prox (SVT) step for the auxiliary unfoldings and the matrix block.
 
     Returns the new X, the new Y dict, and the regularizer value at the new
-    auxiliaries (free from the thresholded singular values).
+    auxiliaries; that value feeds only the objective trace, so it is 0.0
+    unless ``opts.record_objective`` is set.
     """
     lay = state.layout
     beta = opts.beta
-    dims = problem.dims
     newY: dict[int, np.ndarray] = {}
     newX = state.X
     reg_value = 0.0
     for mode, scale, c in lay.regularized_modes():
         arg = unfold(state.components[c] + state.W[mode] / beta, mode)
         nt = arg.shape[1]
-        coupled = mode == lay.coupled_mode and c == lay.coupled_component
-        if coupled:
+        if mode == lay.coupled_mode:
             arg = concat_mode1(arg, state.M + state.WM / beta)
-        Z, tn = _threshold(arg, opts.lam * scale / beta)
-        reg_value += scale * tn
-        newY[mode] = fold(Z[:, :nt], mode, dims)
-        if coupled:
+        tau = opts.lam * scale / beta
+        Z = svt(arg, tau)
+        if opts.record_objective:
+            # prox optimality makes (arg - Z) / tau a subgradient of the trace
+            # norm at Z, so <arg, Z> - <Z, Z> = tau * ||Z||_tr: no second SVD
+            tn = float(np.vdot(arg, Z) - np.vdot(Z, Z)) / tau if tau else trace_norm(Z)
+            reg_value += scale * tn
+        newY[mode] = fold(Z[:, :nt], mode, lay.dims)
+        if mode == lay.coupled_mode:
             newX = Z[:, nt:]
     return newX, newY, reg_value
 
@@ -246,6 +239,13 @@ def update_duals(
     return WM, W
 
 
+def _loss(problem: CoupledProblem, T: np.ndarray, M: np.ndarray) -> float:
+    return 0.5 * float(
+        np.linalg.norm(mask_apply(M - problem.matrix, problem.matrix_mask)) ** 2
+        + np.linalg.norm(mask_apply(T - problem.tensor, problem.tensor_mask)) ** 2
+    )
+
+
 def objective(
     problem: CoupledProblem,
     d: NormDescriptor,
@@ -255,19 +255,75 @@ def objective(
     tol: float = 1e-6,
 ) -> float:
     """Value of the completion objective at ``(T, M)``."""
-    loss = 0.5 * float(
-        np.linalg.norm(mask_apply(M - problem.matrix, problem.matrix_mask)) ** 2
-        + np.linalg.norm(mask_apply(T - problem.tensor, problem.tensor_mask)) ** 2
-    )
-    if lam == 0.0:
-        return loss
-    return loss + lam * norms.evaluate(T, M, d, tol=tol)
+    reg = lam * norms.evaluate(T, M, d, tol=tol) if lam else 0.0
+    return _loss(problem, T, M) + reg
 
 
-def _loss(problem: CoupledProblem, T: np.ndarray, M: np.ndarray) -> float:
-    return 0.5 * float(
-        np.linalg.norm(mask_apply(M - problem.matrix, problem.matrix_mask)) ** 2
-        + np.linalg.norm(mask_apply(T - problem.tensor, problem.tensor_mask)) ** 2
+def _max_gap(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    return max(float(np.linalg.norm(a - b)) for a, b in pairs)
+
+
+def _admm(
+    state: SolverState,
+    opts: SolverOptions,
+    fit_step: Callable[[SolverState], None],
+    tol_scale: float,
+    loss: Callable[[SolverState], float] | None = None,
+    matrix_fixed: bool = False,
+) -> CompletionResult:
+    """The ADMM iteration: primal data-fit step, SVT step, dual step.
+
+    ``fit_step`` updates ``state.M`` and ``state.components``, the one piece
+    that differs between completion and norm evaluation.  The objective
+    trace, when recorded, is ``loss`` at the primal plus the regularizer at
+    the auxiliaries.  A ``matrix_fixed`` matrix is data, so its auxiliary's
+    change is no part of the dual residual.  Converged means the maximum
+    primal and beta-scaled dual residuals fell below their tolerances times
+    ``tol_scale``.
+    """
+    terms = state.layout.regularized_modes()
+    obj_trace: list[float] = []
+    primal_trace: list[float] = []
+    dual_trace: list[float] = []
+    converged = False
+    primal = dual = np.inf
+    it = 0
+
+    for it in range(1, opts.max_iters + 1):
+        fit_step(state)
+        newX, newY, reg_value = update_auxiliaries(state, opts)
+
+        dual = opts.beta * _max_gap(
+            [(newY[m], state.Y[m]) for m in newY]
+            + ([] if matrix_fixed else [(newX, state.X)])
+        )
+        state.X, state.Y = newX, newY
+        state.WM, state.W = update_duals(state, opts)
+        primal = _max_gap(
+            [(state.M, state.X)] + [(state.components[c], state.Y[m]) for m, _, c in terms]
+        )
+
+        if loss is not None and opts.record_objective:
+            obj_trace.append(loss(state) + opts.lam * reg_value)
+        primal_trace.append(primal)
+        dual_trace.append(dual)
+
+        if primal <= opts.tol_primal * tol_scale and dual <= opts.tol_dual * tol_scale:
+            converged = True
+            break
+
+    return CompletionResult(
+        tensor=sum(state.components),
+        matrix=state.M,
+        components=state.components,
+        objective_trace=np.array(obj_trace),
+        primal_residual_trace=np.array(primal_trace),
+        dual_residual_trace=np.array(dual_trace),
+        final_primal_residual=float(primal),
+        final_dual_residual=float(dual),
+        iterations=it,
+        converged=converged,
+        layout=state.layout,
     )
 
 
@@ -276,76 +332,73 @@ def solve(
     d: NormDescriptor,
     opts: SolverOptions = SolverOptions(),
 ) -> CompletionResult:
-    """Run ADMM to convergence or the iteration cap.
+    """Run completion ADMM to convergence or the iteration cap.
 
-    Deterministic: all variables start at zero.  Converged means both the
-    maximum primal residual and the maximum (beta-scaled) dual residual fell
-    below their tolerances, relative to max(1, ||observed data||_F).
+    Deterministic: all variables start at zero.  Residuals are judged
+    relative to max(1, ||observed data||_F).  Raises
+    :class:`InvalidDescriptorError` for a descriptor outside the grammar.
     """
-    if not supported(d):
-        raise InvalidDescriptorError(
-            f"descriptor {norms.format_descriptor(d)} is not solver-supported"
-        )
     if d.coupled_mode != problem.coupled_mode:
         raise InvalidDescriptorError(
             "descriptor coupled mode does not match the problem"
         )
     lay = norms.layout(d, problem.dims)
-    state = _init_state(problem, lay)
     data_norm = np.sqrt(
         np.linalg.norm(mask_apply(problem.tensor, problem.tensor_mask)) ** 2
         + np.linalg.norm(mask_apply(problem.matrix, problem.matrix_mask)) ** 2
     )
-    res_scale = max(1.0, float(data_norm))
 
-    obj_trace: list[float] = []
-    primal_trace: list[float] = []
-    dual_trace: list[float] = []
-    converged = False
-    primal = dual = np.inf
-
-    for it in range(1, opts.max_iters + 1):
+    def fit_step(state: SolverState) -> None:
         state.M = update_matrix(state, problem, opts)
         state.components = update_tensors(state, problem, opts)
-        newX, newY, reg_value = update_auxiliaries(state, problem, opts)
 
-        dual = opts.beta * max(
-            [float(np.linalg.norm(newX - state.X))]
-            + [float(np.linalg.norm(newY[m] - state.Y[m])) for m in newY]
-        )
-        state.X, state.Y = newX, newY
-        state.WM, state.W = update_duals(state, opts)
-        primal = max(
-            [float(np.linalg.norm(state.M - state.X))]
-            + [
-                float(np.linalg.norm(state.components[c] - state.Y[mode]))
-                for mode, _, c in lay.regularized_modes()
-            ]
-        )
-        state.iteration = it
-
-        if opts.record_objective:
-            # regularizer evaluated at the auxiliaries (free); loss at the primal
-            T_cur = sum(state.components)
-            obj_trace.append(_loss(problem, T_cur, state.M) + opts.lam * reg_value)
-        primal_trace.append(primal)
-        dual_trace.append(dual)
-
-        if primal <= opts.tol_primal * res_scale and dual <= opts.tol_dual * res_scale:
-            converged = True
-            break
-
-    T_hat = sum(state.components)
-    return CompletionResult(
-        tensor=T_hat,
-        matrix=state.M,
-        components=state.components,
-        objective_trace=np.array(obj_trace),
-        primal_residual_trace=np.array(primal_trace),
-        dual_residual_trace=np.array(dual_trace),
-        final_primal_residual=float(primal),
-        final_dual_residual=float(dual),
-        iterations=state.iteration,
-        converged=converged,
-        layout=lay,
+    return _admm(
+        _init_state(problem, lay), opts, fit_step, max(1.0, float(data_norm)),
+        loss=lambda state: _loss(problem, sum(state.components), state.M),
     )
+
+
+def decompose(
+    T: np.ndarray,
+    M: np.ndarray,
+    lay: ComponentLayout,
+    tol: float = 1e-6,
+    max_iters: int = 5000,
+    beta: float = 1.0,
+) -> list[np.ndarray]:
+    """Minimize the norm terms of ``lay`` subject to the components summing to ``T``.
+
+    The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
+    concatenated block keeps its own dual, so the joint SVT is the correct
+    partial prox.  The data-fit step projects the components onto the sum
+    constraint by an exact entrywise equality-constrained solve.  Starts
+    from the even split ``T / C``; stops when the residuals fall below
+    ``tol`` relative to max(1, ||T||_F, ||M||_F).
+    """
+    terms = lay.regularized_modes()
+    C = lay.n_components
+    g = _term_counts(lay)
+    comps = [T / C for _ in range(C)]
+    state = SolverState(
+        layout=lay, components=comps, M=M, X=np.zeros_like(M),
+        Y={mode: np.array(comps[c]) for mode, _, c in terms},
+        WM=np.zeros_like(M), W={mode: np.zeros_like(T) for mode, _, _ in terms},
+    )
+
+    def project(state: SolverState) -> None:
+        vbar = []
+        for ci in range(C):
+            acc = np.zeros_like(T)
+            for mode, _, c in terms:
+                if c == ci:
+                    acc += state.Y[mode] - state.W[mode] / beta
+            vbar.append(acc / g[ci])
+        mu = (sum(vbar) - T) / float(np.sum(1.0 / (beta * g)))
+        state.components = [vbar[ci] - mu / (beta * g[ci]) for ci in range(C)]
+
+    opts = SolverOptions(
+        lam=1.0, beta=beta, max_iters=max_iters, tol_primal=tol, tol_dual=tol,
+        record_objective=False,
+    )
+    scale = max(1.0, float(np.linalg.norm(T)), float(np.linalg.norm(M)))
+    return _admm(state, opts, project, scale, matrix_fixed=True).components

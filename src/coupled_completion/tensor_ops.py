@@ -50,9 +50,8 @@ def fold(Mk: np.ndarray, k: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor from its mode-``k`` unfolding."""
     axis = _check_mode(k)
     Mk = np.asarray(Mk)
-    n1, n2, n3 = dims
     nk = dims[axis]
-    rest = (n1 * n2 * n3) // nk
+    rest = int(np.prod([d for i, d in enumerate(dims) if i != axis]))
     if Mk.shape != (nk, rest):
         raise ValueError(
             f"mode-{k} unfolding of dims {dims} must have shape {(nk, rest)}, "

@@ -166,6 +166,12 @@ class TestSparseTensorFormat:
         with pytest.raises(ValueError, match=":2"):
             load_sparse_tensor(path)
 
+    def test_non_finite_value_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("dims: 2 2 2\n1 1 1 3.5\n2 1 1 nan\n")
+        with pytest.raises(ValueError, match=r"t\.txt:3: non-finite"):
+            load_sparse_tensor(path)
+
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(6)
         T = rng.standard_normal((4, 3, 5))
@@ -204,6 +210,12 @@ class TestMatrixCsvFormat:
         path = tmp_path / "m.csv"
         path.write_text("1,x\n3,4\n")
         with pytest.raises(ValueError, match="non-numeric"):
+            load_matrix_csv(path)
+
+    def test_non_finite_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,-inf\n")
+        with pytest.raises(ValueError, match=r"m\.csv:2: non-finite"):
             load_matrix_csv(path)
 
     def test_roundtrip_lossless(self, tmp_path):

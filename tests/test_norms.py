@@ -63,16 +63,6 @@ class TestValidate:
             NormDescriptor(1, ("L", "-", "-"))
             validate(NormDescriptor(1, ("L", "-", "-")))
 
-    def test_dash_patterns(self):
-        validate(NormDescriptor(1, ("O", "O", "-")))
-        validate(NormDescriptor(1, ("L", "S", "-")))
-        with pytest.raises(InvalidDescriptorError):
-            validate(NormDescriptor(1, ("O", "L", "-")))
-
-    def test_coupled_mode_must_be_regularized(self):
-        with pytest.raises(InvalidDescriptorError, match="coupled mode"):
-            validate(NormDescriptor(3, ("O", "O", "-")))
-
     def test_bad_tags_rejected_at_construction(self):
         with pytest.raises(InvalidDescriptorError):
             NormDescriptor(1, ("O", "O", "X"))
@@ -119,7 +109,7 @@ class TestLayout:
 class TestParseFormat:
     @pytest.mark.parametrize(
         "text",
-        ["1:(O,O,O)", "1:(S,O,O)", "2:(L,L,L)", "3:(O,O,S)", "1,3:(O,S,O)"],
+        ["1:(O,O,O)", "1:(S,O,O)", "2:(L,L,L)", "3:(O,O,S)"],
     )
     def test_roundtrip(self, text):
         assert format_descriptor(parse_descriptor(text)) == text

@@ -11,7 +11,6 @@ from coupled_completion.solver import (
     _init_state,
     objective,
     solve,
-    supported,
     update_auxiliaries,
     update_duals,
     update_matrix,
@@ -108,18 +107,23 @@ ALL_SUPPORTED = [
 
 
 class TestSupported:
+    """The solver takes exactly the descriptors that ``norms.layout`` accepts."""
+
     def test_all_nine(self):
         for d in ALL_SUPPORTED:
-            assert supported(d)
+            assert norms.layout(d, (4, 5, 6)).n_components >= 1
 
     def test_dash_not_supported(self):
-        assert not supported(NormDescriptor(1, ("O", "O", "-")))
+        with pytest.raises(norms.InvalidDescriptorError):
+            norms.parse_descriptor("1:(O,O,-)")
 
     def test_invalid_not_supported(self):
-        assert not supported(NormDescriptor(1, ("L", "L", "O")))
+        with pytest.raises(norms.InvalidDescriptorError):
+            norms.layout(NormDescriptor(1, ("L", "L", "O")), (4, 5, 6))
 
     def test_second_coupling_not_supported(self):
-        assert not supported(NormDescriptor(1, ("O", "S", "O"), second_coupled_mode=3))
+        with pytest.raises(norms.InvalidDescriptorError):
+            norms.parse_descriptor("1,3:(O,S,O)")
 
 
 class TestUpdateMatrix:
@@ -222,7 +226,7 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("S", "O", "O"))
         state, lay = random_state(problem, d, seed=8)
         opts = SolverOptions(lam=0.0, beta=1.0)
-        newX, newY, reg = update_auxiliaries(state, problem, opts)
+        newX, newY, reg = update_auxiliaries(state, opts)
         for mode, _, c in lay.regularized_modes():
             expected = state.components[c] + state.W[mode] / opts.beta
             assert np.array_equal(newY[mode], expected)
@@ -233,7 +237,7 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("O", "O", "O"))
         state, _ = random_state(problem, d, seed=9)
         opts = SolverOptions(lam=1e9, beta=1.0)
-        newX, newY, reg = update_auxiliaries(state, problem, opts)
+        newX, newY, reg = update_auxiliaries(state, opts)
         assert all(np.max(np.abs(Y)) < 1e-10 for Y in newY.values())
         assert np.max(np.abs(newX)) < 1e-10
         assert reg == 0.0
@@ -243,7 +247,7 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("O", "S", "O"))
         state, lay = random_state(problem, d, seed=10)
         opts = SolverOptions(lam=0.8, beta=1.0)
-        newX, newY, _ = update_auxiliaries(state, problem, opts)
+        newX, newY, _ = update_auxiliaries(state, opts)
         from coupled_completion.tensor_ops import concat_mode1
 
         for mode, scale, c in lay.regularized_modes():
@@ -399,7 +403,7 @@ class TestSolve:
     def test_rejects_unsupported_descriptor(self):
         problem = random_problem(seed=19)
         with pytest.raises(norms.InvalidDescriptorError):
-            solve(problem, NormDescriptor(1, ("O", "O", "-")), SolverOptions())
+            solve(problem, NormDescriptor(1, ("L", "L", "O")), SolverOptions())
 
     def test_rejects_coupled_mode_mismatch(self):
         problem = random_problem(seed=20)  # coupled_mode=1

@@ -84,9 +84,11 @@ class TestUnfold:
 class TestFold:
     def test_roundtrip_random(self):
         rng = np.random.default_rng(1)
-        T = rng.standard_normal((3, 4, 5))
-        for k in (1, 2, 3):
-            assert np.array_equal(fold(unfold(T, k), k, T.shape), T)
+        # zero-length modes included: the MTN baseline solves on a (n1, 0, 0) tensor
+        for dims in ((3, 4, 5), (4, 0, 0), (3, 0, 2)):
+            T = rng.standard_normal(dims)
+            for k in (1, 2, 3):
+                assert np.array_equal(fold(unfold(T, k), k, dims), T)
 
     def test_zero_matrix(self):
         assert np.array_equal(fold(np.zeros((3, 8)), 2, (2, 3, 4)), np.zeros((2, 3, 4)))
