@@ -94,14 +94,41 @@ class ExperimentConfig:
             raise ValueError("configure exactly one of synthetic data or files")
 
 
+# every key load_config reads, per section (dotted path, "" for the top level)
+_CONFIG_KEYS = {
+    "": {"norms", "data", "lambda_grid", "masks", "repetitions", "seed",
+         "cp_rank", "cp_iters", "solver", "output_dir"},
+    "data": {"synthetic", "tensor_file", "matrix_file", "matrix_fully_observed"},
+    "data.synthetic": {"dims", "multilinear_rank", "matrix_cols", "matrix_rank",
+                       "shared", "seed", "noise"},
+    "data.synthetic.noise": {"mean", "std"},
+    "lambda_grid": {"min", "max", "count", "scale"},
+    "masks": {"train_fractions", "validation_fraction"},
+    "solver": {"beta", "max_iters", "tol_primal", "tol_dual", "beta_tracks_lambda"},
+}
+
+
+def _section(doc: dict, section: str) -> dict:
+    """``doc`` after checking that it holds only the keys of ``section``."""
+    unknown = sorted(set(doc) - _CONFIG_KEYS[section])
+    if unknown:
+        keys = ", ".join(f"{section}.{k}" if section else k for k in unknown)
+        raise ValueError(f"unknown config key(s): {keys}")
+    return doc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse the JSON config file."""
+    """Parse the JSON config file.
+
+    Raises ``ValueError`` naming the dotted path of any key it does not read,
+    so a misspelt key cannot silently fall back to its default.
+    """
     with open(path) as fh:
-        doc = json.load(fh)
-    data = doc.get("data", {})
+        doc = _section(json.load(fh), "")
+    data = _section(doc.get("data", {}), "data")
     synthetic = None
     if "synthetic" in data:
-        s = dict(data["synthetic"])
+        s = dict(_section(data["synthetic"], "data.synthetic"))
         noise = s.pop("noise", "default")
         kwargs = {
             "dims": tuple(s.get("dims", (20, 20, 20))),
@@ -115,19 +142,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
             synthetic = datagen.SyntheticSpec.low_noise(**kwargs)
         elif noise == "default":
             synthetic = datagen.SyntheticSpec(**kwargs)
-        else:
+        elif isinstance(noise, dict):
+            noise = _section(noise, "data.synthetic.noise")
             synthetic = datagen.SyntheticSpec(
                 noise_mean=noise["mean"], noise_std=noise["std"], **kwargs
             )
-    grid_doc = doc.get("lambda_grid", {})
+        else:
+            raise ValueError(
+                "data.synthetic.noise must be 'low', 'default' or "
+                f"{{\"mean\": ..., \"std\": ...}}, got {noise!r}"
+            )
+    grid_doc = _section(doc.get("lambda_grid", {}), "lambda_grid")
     grid = LambdaGrid(
         lo=grid_doc.get("min", 0.01),
         hi=grid_doc.get("max", 5.0),
         count=grid_doc.get("count", 10),
         scale=grid_doc.get("scale", "log"),
     )
-    masks = doc.get("masks", {})
-    sdoc = doc.get("solver", {})
+    masks = _section(doc.get("masks", {}), "masks")
+    sdoc = _section(doc.get("solver", {}), "solver")
     opts = SolverOptions(
         beta=sdoc.get("beta", 1.0),
         max_iters=sdoc.get("max_iters", 2000),

@@ -18,6 +18,12 @@ __all__ = [
 
 # singular values below this multiple of the largest one count as zero
 RANK_RTOL = 1e-12
+# smallest matrix side at which svt takes the Gram route; below it the LAPACK
+# SVD is as fast (measured crossover, one BLAS thread)
+GRAM_MIN_SIDE = 10
+# the Gram matrix resolves singular values only down to this multiple of the
+# largest one: its eigenvalues carry an absolute error of about eps * smax**2
+GRAM_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,10 @@ def svt(X: np.ndarray, tau: float) -> np.ndarray:
     """Singular value thresholding: prox of ``tau * trace_norm`` at ``X``.
 
     Returns the unique minimizer of ``0.5 * ||Z - X||_F^2 + tau * ||Z||_tr``,
-    i.e. ``U (S - tau)_+ Vt``.
+    i.e. ``U (S - tau)_+ Vt``.  When both sides are at least
+    ``GRAM_MIN_SIDE`` it is computed from the Gram matrix of ``X`` (see
+    :func:`_svt_gram`); the LAPACK SVD serves smaller matrices and the
+    spectra the Gram route cannot resolve.
     """
     if tau < 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
@@ -88,6 +97,35 @@ def svt(X: np.ndarray, tau: float) -> np.ndarray:
         return X.copy()
     if tau == 0.0:
         return X.copy()
+    if min(X.shape) >= GRAM_MIN_SIDE:
+        wide = X.shape[0] <= X.shape[1]
+        Z = _svt_gram(X if wide else X.T, tau)
+        if Z is not None:
+            return Z if wide else Z.T
     f = svd(X)
     s = np.maximum(f.S - tau, 0.0)
     return (f.U * s) @ f.Vt
+
+
+def _svt_gram(A: np.ndarray, tau: float) -> np.ndarray | None:
+    """SVT of a wide matrix ``A`` from the eigendecomposition of ``A A^T``.
+
+    With ``A A^T = U diag(s**2) U^T`` the thresholded matrix is
+    ``U diag((1 - tau/s)_+) U^T A``, so no right singular vectors are formed;
+    only the kept eigenvectors enter the products.  Returns None when the
+    Gram matrix is not finite (non-finite or overflowing input) or a kept
+    singular value lies below ``GRAM_RTOL`` times the largest, which the
+    Gram matrix cannot resolve.
+    """
+    G = A @ A.T
+    if not np.all(np.isfinite(G)):
+        return None
+    w, U = np.linalg.eigh(G)
+    s = np.sqrt(np.maximum(w, 0.0))  # ascending, so the kept values are a suffix
+    k = int(np.count_nonzero(s > tau))
+    if k == 0:
+        return np.zeros_like(A)
+    if s[-k] < GRAM_RTOL * s[-1]:
+        return None
+    Uk = U[:, -k:]
+    return (Uk * (1.0 - tau / s[-k:])) @ (Uk.T @ A)

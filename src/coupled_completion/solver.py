@@ -21,6 +21,7 @@ data-fit step differs between the two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -82,6 +83,25 @@ class CoupledProblem:
     def dims(self) -> tuple[int, int, int]:
         return self.tensor.shape
 
+    # Mask constants of the data-fit step, built on first use and kept for
+    # every later solve of this problem, so its arrays must not be changed
+    # in place once it has been solved.
+    @cached_property
+    def tensor_indicator(self) -> np.ndarray:
+        return self.tensor_mask.indicator()
+
+    @cached_property
+    def matrix_indicator(self) -> np.ndarray:
+        return self.matrix_mask.indicator()
+
+    @cached_property
+    def tensor_observed(self) -> np.ndarray:
+        return mask_apply(self.tensor, self.tensor_mask)
+
+    @cached_property
+    def matrix_observed(self) -> np.ndarray:
+        return mask_apply(self.matrix, self.matrix_mask)
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -103,7 +123,12 @@ class SolverOptions:
 
 @dataclass
 class SolverState:
-    """Mutable per-solve state; owned exclusively by one solve."""
+    """Mutable per-solve state; owned exclusively by one solve.
+
+    ``terms`` (the layout's ``(mode, scale, component)`` norm terms) and
+    ``g`` (the number of terms per component) are derived from ``layout``
+    once, at construction.
+    """
 
     layout: ComponentLayout
     components: list[np.ndarray]
@@ -112,6 +137,14 @@ class SolverState:
     Y: dict[int, np.ndarray]
     WM: np.ndarray
     W: dict[int, np.ndarray]
+    terms: list[tuple[int, float, int]] = field(init=False, repr=False)
+    g: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.terms = self.layout.regularized_modes()
+        self.g = np.bincount(
+            [c for _, _, c in self.terms], minlength=self.layout.n_components
+        ).astype(float)
 
 
 @dataclass
@@ -132,23 +165,17 @@ class CompletionResult:
 def _init_state(problem: CoupledProblem, lay: ComponentLayout) -> SolverState:
     dims = problem.dims
     C = lay.n_components
+    modes = [mode for mode, _, _ in lay.regularized_modes()]
     zeros_t = lambda: np.zeros(dims)
     return SolverState(
         layout=lay,
         components=[zeros_t() for _ in range(C)],
         M=np.zeros_like(problem.matrix),
         X=np.zeros_like(problem.matrix),
-        Y={mode: zeros_t() for mode, _, _ in lay.regularized_modes()},
+        Y={mode: zeros_t() for mode in modes},
         WM=np.zeros_like(problem.matrix),
-        W={mode: zeros_t() for mode, _, _ in lay.regularized_modes()},
+        W={mode: zeros_t() for mode in modes},
     )
-
-
-def _term_counts(lay: ComponentLayout) -> np.ndarray:
-    """Number of norm terms attached to each component."""
-    return np.bincount(
-        [c for _, _, c in lay.regularized_modes()], minlength=lay.n_components
-    ).astype(float)
 
 
 def update_matrix(
@@ -159,9 +186,8 @@ def update_matrix(
     The observation operator is entrywise, so (Omega^T Omega + beta I) is
     diagonal and the solve is elementwise.
     """
-    omega = problem.matrix_mask.indicator()
-    rhs = mask_apply(problem.matrix, problem.matrix_mask) - state.WM + opts.beta * state.X
-    return rhs / (omega + opts.beta)
+    rhs = problem.matrix_observed - state.WM + opts.beta * state.X
+    return rhs / (problem.matrix_indicator + opts.beta)
 
 
 def update_tensors(
@@ -174,16 +200,14 @@ def update_tensors(
     constraints attached to component c; solved by the Sherman-Morrison
     rank-one update.
     """
-    lay = state.layout
     beta = opts.beta
-    C = lay.n_components
-    g = _term_counts(lay)
-    omega = problem.tensor_mask.indicator()
-    t_obs = mask_apply(problem.tensor, problem.tensor_mask)
+    C = state.layout.n_components
+    g = state.g
+    omega = problem.tensor_indicator
     rhs = []
     for ci in range(C):
-        acc = t_obs.copy()
-        for mode, _, c in lay.regularized_modes():
+        acc = problem.tensor_observed.copy()
+        for mode, _, c in state.terms:
             if c == ci:
                 acc += beta * state.Y[mode] - state.W[mode]
         rhs.append(acc)
@@ -208,7 +232,7 @@ def update_auxiliaries(
     newY: dict[int, np.ndarray] = {}
     newX = state.X
     reg_value = 0.0
-    for mode, scale, c in lay.regularized_modes():
+    for mode, scale, c in state.terms:
         arg = unfold(state.components[c] + state.W[mode] / beta, mode)
         nt = arg.shape[1]
         if mode == lay.coupled_mode:
@@ -230,19 +254,18 @@ def update_duals(
     state: SolverState, opts: SolverOptions
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Gradient-ascent dual step: W <- W + beta * (primal - auxiliary)."""
-    lay = state.layout
     WM = state.WM + opts.beta * (state.M - state.X)
     W = {
         mode: state.W[mode] + opts.beta * (state.components[c] - state.Y[mode])
-        for mode, _, c in lay.regularized_modes()
+        for mode, _, c in state.terms
     }
     return WM, W
 
 
 def _loss(problem: CoupledProblem, T: np.ndarray, M: np.ndarray) -> float:
     return 0.5 * float(
-        np.linalg.norm(mask_apply(M - problem.matrix, problem.matrix_mask)) ** 2
-        + np.linalg.norm(mask_apply(T - problem.tensor, problem.tensor_mask)) ** 2
+        np.linalg.norm(problem.matrix_indicator * (M - problem.matrix)) ** 2
+        + np.linalg.norm(problem.tensor_indicator * (T - problem.tensor)) ** 2
     )
 
 
@@ -281,7 +304,7 @@ def _admm(
     primal and beta-scaled dual residuals fell below their tolerances times
     ``tol_scale``.
     """
-    terms = state.layout.regularized_modes()
+    terms = state.terms
     obj_trace: list[float] = []
     primal_trace: list[float] = []
     dual_trace: list[float] = []
@@ -344,8 +367,8 @@ def solve(
         )
     lay = norms.layout(d, problem.dims)
     data_norm = np.sqrt(
-        np.linalg.norm(mask_apply(problem.tensor, problem.tensor_mask)) ** 2
-        + np.linalg.norm(mask_apply(problem.matrix, problem.matrix_mask)) ** 2
+        np.linalg.norm(problem.tensor_observed) ** 2
+        + np.linalg.norm(problem.matrix_observed) ** 2
     )
 
     def fit_step(state: SolverState) -> None:
@@ -377,13 +400,13 @@ def decompose(
     """
     terms = lay.regularized_modes()
     C = lay.n_components
-    g = _term_counts(lay)
     comps = [T / C for _ in range(C)]
     state = SolverState(
         layout=lay, components=comps, M=M, X=np.zeros_like(M),
         Y={mode: np.array(comps[c]) for mode, _, c in terms},
         WM=np.zeros_like(M), W={mode: np.zeros_like(T) for mode, _, _ in terms},
     )
+    g = state.g
 
     def project(state: SolverState) -> None:
         vbar = []

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config, file formats, CV, reports."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,45 @@ class TestExperimentConfig:
         assert cfg.synthetic.noise_std == 0.01
         assert cfg.lambda_grid.count == 4
         assert cfg.repetitions == 2
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "lambda-grid",
+            "solver.tol",
+            "data.tensorfile",
+            "data.synthetic.rank",
+            "data.synthetic.noise.sd",
+            "lambda_grid.num",
+            "masks.test_fraction",
+        ],
+    )
+    def test_load_config_rejects_unknown_keys(self, tmp_path, key):
+        doc = {
+            "norms": ["1:(O,O,O)"],
+            "data": {"synthetic": {"dims": [8, 8, 8], "noise": {"mean": 0.0, "std": 0.01}}},
+            "lambda_grid": {"min": 0.1, "max": 1.0, "count": 4},
+            "masks": {"train_fractions": [0.5]},
+            "solver": {"tol_primal": 1e-4},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert load_config(path).solver.tol_primal == 1e-4
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = 1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unknown config key.*{re.escape(key)}"):
+            load_config(path)
+
+    def test_load_config_rejects_unknown_noise_name(self, tmp_path):
+        doc = {"norms": ["MTN"], "data": {"synthetic": {"noise": "high"}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="data.synthetic.noise must be"):
+            load_config(path)
 
 
 class TestCrossValidate:

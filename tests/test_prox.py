@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupled_completion import prox
 from coupled_completion.prox import (
+    GRAM_MIN_SIDE,
     numerical_rank,
     spectral_norm,
     svd,
@@ -153,6 +155,86 @@ class TestSvt:
         Y = rng.standard_normal((4, 5))
         lhs = np.linalg.norm(svt(X, tau) - svt(Y, tau))
         assert lhs <= np.linalg.norm(X - Y) + 1e-10
+
+
+def lapack_svt(X, tau):
+    """Reference SVT from the full LAPACK SVD."""
+    U, S, Vt = np.linalg.svd(X, full_matrices=False)
+    return (U * np.maximum(S - tau, 0.0)) @ Vt
+
+
+def low_rank(rng, shape, rank, noise=0.0):
+    X = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    return X + noise * rng.standard_normal(shape)
+
+
+class TestSvtGramRoute:
+    """Matrices whose smaller side is at least GRAM_MIN_SIDE."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        side=st.integers(GRAM_MIN_SIDE, 30),
+        aspect=st.integers(1, 40),
+        rank_frac=st.floats(0.05, 1.0),
+        noisy=st.booleans(),
+        tall=st.booleans(),
+        log_ratio=st.floats(-6.0, 0.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lapack_reference(self, seed, side, aspect, rank_frac, noisy, tall, log_ratio):
+        rng = np.random.default_rng(seed)
+        rank = max(1, int(rank_frac * side))
+        X = low_rank(rng, (side, side * aspect), rank, noise=1e-3 if noisy else 0.0)
+        if tall:
+            X = X.T
+        tau = np.linalg.norm(X, 2) * 10.0**log_ratio
+        assert prox._svt_gram(X.T if tall else X, tau) is not None
+        Z = svt(X, tau)
+        ref = lapack_svt(X, tau)
+        assert Z.shape == X.shape
+        # floor at tau: near tau = smax the reference is ~0 and either side may
+        # keep a sliver of size eps * smax
+        assert np.linalg.norm(Z - ref) <= 1e-10 * max(np.linalg.norm(ref), tau)
+
+    def test_gram_route_skips_lapack(self, monkeypatch):
+        def no_svd(X):
+            raise AssertionError("LAPACK SVD called on the Gram route")
+
+        monkeypatch.setattr(prox, "svd", no_svd)
+        X = low_rank(np.random.default_rng(20), (GRAM_MIN_SIDE, 80), 4, noise=0.1)
+        assert_svt_optimal(X, svt(X, 1.0), 1.0)
+
+    def test_unresolvable_kept_value_falls_back_to_lapack(self, monkeypatch):
+        # rank 3 of 20: the Gram matrix returns the 17 zero singular values as
+        # noise near sqrt(eps) * smax, which a tiny tau would keep
+        X = low_rank(np.random.default_rng(21), (20, 300), 3)
+        tau = 1e-12 * np.linalg.norm(X, 2)
+        calls = []
+        monkeypatch.setattr(prox, "svd", lambda A: calls.append(A.shape) or svd(A))
+        assert prox._svt_gram(X, tau) is None
+        Z = svt(X, tau)
+        assert calls == [(20, 300)]
+        assert np.array_equal(Z, lapack_svt(X, tau))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(GRAM_MIN_SIDE, 40), (40, GRAM_MIN_SIDE)])
+    def test_rejects_non_finite(self, bad, shape):
+        X = np.random.default_rng(22).standard_normal(shape)
+        X[3, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svt(X, 0.5)
+
+    def test_tau_zero_is_bit_exact_copy(self):
+        X = np.random.default_rng(23).standard_normal((GRAM_MIN_SIDE + 2, 60))
+        Z = svt(X, 0.0)
+        assert np.array_equal(Z, X) and Z is not X
+
+    def test_zero_matrix(self):
+        assert np.array_equal(svt(np.zeros((12, 30)), 0.5), np.zeros((12, 30)))
+
+    def test_all_values_thresholded_away(self):
+        X = np.random.default_rng(24).standard_normal((12, 30))
+        assert np.array_equal(svt(X, 1.01 * np.linalg.norm(X, 2)), np.zeros((12, 30)))
 
 
 class TestNormRelations:

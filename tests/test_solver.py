@@ -242,8 +242,10 @@ class TestUpdateAuxiliaries:
         assert np.max(np.abs(newX)) < 1e-10
         assert reg == 0.0
 
-    def test_svt_optimality_per_mode(self):
-        problem = random_problem(seed=10)
+    # n = 12 puts every unfolding, the coupled block too, on the Gram route of svt
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_svt_optimality_per_mode(self, n):
+        problem = random_problem(dims=(n, n, n), seed=10)
         d = NormDescriptor(1, ("O", "S", "O"))
         state, lay = random_state(problem, d, seed=10)
         opts = SolverOptions(lam=0.8, beta=1.0)
