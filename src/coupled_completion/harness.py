@@ -94,27 +94,20 @@ class ExperimentConfig:
             raise ValueError("configure exactly one of synthetic data or files")
 
 
-# every key load_config reads, per section (dotted path, "" for the top level)
-_CONFIG_KEYS = {
-    "": {"norms", "data", "lambda_grid", "masks", "repetitions", "seed",
-         "cp_rank", "cp_iters", "solver", "output_dir"},
-    "data": {"synthetic", "tensor_file", "matrix_file", "matrix_fully_observed"},
-    "data.synthetic": {"dims", "multilinear_rank", "matrix_cols", "matrix_rank",
-                       "shared", "seed", "noise"},
-    "data.synthetic.noise": {"mean", "std"},
-    "lambda_grid": {"min", "max", "count", "scale"},
-    "masks": {"train_fractions", "validation_fraction"},
-    "solver": {"beta", "max_iters", "tol_primal", "tol_dual", "beta_tracks_lambda"},
-}
+def _fields(doc: dict, path: str, *keys: str, **renamed: str) -> dict:
+    """Constructor keywords set by the config section ``doc`` at dotted ``path``.
 
-
-def _section(doc: dict, section: str) -> dict:
-    """``doc`` after checking that it holds only the keys of ``section``."""
-    unknown = sorted(set(doc) - _CONFIG_KEYS[section])
+    The section accepts ``keys`` (each sets the field of its own name) and
+    the keys of ``renamed`` (each sets the field it maps to); any other key
+    raises ``ValueError`` naming its dotted path.  Absent keys are left out,
+    so the dataclass defaults apply.  JSON arrays become tuples.
+    """
+    names = {**{k: k for k in keys}, **renamed}
+    unknown = sorted(set(doc) - set(names))
     if unknown:
-        keys = ", ".join(f"{section}.{k}" if section else k for k in unknown)
-        raise ValueError(f"unknown config key(s): {keys}")
-    return doc
+        keys_text = ", ".join(f"{path}.{k}" if path else k for k in unknown)
+        raise ValueError(f"unknown config key(s): {keys_text}")
+    return {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -124,66 +117,50 @@ def load_config(path: str | Path) -> ExperimentConfig:
     so a misspelt key cannot silently fall back to its default.
     """
     with open(path) as fh:
-        doc = _section(json.load(fh), "")
-    data = _section(doc.get("data", {}), "data")
-    synthetic = None
-    if "synthetic" in data:
-        s = dict(_section(data["synthetic"], "data.synthetic"))
-        noise = s.pop("noise", "default")
-        kwargs = {
-            "dims": tuple(s.get("dims", (20, 20, 20))),
-            "multilinear_rank": tuple(s.get("multilinear_rank", (5, 5, 5))),
-            "matrix_cols": s.get("matrix_cols", 30),
-            "matrix_rank": s.get("matrix_rank", 5),
-            "shared": s.get("shared", 0),
-            "seed": s.get("seed", doc.get("seed", 0)),
-        }
-        if noise == "low":
-            synthetic = datagen.SyntheticSpec.low_noise(**kwargs)
-        elif noise == "default":
-            synthetic = datagen.SyntheticSpec(**kwargs)
-        elif isinstance(noise, dict):
-            noise = _section(noise, "data.synthetic.noise")
-            synthetic = datagen.SyntheticSpec(
-                noise_mean=noise["mean"], noise_std=noise["std"], **kwargs
-            )
-        else:
+        doc = json.load(fh)
+    # sub-sections come out first; each key left in a section sets a field
+    data = doc.pop("data", {})
+    synthetic = data.pop("synthetic", None)
+    grid = doc.pop("lambda_grid", {})
+    masks = doc.pop("masks", {})
+    sdoc = doc.pop("solver", {})
+    fields = _fields(
+        doc, "", "norms", "repetitions", "seed", "cp_rank", "cp_iters", "output_dir"
+    )
+    fields |= _fields(data, "data", "tensor_file", "matrix_file", "matrix_fully_observed")
+    fields |= _fields(masks, "masks", "train_fractions", "validation_fraction")
+    if "beta_tracks_lambda" in sdoc:
+        fields["beta_tracks_lambda"] = sdoc.pop("beta_tracks_lambda")
+    if synthetic is not None:
+        noise = synthetic.pop("noise", "default")
+        spec = _fields(
+            synthetic, "data.synthetic",
+            "dims", "multilinear_rank", "matrix_cols", "matrix_rank", "shared", "seed",
+        )
+        # a config shares no subspace unless it asks (SyntheticSpec's default is 5)
+        spec.setdefault("shared", 0)
+        # the instance seed falls back to the top-level seed
+        spec.setdefault("seed", fields.get("seed", ExperimentConfig.seed))
+        if isinstance(noise, dict):
+            spec |= _fields(noise, "data.synthetic.noise", mean="noise_mean", std="noise_std")
+        elif noise not in ("low", "default"):
             raise ValueError(
                 "data.synthetic.noise must be 'low', 'default' or "
                 f"{{\"mean\": ..., \"std\": ...}}, got {noise!r}"
             )
-    grid_doc = _section(doc.get("lambda_grid", {}), "lambda_grid")
-    grid = LambdaGrid(
-        lo=grid_doc.get("min", 0.01),
-        hi=grid_doc.get("max", 5.0),
-        count=grid_doc.get("count", 10),
-        scale=grid_doc.get("scale", "log"),
-    )
-    masks = _section(doc.get("masks", {}), "masks")
-    sdoc = _section(doc.get("solver", {}), "solver")
-    opts = SolverOptions(
-        beta=sdoc.get("beta", 1.0),
-        max_iters=sdoc.get("max_iters", 2000),
-        tol_primal=sdoc.get("tol_primal", 1e-6),
-        tol_dual=sdoc.get("tol_dual", 1e-6),
-        record_objective=False,
-    )
+        make = datagen.SyntheticSpec.low_noise if noise == "low" else datagen.SyntheticSpec
+        synthetic = make(**spec)
     return ExperimentConfig(
-        norms=tuple(doc["norms"]),
         synthetic=synthetic,
-        tensor_file=data.get("tensor_file"),
-        matrix_file=data.get("matrix_file"),
-        matrix_fully_observed=data.get("matrix_fully_observed", False),
-        lambda_grid=grid,
-        train_fractions=tuple(masks.get("train_fractions", (0.3, 0.5, 0.7))),
-        validation_fraction=masks.get("validation_fraction", 0.1),
-        repetitions=doc.get("repetitions", 3),
-        seed=doc.get("seed", 0),
-        cp_rank=doc.get("cp_rank", 5),
-        cp_iters=doc.get("cp_iters", 100),
-        solver=opts,
-        beta_tracks_lambda=sdoc.get("beta_tracks_lambda", True),
-        output_dir=doc.get("output_dir", "results"),
+        lambda_grid=LambdaGrid(
+            **_fields(grid, "lambda_grid", "count", "scale", min="lo", max="hi")
+        ),
+        # objective traces cost time per iteration and no report reads them
+        solver=SolverOptions(
+            record_objective=False,
+            **_fields(sdoc, "solver", "beta", "max_iters", "tol_primal", "tol_dual"),
+        ),
+        **fields,
     )
 
 
@@ -487,83 +464,53 @@ def save_matrix_csv(path: str | Path, M: np.ndarray, mask: ObservationMask) -> N
 # report emission
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
-
-
 RESULT_COLUMNS = (
     "norm", "fraction", "repetition", "selected_lambda", "validation_mse",
     "test_mse_tensor", "test_mse_matrix", "iterations", "converged", "error",
 )
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write ``header`` and one line per row: floats as ``%.10g``, the rest by ``str``."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in row))
+            fh.write("\n")
+    return path
+
+
 def emit_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, Path]:
     """Write results.csv, summary.csv, plotdata.csv and timings.csv."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    results = out / "results.csv"
-    with open(results, "w") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for c in report.cells:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        c.norm, c.fraction, c.repetition, c.selected_lambda,
-                        c.validation_mse, c.test_mse_tensor, c.test_mse_matrix,
-                        c.iterations, c.converged, c.error,
-                    )
-                )
-                + "\n"
-            )
-    paths["results"] = results
-
     cfg = report.config
-    summary = out / "summary.csv"
-    with open(summary, "w") as fh:
-        fh.write(
+    # per (norm, fraction): mean and std of the tensor, then the matrix, test MSEs
+    series = []
+    for norm_id in cfg.norms:
+        for fraction in cfg.train_fractions:
+            row = [norm_id, fraction]
+            for which in ("tensor", "matrix"):
+                vals = report.test_mses(norm_id, fraction, which)
+                row += [float(np.mean(vals)), float(np.std(vals))] if vals else [math.nan] * 2
+            series.append(row)
+    return {
+        "results": _write_csv(
+            out / "results.csv", ",".join(RESULT_COLUMNS),
+            ([getattr(c, k) for k in RESULT_COLUMNS] for c in report.cells),
+        ),
+        "summary": _write_csv(
+            out / "summary.csv",
             "norm,fraction,mean_test_mse_tensor,std_test_mse_tensor,"
-            "mean_test_mse_matrix,std_test_mse_matrix\n"
-        )
-        for norm_id in cfg.norms:
-            for fraction in cfg.train_fractions:
-                row = [norm_id, fraction]
-                for which in ("tensor", "matrix"):
-                    vals = report.test_mses(norm_id, fraction, which)
-                    if vals:
-                        row += [float(np.mean(vals)), float(np.std(vals))]
-                    else:
-                        row += [float("nan"), float("nan")]
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    paths["summary"] = summary
-
-    plotdata = out / "plotdata.csv"
-    with open(plotdata, "w") as fh:
-        fh.write("norm,fraction,mean_test_mse_tensor,mean_test_mse_matrix\n")
-        for norm_id in cfg.norms:
-            for fraction in cfg.train_fractions:
-                fh.write(
-                    ",".join(
-                        _fmt(v)
-                        for v in (
-                            norm_id,
-                            fraction,
-                            report.mean_test_mse(norm_id, fraction, "tensor"),
-                            report.mean_test_mse(norm_id, fraction, "matrix"),
-                        )
-                    )
-                    + "\n"
-                )
-    paths["plotdata"] = plotdata
-
-    timings = out / "timings.csv"
-    with open(timings, "w") as fh:
-        fh.write("norm,fraction,repetition,wall_time_s\n")
-        for c in report.cells:
-            fh.write(f"{c.norm},{_fmt(c.fraction)},{c.repetition},{c.wall_time:.3f}\n")
-    paths["timings"] = timings
-    return paths
+            "mean_test_mse_matrix,std_test_mse_matrix",
+            series,
+        ),
+        "plotdata": _write_csv(
+            out / "plotdata.csv", "norm,fraction,mean_test_mse_tensor,mean_test_mse_matrix",
+            ([*row[:3], row[4]] for row in series),
+        ),
+        "timings": _write_csv(
+            out / "timings.csv", "norm,fraction,repetition,wall_time_s",
+            ([c.norm, c.fraction, c.repetition, f"{c.wall_time:.3f}"] for c in report.cells),
+        ),
+    }

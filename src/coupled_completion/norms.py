@@ -50,7 +50,7 @@ class InvalidDescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class NormDescriptor:
-    """Symbolic form of a coupled norm: coupled mode + per-mode tags."""
+    """Coupled mode + per-mode tags; construction enforces the tag grammar."""
 
     coupled_mode: int
     tags: tuple[str, str, str]
@@ -64,6 +64,7 @@ class NormDescriptor:
             raise InvalidDescriptorError(
                 f"tags must be a triple over {TAGS}, got {self.tags!r}"
             )
+        validate(self)
 
     @property
     def is_all_overlapped(self) -> bool:
@@ -130,8 +131,7 @@ class ComponentLayout:
 
 
 def layout(d: NormDescriptor, dims: tuple[int, int, int]) -> ComponentLayout:
-    """Derive the latent-component layout of a valid descriptor."""
-    validate(d)
+    """Derive the latent-component layout of a descriptor."""
     components: list[list[tuple[int, float]]] = []
     overlapped = [k for k in (1, 2, 3) if d.tags[k - 1] == "O"]
     if overlapped:
@@ -162,12 +162,10 @@ def parse_descriptor(text: str) -> NormDescriptor:
         raise InvalidDescriptorError(
             f"cannot parse norm descriptor {text!r}; expected e.g. '1:(O,S,O)'"
         )
-    d = NormDescriptor(
+    return NormDescriptor(
         coupled_mode=int(m.group("a")),
         tags=(m.group("b"), m.group("c"), m.group("d")),
     )
-    validate(d)
-    return d
 
 
 def format_descriptor(d: NormDescriptor) -> str:
@@ -188,7 +186,6 @@ def evaluate_overlapped(
     d: NormDescriptor,
 ) -> float:
     """Closed-form value of an all-overlapped coupled norm."""
-    validate(d)
     if not d.is_all_overlapped:
         raise InvalidDescriptorError(
             f"closed-form evaluation needs (O,O,O), got {d.tags}"
@@ -213,8 +210,6 @@ def evaluate(
     M: np.ndarray,
     d: NormDescriptor,
     tol: float = 1e-6,
-    max_iters: int = 5000,
-    beta: float = 1.0,
 ) -> float:
     """Value of the coupled norm at ``(T, M)``.
 
@@ -228,13 +223,12 @@ def evaluate(
     # module-level import of solver would be circular
     from .solver import decompose
 
-    validate(d)
     T = np.asarray(T, dtype=float)
     M = np.asarray(M, dtype=float)
     if d.is_all_overlapped:
         return evaluate_overlapped(T, M, d)
     lay = layout(d, T.shape)
-    comps = decompose(T, M, lay, tol=tol, max_iters=max_iters, beta=beta)
+    comps = decompose(T, M, lay, tol=tol)
     return decomposition_value(comps, lay, M)
 
 
@@ -246,7 +240,6 @@ def dual_norm_latent_type(
     The dual is a maximum of (scaled) spectral norms of the unfoldings, with
     the coupled mode's unfolding concatenated with the matrix.
     """
-    validate(d)
     if d.tags not in (("L", "L", "L"), ("S", "S", "S")):
         raise InvalidDescriptorError(
             f"closed-form dual available for (L,L,L) and (S,S,S) only, got {d.tags}"

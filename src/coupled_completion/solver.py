@@ -47,10 +47,18 @@ __all__ = [
     "objective",
 ]
 
+# ADMM proximity parameter and iteration cap of :func:`decompose`
+DECOMPOSE_BETA = 1.0
+DECOMPOSE_MAX_ITERS = 5000
+
 
 @dataclass(frozen=True)
 class CoupledProblem:
-    """Observed tensor + observed matrix sharing mode ``coupled_mode``."""
+    """Observed tensor + observed matrix sharing mode ``coupled_mode``.
+
+    Observed entries must be finite; unobserved entries are arbitrary (NaN
+    included) and never read.
+    """
 
     tensor: np.ndarray
     tensor_mask: ObservationMask
@@ -78,6 +86,11 @@ class CoupledProblem:
             raise ValueError("tensor mask shape mismatch")
         if self.matrix_mask.shape != M.shape:
             raise ValueError("matrix mask shape mismatch")
+        for name, X, mask in (("tensor", T, self.tensor_mask), ("matrix", M, self.matrix_mask)):
+            bad = ~np.isfinite(X[mask.as_tuple()])
+            if bad.any():
+                at = tuple(int(i) for i in mask.indices[np.argmax(bad)])
+                raise ValueError(f"observed {name} entry at {at} is not finite")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -190,6 +203,30 @@ def update_matrix(
     return rhs / (problem.matrix_indicator + opts.beta)
 
 
+def _fit_entries(
+    state: SolverState,
+    beta: float,
+    rho: float,
+    residual: Callable[[np.ndarray], np.ndarray],
+) -> list[np.ndarray]:
+    """The latent components' entrywise data-fit step.
+
+    Component c gets ``t_c = v_c + r / (beta g_c (rho + sum_c 1 / (beta g_c)))``,
+    where ``v_c`` is its mean of ``Y - W / beta`` over its ``g_c`` norm terms
+    and ``r = residual(sum_c v_c)``.  For completion rho = 1 and ``r`` is the
+    observed data minus the masked sum; for the exact constraint sum_c t_c =
+    T, rho = 0 and ``r = T - sum``.
+    """
+    # built in the components' memory layout, which the SVT step then reads
+    v = [np.zeros_like(state.components[0]) for _ in state.g]
+    for m, _, c in state.terms:
+        v[c] += state.Y[m] - state.W[m] / beta
+    for vc, g in zip(v, state.g):
+        vc /= g
+    r = residual(sum(v)) / (rho + float(np.sum(1.0 / (beta * state.g))))
+    return [vc + r / (beta * g) for vc, g in zip(v, state.g)]
+
+
 def update_tensors(
     state: SolverState, problem: CoupledProblem, opts: SolverOptions
 ) -> list[np.ndarray]:
@@ -197,25 +234,11 @@ def update_tensors(
 
     Per entry the normal equations are (omega * ones + beta * diag(g)) t =
     rhs, with omega the 0/1 mask indicator and g_c the number of auxiliary
-    constraints attached to component c; solved by the Sherman-Morrison
-    rank-one update.
+    constraints attached to component c; :func:`_fit_entries` with rho = 1
+    is their Sherman-Morrison solution.
     """
-    beta = opts.beta
-    C = state.layout.n_components
-    g = state.g
     omega = problem.tensor_indicator
-    rhs = []
-    for ci in range(C):
-        acc = problem.tensor_observed.copy()
-        for mode, _, c in state.terms:
-            if c == ci:
-                acc += beta * state.Y[mode] - state.W[mode]
-        rhs.append(acc)
-    u = [rhs[ci] / (beta * g[ci]) for ci in range(C)]
-    s = sum(u)
-    denom = 1.0 + omega * float(np.sum(1.0 / (beta * g)))
-    correction = omega * s / denom
-    return [u[ci] - correction / (beta * g[ci]) for ci in range(C)]
+    return _fit_entries(state, opts.beta, 1.0, lambda s: problem.tensor_observed - omega * s)
 
 
 def update_auxiliaries(
@@ -264,8 +287,8 @@ def update_duals(
 
 def _loss(problem: CoupledProblem, T: np.ndarray, M: np.ndarray) -> float:
     return 0.5 * float(
-        np.linalg.norm(problem.matrix_indicator * (M - problem.matrix)) ** 2
-        + np.linalg.norm(problem.tensor_indicator * (T - problem.tensor)) ** 2
+        np.linalg.norm(problem.matrix_indicator * M - problem.matrix_observed) ** 2
+        + np.linalg.norm(problem.tensor_indicator * T - problem.tensor_observed) ** 2
     )
 
 
@@ -382,12 +405,7 @@ def solve(
 
 
 def decompose(
-    T: np.ndarray,
-    M: np.ndarray,
-    lay: ComponentLayout,
-    tol: float = 1e-6,
-    max_iters: int = 5000,
-    beta: float = 1.0,
+    T: np.ndarray, M: np.ndarray, lay: ComponentLayout, tol: float = 1e-6
 ) -> list[np.ndarray]:
     """Minimize the norm terms of ``lay`` subject to the components summing to ``T``.
 
@@ -396,7 +414,8 @@ def decompose(
     partial prox.  The data-fit step projects the components onto the sum
     constraint by an exact entrywise equality-constrained solve.  Starts
     from the even split ``T / C``; stops when the residuals fall below
-    ``tol`` relative to max(1, ||T||_F, ||M||_F).
+    ``tol`` relative to max(1, ||T||_F, ||M||_F), or after
+    ``DECOMPOSE_MAX_ITERS`` iterations.
     """
     terms = lay.regularized_modes()
     C = lay.n_components
@@ -406,22 +425,13 @@ def decompose(
         Y={mode: np.array(comps[c]) for mode, _, c in terms},
         WM=np.zeros_like(M), W={mode: np.zeros_like(T) for mode, _, _ in terms},
     )
-    g = state.g
 
     def project(state: SolverState) -> None:
-        vbar = []
-        for ci in range(C):
-            acc = np.zeros_like(T)
-            for mode, _, c in terms:
-                if c == ci:
-                    acc += state.Y[mode] - state.W[mode] / beta
-            vbar.append(acc / g[ci])
-        mu = (sum(vbar) - T) / float(np.sum(1.0 / (beta * g)))
-        state.components = [vbar[ci] - mu / (beta * g[ci]) for ci in range(C)]
+        state.components = _fit_entries(state, DECOMPOSE_BETA, 0.0, lambda s: T - s)
 
     opts = SolverOptions(
-        lam=1.0, beta=beta, max_iters=max_iters, tol_primal=tol, tol_dual=tol,
-        record_objective=False,
+        lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS, tol_primal=tol,
+        tol_dual=tol, record_objective=False,
     )
     scale = max(1.0, float(np.linalg.norm(T)), float(np.linalg.norm(M)))
     return _admm(state, opts, project, scale, matrix_fixed=True).components

@@ -124,6 +124,33 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"unknown config key.*{re.escape(key)}"):
             load_config(path)
 
+    def test_load_config_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"norms": ["MTN"], "data": {"synthetic": {}}}))
+        assert load_config(path) == ExperimentConfig(
+            norms=("MTN",),
+            synthetic=datagen.SyntheticSpec(
+                dims=(20, 20, 20), multilinear_rank=(5, 5, 5), matrix_cols=30,
+                matrix_rank=5, shared=0, noise_mean=0.01, noise_std=1.0, seed=0,
+            ),
+            lambda_grid=LambdaGrid(0.01, 5.0, 10, "log"),
+            train_fractions=(0.3, 0.5, 0.7),
+            validation_fraction=0.1,
+            repetitions=3,
+            seed=0,
+            cp_rank=5,
+            cp_iters=100,
+            solver=SolverOptions(
+                lam=0.1, beta=1.0, max_iters=2000, tol_primal=1e-6, tol_dual=1e-6,
+                record_objective=False,
+            ),
+            beta_tracks_lambda=True,
+            output_dir="results",
+        )
+        # the instance seed falls back to the top-level seed
+        path.write_text(json.dumps({"norms": ["MTN"], "data": {"synthetic": {}}, "seed": 7}))
+        assert load_config(path).synthetic.seed == 7
+
     def test_load_config_rejects_unknown_noise_name(self, tmp_path):
         doc = {"norms": ["MTN"], "data": {"synthetic": {"noise": "high"}}}
         path = tmp_path / "config.json"

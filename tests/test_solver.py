@@ -1,5 +1,7 @@
 """Tests for the coupled-completion ADMM solver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -456,6 +458,34 @@ class TestSolve:
         )
         assert not res.converged
         assert res.iterations == 3
+
+    @pytest.mark.parametrize("fill", [np.nan, 1e3])
+    def test_unobserved_entries_are_never_read(self, fill):
+        problem = random_problem(seed=26)
+        filled = CoupledProblem(
+            np.where(problem.tensor_indicator == 1, problem.tensor, fill),
+            problem.tensor_mask,
+            np.where(problem.matrix_indicator == 1, problem.matrix, fill),
+            problem.matrix_mask,
+        )
+        d = NormDescriptor(1, ("O", "S", "O"))
+        opts = SolverOptions(lam=0.3, max_iters=200)
+        ref, res = solve(problem, d, opts), solve(filled, d, opts)
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.tensor, ref.tensor)
+        assert np.array_equal(res.matrix, ref.matrix)
+        assert np.array_equal(res.objective_trace, ref.objective_trace)
+
+    @pytest.mark.parametrize("part, bad", [("tensor", np.inf), ("matrix", np.nan)])
+    def test_rejects_non_finite_observed_entry(self, part, bad):
+        problem = random_problem(seed=27)
+        data = {"tensor": problem.tensor.copy(), "matrix": problem.matrix.copy()}
+        at = tuple(int(i) for i in getattr(problem, f"{part}_mask").indices[3])
+        data[part][at] = bad
+        with pytest.raises(ValueError, match=re.escape(f"observed {part} entry at {at}")):
+            CoupledProblem(
+                data["tensor"], problem.tensor_mask, data["matrix"], problem.matrix_mask
+            )
 
     def test_components_sum_to_tensor(self):
         problem = random_problem(seed=25)
