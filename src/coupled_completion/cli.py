@@ -43,12 +43,11 @@ def _cmd_bounds(args) -> int:
         return 1
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "bounds.csv"
     base = bounds_mod.rank_geometry(cfg.synthetic)
-    with open(path, "w") as fh:
-        fh.write("norm," + ",".join(bounds_mod.NORM_IDS) + "\n")
-        row = [bounds_mod.bound(nid, base) for nid in bounds_mod.NORM_IDS]
-        fh.write("bound," + ",".join(f"{v:.10g}" for v in row) + "\n")
+    path = harness._write_csv(
+        out / "bounds.csv", "norm," + ",".join(bounds_mod.NORM_IDS),
+        [["bound", *(bounds_mod.bound(nid, base) for nid in bounds_mod.NORM_IDS)]],
+    )
     print(f"wrote {path}")
     return 0
 

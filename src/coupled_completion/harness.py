@@ -318,10 +318,7 @@ def _subset_mask(base: ObservationMask | None, mask: ObservationMask) -> Observa
     """Restrict a generated mask to positions actually observed in the data."""
     if base is None:
         return mask
-    base_set = {tuple(row) for row in base.indices}
-    keep = np.array(
-        [tuple(row) in base_set for row in mask.indices], dtype=bool
-    )
+    keep = base.indicator()[mask.as_tuple()] > 0
     return ObservationMask(mask.shape, mask.indices[keep])
 
 
@@ -339,7 +336,7 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
             )
             if cfg.matrix_fully_observed:
                 m_masks = (
-                    ObservationMask.full(M.shape),
+                    _subset_mask(m_obs, ObservationMask.full(M.shape)),
                     ObservationMask.empty(M.shape),
                     ObservationMask.empty(M.shape),
                 )

@@ -99,9 +99,8 @@ class ComponentLayout:
     """Latent-component structure implied by a descriptor.
 
     ``components`` maps component index -> list of ``(mode, scale)`` pairs it
-    is trace-norm regularized on.  ``owner`` maps each regularized mode to
-    its component.  ``coupled_component`` is the component whose coupled-mode
-    unfolding is concatenated with the matrix.
+    is trace-norm regularized on.  Each regularized mode has one owner; the
+    owner of ``coupled_mode`` carries the matrix in that mode's unfolding.
     """
 
     dims: tuple[int, int, int]
@@ -109,25 +108,14 @@ class ComponentLayout:
     components: tuple[tuple[tuple[int, float], ...], ...]
 
     @property
-    def owner(self) -> dict[int, int]:
-        return {mode: c for c, terms in enumerate(self.components) for mode, _ in terms}
-
-    @property
     def n_components(self) -> int:
         return len(self.components)
 
-    @property
-    def coupled_component(self) -> int:
-        return self.owner[self.coupled_mode]
-
     def regularized_modes(self) -> list[tuple[int, float, int]]:
         """Flat list of ``(mode, scale, component)`` over all norm terms."""
-        out = []
-        for c, terms in enumerate(self.components):
-            for mode, scale in terms:
-                out.append((mode, scale, c))
-        out.sort()
-        return out
+        return sorted(
+            (mode, scale, c) for c, terms in enumerate(self.components) for mode, scale in terms
+        )
 
 
 def layout(d: NormDescriptor, dims: tuple[int, int, int]) -> ComponentLayout:
@@ -190,7 +178,7 @@ def evaluate_overlapped(
         raise InvalidDescriptorError(
             f"closed-form evaluation needs (O,O,O), got {d.tags}"
         )
-    return sum(trace_norm(_coupled_unfolding(T, k, M, d.coupled_mode)) for k in (1, 2, 3))
+    return decomposition_value([T], layout(d, T.shape), M)
 
 
 def decomposition_value(
@@ -213,22 +201,22 @@ def evaluate(
 ) -> float:
     """Value of the coupled norm at ``(T, M)``.
 
-    All-overlapped descriptors are closed-form.  Latent-containing ones are
-    infima over additive decompositions and are computed by the solver's
-    ADMM on the decomposition constraint, run until the constraint residuals
-    fall below ``tol``; the returned value comes from the feasible primal
-    decomposition, so it never undershoots the true infimum.
+    All-overlapped descriptors are closed-form: the decomposition is ``[T]``.
+    Latent-containing ones are infima over additive decompositions and are
+    computed by the solver's ADMM on the decomposition constraint, run until
+    the constraint residuals fall below ``tol``; the returned value comes
+    from the feasible primal decomposition, so it never undershoots the true
+    infimum.  Inputs are copied to C order first, so the value does not
+    depend on their memory layout.
     """
     # function-local: solver imports this module at load time, so a
     # module-level import of solver would be circular
     from .solver import decompose
 
-    T = np.asarray(T, dtype=float)
-    M = np.asarray(M, dtype=float)
-    if d.is_all_overlapped:
-        return evaluate_overlapped(T, M, d)
+    T = np.ascontiguousarray(T, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     lay = layout(d, T.shape)
-    comps = decompose(T, M, lay, tol=tol)
+    comps = [T] if d.is_all_overlapped else decompose(T, M, lay, tol=tol)
     return decomposition_value(comps, lay, M)
 
 
@@ -237,20 +225,19 @@ def dual_norm_latent_type(
 ) -> float:
     """Closed-form dual of the all-latent and all-scaled-latent norms.
 
-    The dual is a maximum of (scaled) spectral norms of the unfoldings, with
-    the coupled mode's unfolding concatenated with the matrix.
+    The dual is a maximum of spectral norms of the unfoldings divided by
+    their norm-term scales, with the coupled mode's unfolding concatenated
+    with the matrix.
     """
     if d.tags not in (("L", "L", "L"), ("S", "S", "S")):
         raise InvalidDescriptorError(
             f"closed-form dual available for (L,L,L) and (S,S,S) only, got {d.tags}"
         )
     T = np.asarray(T, dtype=float)
-    dims = T.shape
-    vals = []
-    for k in (1, 2, 3):
-        w = np.sqrt(dims[k - 1]) if d.tags[k - 1] == "S" else 1.0
-        vals.append(w * spectral_norm(_coupled_unfolding(T, k, M, d.coupled_mode)))
-    return max(vals)
+    return max(
+        spectral_norm(_coupled_unfolding(T, mode, M, d.coupled_mode)) / scale
+        for mode, scale, _ in layout(d, T.shape).regularized_modes()
+    )
 
 
 def dual_norm_overlapped_upper(

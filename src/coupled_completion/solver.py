@@ -138,23 +138,30 @@ class SolverOptions:
 class SolverState:
     """Mutable per-solve state; owned exclusively by one solve.
 
-    ``terms`` (the layout's ``(mode, scale, component)`` norm terms) and
-    ``g`` (the number of terms per component) are derived from ``layout``
-    once, at construction.
+    Built from the start point ``(components, M)``: each auxiliary ``Y[mode]``
+    starts as its component (the same array: the ADMM steps replace arrays
+    and never write into them), and ``X``, ``WM`` and every dual ``W[mode]``
+    at zero.  ``terms`` (the layout's ``(mode, scale, component)`` norm
+    terms) and ``g`` (the number of terms per component) are derived from
+    ``layout`` once, at construction.
     """
 
     layout: ComponentLayout
     components: list[np.ndarray]
     M: np.ndarray
-    X: np.ndarray
-    Y: dict[int, np.ndarray]
-    WM: np.ndarray
-    W: dict[int, np.ndarray]
+    X: np.ndarray = field(init=False)
+    Y: dict[int, np.ndarray] = field(init=False)
+    WM: np.ndarray = field(init=False)
+    W: dict[int, np.ndarray] = field(init=False)
     terms: list[tuple[int, float, int]] = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.terms = self.layout.regularized_modes()
+        self.X = np.zeros_like(self.M)
+        self.WM = np.zeros_like(self.M)
+        self.Y = {mode: self.components[c] for mode, _, c in self.terms}
+        self.W = {mode: np.zeros(self.layout.dims) for mode, _, _ in self.terms}
         self.g = np.bincount(
             [c for _, _, c in self.terms], minlength=self.layout.n_components
         ).astype(float)
@@ -172,23 +179,6 @@ class CompletionResult:
     final_dual_residual: float
     iterations: int
     converged: bool
-    layout: ComponentLayout = field(repr=False, default=None)
-
-
-def _init_state(problem: CoupledProblem, lay: ComponentLayout) -> SolverState:
-    dims = problem.dims
-    C = lay.n_components
-    modes = [mode for mode, _, _ in lay.regularized_modes()]
-    zeros_t = lambda: np.zeros(dims)
-    return SolverState(
-        layout=lay,
-        components=[zeros_t() for _ in range(C)],
-        M=np.zeros_like(problem.matrix),
-        X=np.zeros_like(problem.matrix),
-        Y={mode: zeros_t() for mode in modes},
-        WM=np.zeros_like(problem.matrix),
-        W={mode: zeros_t() for mode in modes},
-    )
 
 
 def update_matrix(
@@ -369,7 +359,6 @@ def _admm(
         final_dual_residual=float(dual),
         iterations=it,
         converged=converged,
-        layout=state.layout,
     )
 
 
@@ -382,7 +371,8 @@ def solve(
 
     Deterministic: all variables start at zero.  Residuals are judged
     relative to max(1, ||observed data||_F).  Raises
-    :class:`InvalidDescriptorError` for a descriptor outside the grammar.
+    :class:`InvalidDescriptorError` when the descriptor's coupled mode is not
+    the problem's.
     """
     if d.coupled_mode != problem.coupled_mode:
         raise InvalidDescriptorError(
@@ -398,8 +388,12 @@ def solve(
         state.M = update_matrix(state, problem, opts)
         state.components = update_tensors(state, problem, opts)
 
+    state = SolverState(
+        lay, [np.zeros(problem.dims) for _ in range(lay.n_components)],
+        np.zeros_like(problem.matrix),
+    )
     return _admm(
-        _init_state(problem, lay), opts, fit_step, max(1.0, float(data_norm)),
+        state, opts, fit_step, max(1.0, float(data_norm)),
         loss=lambda state: _loss(problem, sum(state.components), state.M),
     )
 
@@ -417,14 +411,8 @@ def decompose(
     ``tol`` relative to max(1, ||T||_F, ||M||_F), or after
     ``DECOMPOSE_MAX_ITERS`` iterations.
     """
-    terms = lay.regularized_modes()
     C = lay.n_components
-    comps = [T / C for _ in range(C)]
-    state = SolverState(
-        layout=lay, components=comps, M=M, X=np.zeros_like(M),
-        Y={mode: np.array(comps[c]) for mode, _, c in terms},
-        WM=np.zeros_like(M), W={mode: np.zeros_like(T) for mode, _, _ in terms},
-    )
+    state = SolverState(lay, [T / C for _ in range(C)], M)
 
     def project(state: SolverState) -> None:
         state.components = _fit_entries(state, DECOMPOSE_BETA, 0.0, lambda s: T - s)

@@ -199,7 +199,7 @@ def test_criterion_4_solver_convergence():
     for tags in (("O", "O", "O"), ("S", "O", "O"), ("L", "L", "L")):
         d = NormDescriptor(1, tags)
         lay = norms.layout(d, dims)
-        state = solver._init_state(problem, lay)
+        state = solver.SolverState(lay, [np.zeros(dims) for _ in lay.components], M)
         res = results[tags]
         state.components = [c.copy() for c in res.components]
         state.M = res.matrix.copy()

@@ -371,6 +371,29 @@ class TestRun:
         assert poisoned[1] == base[1]
         assert poisoned[2] != base[2]
 
+    def test_fully_observed_matrix_trains_on_file_cells_only(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(8)
+        T, M = rng.standard_normal((4, 3, 3)), rng.standard_normal((4, 5))
+        save_sparse_tensor(tmp_path / "t.txt", T, ObservationMask.full(T.shape))
+        cells = np.array([(i, j) for i in range(4) for j in range(5) if (i + j) % 2])
+        save_matrix_csv(tmp_path / "m.csv", M, ObservationMask(M.shape, cells))
+        cfg = tiny_config(
+            synthetic=None, tensor_file=str(tmp_path / "t.txt"),
+            matrix_file=str(tmp_path / "m.csv"), matrix_fully_observed=True,
+            lambda_grid=LambdaGrid(0.1, 0.1, 1),
+        )
+        seen = []
+        real_solve = harness.solver.solve
+
+        def spy(problem, d, opts):
+            seen.append(problem.matrix_mask)
+            return real_solve(problem, d, opts)
+
+        monkeypatch.setattr(harness.solver, "solve", spy)
+        assert not run(cfg).failures()
+        assert len(seen) == 1
+        assert sorted(map(tuple, seen[0].indices)) == sorted(map(tuple, cells))
+
 
 class TestEmitReport:
     def test_empty_report_headers_only(self, tmp_path):

@@ -70,12 +70,17 @@ class TestValidate:
             NormDescriptor(4, ("O", "O", "O"))
 
 
+def coupled_owner(lay):
+    """The component whose coupled-mode unfolding carries the matrix."""
+    return next(c for mode, _, c in lay.regularized_modes() if mode == lay.coupled_mode)
+
+
 class TestLayout:
     def test_all_overlapped(self):
         lay = layout(NormDescriptor(1, ("O", "O", "O")), (4, 5, 6))
         assert lay.n_components == 1
         assert lay.components == (((1, 1.0), (2, 1.0), (3, 1.0)),)
-        assert lay.coupled_component == 0
+        assert coupled_owner(lay) == 0
 
     def test_mixed_scaled_first_mode(self):
         lay = layout(NormDescriptor(1, ("S", "O", "O")), (4, 5, 6))
@@ -84,7 +89,7 @@ class TestLayout:
         assert lay.components[0] == ((2, 1.0), (3, 1.0))
         # the scaled singleton owns mode 1 with scale 1/sqrt(n1) and the coupling
         assert lay.components[1] == ((1, 1.0 / 2.0),)
-        assert lay.coupled_component == 1
+        assert coupled_owner(lay) == 1
 
     def test_mixed_scaled_second_mode(self):
         lay = layout(NormDescriptor(1, ("O", "S", "O")), (4, 5, 6))
@@ -92,13 +97,14 @@ class TestLayout:
         assert lay.components[0] == ((1, 1.0), (3, 1.0))
         assert lay.components[1] == ((2, 1.0 / np.sqrt(5)),)
         # the overlapped component regularizes the coupled mode, so it owns M
-        assert lay.coupled_component == 0
+        assert coupled_owner(lay) == 0
 
     def test_all_latent(self):
         lay = layout(NormDescriptor(2, ("L", "L", "L")), (4, 5, 6))
         assert lay.n_components == 3
         assert all(len(c) == 1 for c in lay.components)
-        assert lay.coupled_component == lay.owner[2]
+        # mode 2's own singleton, the second latent component, owns M
+        assert coupled_owner(lay) == 1
 
     def test_scaled_uses_dimension(self):
         lay = layout(NormDescriptor(1, ("S", "S", "S")), (9, 16, 25))
@@ -220,6 +226,23 @@ class TestEvaluate:
             lhs = evaluate(T1 + T2, M1 + M2, d, tol=1e-7)
             rhs = evaluate(T1, M1, d, tol=1e-7) + evaluate(T2, M2, d, tol=1e-7)
             assert lhs <= rhs + 1e-3
+
+    @pytest.mark.parametrize(
+        "text", ["1:(O,O,O)", "1:(L,L,L)", "1:(S,S,S)", "1:(L,O,O)", "1:(O,L,O)",
+                 "1:(O,O,L)", "1:(S,O,O)", "1:(O,S,O)", "1:(O,O,S)"],
+    )
+    def test_independent_of_memory_layout(self, text):
+        rng = np.random.default_rng(7)
+        T = rng.standard_normal((8, 9, 10))
+        M = rng.standard_normal((8, 6))
+        d = parse_descriptor(text)
+        strided_T = np.zeros((16, 9, 10))[::2]
+        strided_T[...] = T
+        strided_M = np.zeros((8, 12))[:, ::2]
+        strided_M[...] = M
+        ref = evaluate(T, M, d)
+        assert evaluate(np.asfortranarray(T), np.asfortranarray(M), d) == ref
+        assert evaluate(strided_T, strided_M, d) == ref
 
 
 class TestDualNorms:

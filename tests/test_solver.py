@@ -10,7 +10,7 @@ from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
     CoupledProblem,
     SolverOptions,
-    _init_state,
+    SolverState,
     objective,
     solve,
     update_auxiliaries,
@@ -44,7 +44,7 @@ def random_problem(dims=(6, 6, 6), cols=4, density=0.6, seed=0):
 def random_state(problem, d, seed=0):
     """Solver state after a few iterations, for exercising block updates."""
     lay = norms.layout(d, problem.dims)
-    state = _init_state(problem, lay)
+    state = SolverState(lay, [np.zeros(problem.dims) for _ in lay.components], problem.matrix)
     rng = np.random.default_rng(seed)
     state.M = rng.standard_normal(problem.matrix.shape)
     state.X = rng.standard_normal(problem.matrix.shape)
@@ -257,7 +257,7 @@ class TestUpdateAuxiliaries:
         for mode, scale, c in lay.regularized_modes():
             arg = unfold(state.components[c] + state.W[mode] / opts.beta, mode)
             Z = unfold(newY[mode], mode)
-            if mode == lay.coupled_mode and c == lay.coupled_component:
+            if mode == lay.coupled_mode:
                 arg = concat_mode1(arg, state.M + state.WM / opts.beta)
                 Z = concat_mode1(Z, newX)
             assert_svt_optimal(arg, Z, opts.lam * scale / opts.beta)
@@ -443,6 +443,33 @@ class TestSolve:
         res_perm = solve(problem_perm, d, opts)
         assert np.max(np.abs(res_perm.tensor - np.transpose(res.tensor, (0, 2, 1)))) < 1e-8
         assert np.max(np.abs(res_perm.matrix - res.matrix)) < 1e-8
+
+    @pytest.mark.parametrize("mode", [2, 3])
+    @pytest.mark.parametrize("tags", ["SOO", "OSO", "OOL", "LLL", "SSS"])
+    def test_coupled_mode_permutation_equivariance(self, tags, mode):
+        """Coupling on mode 2 or 3 is coupling on mode 1 with the axes permuted."""
+        problem = random_problem(dims=(5, 6, 7), cols=4, seed=28)
+        # axis mode - 1 of the permuted tensor is axis 0 of the original
+        perm = (1, 0, 2) if mode == 2 else (1, 2, 0)
+        d = NormDescriptor(1, tuple(tags))
+        d_perm = NormDescriptor(mode, tuple(tags[p] for p in perm))
+        T_perm = np.transpose(problem.tensor, perm)
+        problem_perm = CoupledProblem(
+            T_perm,
+            ObservationMask(T_perm.shape, problem.tensor_mask.indices[:, perm]),
+            problem.matrix,
+            problem.matrix_mask,
+            coupled_mode=mode,
+        )
+        opts = SolverOptions(lam=0.4, max_iters=300)
+        res, res_perm = solve(problem, d, opts), solve(problem_perm, d_perm, opts)
+        assert res_perm.iterations == res.iterations
+        scale = np.max(np.abs(res.tensor))
+        assert np.max(np.abs(res_perm.tensor - np.transpose(res.tensor, perm))) <= 1e-9 * scale
+        assert np.max(np.abs(res_perm.matrix - res.matrix)) <= 1e-9 * scale
+        value = norms.evaluate(problem.tensor, problem.matrix, d)
+        value_perm = norms.evaluate(T_perm, problem.matrix, d_perm)
+        assert value_perm == pytest.approx(value, rel=1e-9)
 
     def test_traces_have_iteration_length(self):
         problem = random_problem(seed=23)
