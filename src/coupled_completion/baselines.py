@@ -1,7 +1,9 @@
 """Reference completion methods: individual matrix trace-norm completion
 (MTN), individual tensor completion with the overlapped (OTN) and scaled
 latent (SLTN) norms, and non-convex coupled CP factorization by masked
-alternating least squares."""
+alternating least squares (CP).  CP checks its inputs as the solver's
+:class:`CoupledProblem` does, and reports ``converged`` only when ALS met
+its tolerance within its sweep cap."""
 
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from .norms import NormDescriptor
 # svt is not called here; bench/test_bench.py patches and checks baselines.svt
 from .prox import svt  # noqa: F401
 from .solver import CompletionResult, CoupledProblem, SolverOptions, solve
-from .tensor_ops import ObservationMask, mask_apply, unfold
+from .tensor_ops import ObservationMask, unfold
 
 __all__ = [
     "CpFactors",
@@ -91,6 +93,7 @@ class CpFactors:
     V: np.ndarray
     rank: int
     objective_trace: np.ndarray
+    converged: bool  # ALS met its tolerance within its sweep cap
 
     def reconstruct_tensor(self) -> np.ndarray:
         return np.einsum("ir,jr,kr->ijk", self.A, self.B, self.C)
@@ -99,31 +102,16 @@ class CpFactors:
         return self.A @ self.V.T
 
 
-def _cp_objective(
-    T_obs, t_mask, M_obs, m_mask, A, B, C, V
-) -> float:
-    T_hat = np.einsum("ir,jr,kr->ijk", A, B, C)
-    return float(
-        np.linalg.norm(mask_apply(T_hat - T_obs, t_mask)) ** 2
-        + np.linalg.norm(mask_apply(A @ V.T - M_obs, m_mask)) ** 2
-    )
-
-
 def _masked_ls_rows(design: np.ndarray, target: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Row-wise ridge least squares restricted to observed entries.
 
-    design: (n_cols, R); target, obs: (n_rows, n_cols).  Solves each row of
-    the output factor independently.
+    design: (n_cols, R); target, obs: (n_rows, n_cols), target zero where obs
+    is.  One product forms every row's Gram matrix; one batched solve.
     """
-    n_rows = target.shape[0]
     R = design.shape[1]
-    out = np.zeros((n_rows, R))
-    for i in range(n_rows):
-        sel = obs[i] > 0
-        D = design[sel]
-        G = D.T @ D + RIDGE * np.eye(R)
-        out[i] = np.linalg.solve(G, D.T @ target[i, sel])
-    return out
+    outer = (design[:, :, None] * design[:, None, :]).reshape(-1, R * R)
+    G = (obs @ outer).reshape(-1, R, R) + RIDGE * np.eye(R)
+    return np.linalg.solve(G, (target @ design)[..., None])[..., 0]
 
 
 def coupled_cp_als(
@@ -143,39 +131,36 @@ def coupled_cp_als(
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    T_obs = np.asarray(T_obs, dtype=float)
-    M_obs = np.asarray(M_obs, dtype=float)
-    n1, n2, n3 = T_obs.shape
-    m = M_obs.shape[1]
+    problem = CoupledProblem(T_obs, tensor_mask, M_obs, matrix_mask)
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n1, rank)) / np.sqrt(rank)
-    B = rng.standard_normal((n2, rank)) / np.sqrt(rank)
-    C = rng.standard_normal((n3, rank)) / np.sqrt(rank)
-    V = rng.standard_normal((m, rank)) / np.sqrt(rank)
-
-    t_ind = tensor_mask.indicator()
-    m_ind = matrix_mask.indicator()
-    T_data = mask_apply(T_obs, tensor_mask)
-    M_data = mask_apply(M_obs, matrix_mask)
+    dims = (*problem.dims, problem.matrix.shape[1])
+    A, B, C, V = (rng.standard_normal((n, rank)) / np.sqrt(rank) for n in dims)
 
     def khatri_rao(P, Q):
         # columnwise Kronecker, rows ordered to match Fortran-order unfolding
         return (Q[:, None, :] * P[None, :, :]).reshape(-1, rank)
 
-    trace = []
-    prev = np.inf
+    T_data, t_ind = problem.tensor_observed, problem.tensor_indicator
+    M_data, m_ind = problem.matrix_observed, problem.matrix_indicator
+    # A fits the tensor's mode-1 unfolding and the matrix rows jointly
+    data_A = np.hstack([unfold(T_data, 1), M_data])
+    obs_A = np.hstack([unfold(t_ind, 1), m_ind])
+    data_B, obs_B = unfold(T_data, 2), unfold(t_ind, 2)
+    data_C, obs_C = unfold(T_data, 3), unfold(t_ind, 3)
+
+    trace, prev, converged = [], np.inf, False
+    design_A = np.vstack([khatri_rao(B, C), V])
     for _ in range(iters):
-        # A solves tensor mode-1 and matrix rows jointly
-        design_A = np.vstack([khatri_rao(B, C), V])
-        target_A = np.hstack([unfold(T_data, 1), M_data])
-        obs_A = np.hstack([unfold(t_ind, 1), m_ind])
-        A = _masked_ls_rows(design_A, target_A, obs_A)
-        B = _masked_ls_rows(khatri_rao(A, C), unfold(T_data, 2), unfold(t_ind, 2))
-        C = _masked_ls_rows(khatri_rao(A, B), unfold(T_data, 3), unfold(t_ind, 3))
+        A = _masked_ls_rows(design_A, data_A, obs_A)
+        B = _masked_ls_rows(khatri_rao(A, C), data_B, obs_B)
+        C = _masked_ls_rows(khatri_rao(A, B), data_C, obs_C)
         V = _masked_ls_rows(A, M_data.T, m_ind.T)
-        obj = _cp_objective(T_obs, tensor_mask, M_obs, matrix_mask, A, B, C, V)
+        design_A = np.vstack([khatri_rao(B, C), V])
+        # masked squared residual of the tensor and the matrix, on A's layout
+        obj = float(np.sum((obs_A * (A @ design_A.T) - data_A) ** 2))
         trace.append(obj)
         if np.isfinite(prev) and prev - obj <= tol * max(1.0, prev):
+            converged = True
             break
         prev = obj
-    return CpFactors(A=A, B=B, C=C, V=V, rank=rank, objective_trace=np.array(trace))
+    return CpFactors(A, B, C, V, rank, np.array(trace), converged)

@@ -92,6 +92,8 @@ class ExperimentConfig:
                 norms.parse_descriptor(n)  # raises on malformed ids
         if (self.synthetic is None) == (self.tensor_file is None):
             raise ValueError("configure exactly one of synthetic data or files")
+        for f in self.train_fractions:
+            datagen.MaskSpec(f, self.validation_fraction)  # raises on a bad split
 
 
 def _fields(doc: dict, path: str, *keys: str, **renamed: str) -> dict:
@@ -277,7 +279,7 @@ def _fit_cell(
         T_hat = factors.reconstruct_tensor()
         M_hat = factors.reconstruct_matrix()
         lam, val = float("nan"), val_mse(T_hat, M_hat)
-        iters, conv = len(factors.objective_trace), True
+        iters, conv = len(factors.objective_trace), factors.converged
     else:
         # fit(lam, opts) -> CompletionResult
         if norm_id == "MTN":

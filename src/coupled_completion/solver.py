@@ -130,6 +130,8 @@ class SolverOptions:
             raise ValueError("lam must be >= 0")
         if self.beta <= 0:
             raise ValueError("beta must be > 0")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
         if self.tol_primal <= 0 or self.tol_dual <= 0:
             raise ValueError("tolerances must be > 0")
 

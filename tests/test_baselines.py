@@ -5,6 +5,8 @@ import pytest
 
 from coupled_completion import datagen
 from coupled_completion.baselines import (
+    RIDGE,
+    _masked_ls_rows,
     complete_matrix_mtn,
     complete_tensor,
     coupled_cp_als,
@@ -214,3 +216,44 @@ class TestCoupledCpAls:
         )
         assert factors.reconstruct_tensor().shape == (3, 4, 5)
         assert factors.reconstruct_matrix().shape == (3, 6)
+
+    def test_converged_only_when_tolerance_met(self):
+        T, M = planted_cp((6, 6, 6), 4, rank=2, seed=9)
+        masks = (ObservationMask.full(T.shape), ObservationMask.full(M.shape))
+        assert not coupled_cp_als(T, M, *masks, rank=2, iters=1, seed=1).converged
+        factors = coupled_cp_als(T, M, *masks, rank=2, iters=200, seed=1)
+        assert factors.converged and len(factors.objective_trace) < 200
+
+    @pytest.mark.parametrize("part, bad", [("tensor", np.nan), ("matrix", np.inf)])
+    def test_rejects_non_finite_observed_entry(self, part, bad):
+        T, M = planted_cp((4, 5, 3), 6, rank=2, seed=16)
+        data = {"tensor": T, "matrix": M}
+        data[part][(1,) * data[part].ndim] = bad
+        with pytest.raises(ValueError, match=f"observed {part} entry at .* is not finite"):
+            coupled_cp_als(
+                T, M, ObservationMask.full(T.shape), ObservationMask.full(M.shape), rank=2
+            )
+
+    def test_rejects_matrix_rows_other_than_n1(self):
+        T, _ = planted_cp((4, 5, 3), 6, rank=2, seed=17)
+        M = np.zeros((5, 6))
+        with pytest.raises(ValueError, match="matrix rows"):
+            coupled_cp_als(
+                T, M, ObservationMask.full(T.shape), ObservationMask.full(M.shape), rank=2
+            )
+
+
+class TestMaskedLsRows:
+    def test_matches_per_row_ridge_solve(self):
+        rng = np.random.default_rng(18)
+        design = rng.standard_normal((12, 3))
+        obs = (rng.random((7, 12)) < 0.5).astype(float)
+        obs[2] = 0.0  # a row with no observed column
+        obs[4] = 1.0
+        target = rng.standard_normal((7, 12)) * obs
+        out = _masked_ls_rows(design, target, obs)
+        for i in range(7):
+            D = design[obs[i] > 0]
+            ref = np.linalg.solve(D.T @ D + RIDGE * np.eye(3), D.T @ target[i, obs[i] > 0])
+            assert np.allclose(out[i], ref, rtol=1e-12, atol=0)
+        assert np.array_equal(out[2], np.zeros(3))

@@ -74,6 +74,11 @@ class TestExperimentConfig:
         cfg = tiny_config(norms=("MTN", "OTN", "SLTN", "CP"))
         assert cfg.norms == ("MTN", "OTN", "SLTN", "CP")
 
+    def test_rejects_train_fraction_leaving_no_test_split(self):
+        # 0.95 + 0.1 validation leaves no test entries; caught before any fit
+        with pytest.raises(ValueError, match="sum below 1"):
+            tiny_config(train_fractions=(0.3, 0.95), validation_fraction=0.1)
+
     def test_load_config_json(self, tmp_path):
         doc = {
             "norms": ["1:(O,O,O)", "OTN"],
@@ -345,6 +350,13 @@ class TestRun:
         report = run(cfg)
         assert len(report.failures()) == 1
         assert report.failures()[0].error
+
+    def test_cp_cell_reports_als_convergence(self, tmp_path):
+        report = run(tiny_config(norms=("CP",), cp_iters=1))
+        assert not report.failures()
+        row = emit_report(report, tmp_path)["results"].read_text().splitlines()[1]
+        # iterations and converged precede the empty error column
+        assert row.endswith(",1,False,")
 
     def test_test_entries_never_influence_fitting(self):
         cfg = tiny_config()

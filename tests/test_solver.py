@@ -503,6 +503,10 @@ class TestSolve:
         assert np.array_equal(res.matrix, ref.matrix)
         assert np.array_equal(res.objective_trace, ref.objective_trace)
 
+    def test_rejects_iteration_cap_below_one(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverOptions(max_iters=0)
+
     @pytest.mark.parametrize("part, bad", [("tensor", np.inf), ("matrix", np.nan)])
     def test_rejects_non_finite_observed_entry(self, part, bad):
         problem = random_problem(seed=27)
