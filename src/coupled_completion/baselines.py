@@ -35,12 +35,13 @@ def _solve_alone(
     tags: tuple[str, str, str],
     lam: float,
     opts: SolverOptions,
+    start: CompletionResult | None,
 ) -> CompletionResult:
     """The coupled solver on a problem whose tensor or matrix part is empty."""
     if opts.lam != lam:
         opts = replace(opts, lam=lam)
     problem = CoupledProblem(tensor, tensor_mask, matrix, matrix_mask, coupled_mode=1)
-    return solve(problem, NormDescriptor(1, tags), opts)
+    return solve(problem, NormDescriptor(1, tags), opts, start)
 
 
 def complete_matrix_mtn(
@@ -48,17 +49,20 @@ def complete_matrix_mtn(
     mask: ObservationMask,
     lam: float,
     opts: SolverOptions = SolverOptions(),
+    start: CompletionResult | None = None,
 ) -> CompletionResult:
     """Trace-norm regularized matrix completion (MTN).
 
     The coupled solver with an empty ``(n1, 0, 0)`` tensor: under
     ``1:(O,O,O)`` only the coupled mode-1 block, which is the matrix
-    itself, carries a trace norm.
+    itself, carries a trace norm.  ``start`` is an earlier MTN result on
+    the same matrix shape, passed to :func:`solver.solve`.
     """
     M_obs = np.asarray(M_obs, dtype=float)
     empty = np.zeros((M_obs.shape[0], 0, 0))
     return _solve_alone(
-        empty, ObservationMask.empty(empty.shape), M_obs, mask, ("O", "O", "O"), lam, opts
+        empty, ObservationMask.empty(empty.shape), M_obs, mask, ("O", "O", "O"), lam, opts,
+        start,
     )
 
 
@@ -68,10 +72,13 @@ def complete_tensor(
     norm: str,
     lam: float,
     opts: SolverOptions = SolverOptions(),
+    start: CompletionResult | None = None,
 ) -> CompletionResult:
     """Tensor-only completion: the coupled solver with a 0-column matrix.
 
-    ``norm`` is "overlapped" (OTN) or "scaled_latent" (SLTN).
+    ``norm`` is "overlapped" (OTN) or "scaled_latent" (SLTN).  ``start`` is
+    an earlier result of the same norm on the same tensor shape, passed to
+    :func:`solver.solve`.
     """
     tags = {"overlapped": ("O", "O", "O"), "scaled_latent": ("S", "S", "S")}
     if norm not in tags:
@@ -79,7 +86,7 @@ def complete_tensor(
     T_obs = np.asarray(T_obs, dtype=float)
     empty = np.zeros((T_obs.shape[0], 0))
     return _solve_alone(
-        T_obs, mask, empty, ObservationMask.empty(empty.shape), tags[norm], lam, opts
+        T_obs, mask, empty, ObservationMask.empty(empty.shape), tags[norm], lam, opts, start
     )
 
 

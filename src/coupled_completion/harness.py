@@ -224,14 +224,15 @@ def _pooled_mse(pairs) -> float:
 def cross_validate(fits: list[tuple[float, object, float]]) -> tuple[float, object, float]:
     """Pick the grid point with the lowest validation MSE.
 
-    ``fits`` is ``[(lam, fitted, val_mse), ...]`` in ascending lambda order;
-    ties break toward larger lambda.  Raises if every fit failed (NaN MSE).
+    ``fits`` is ``[(lam, fitted, val_mse), ...]`` in any order; ties in MSE
+    break toward the larger lambda, and among equal lambdas toward the later
+    entry.  Raises if every fit failed (NaN MSE).
     """
     best = None
     for lam, fitted, mse in fits:
         if math.isnan(mse):
             continue
-        if best is None or mse <= best[2]:
+        if best is None or (mse, -lam) <= (best[2], -best[0]):
             best = (lam, fitted, mse)
     if best is None:
         raise RuntimeError("all fits failed during cross-validation")
@@ -258,7 +259,10 @@ def _fit_cell(
 
     Validation MSE pools the parts the norm fits: the matrix for MTN, the
     tensor for OTN/SLTN, both otherwise; a part the norm does not fit gets
-    a NaN test MSE.
+    a NaN test MSE.  The convex norms walk the lambda grid from the largest
+    value down, each fit starting from the one before (the largest from
+    zero), so ``iters`` counts the selected fit's iterations from its warm
+    start.
     """
     t_train, t_val, t_test = t_masks
     m_train, m_val, m_test = m_masks
@@ -281,7 +285,7 @@ def _fit_cell(
         lam, val = float("nan"), val_mse(T_hat, M_hat)
         iters, conv = len(factors.objective_trace), factors.converged
     else:
-        # fit(lam, opts) -> CompletionResult
+        # fit(lam, opts, start) -> CompletionResult
         if norm_id == "MTN":
             fit = partial(baselines.complete_matrix_mtn, M, m_train)
         elif norm_id in ("OTN", "SLTN"):
@@ -291,16 +295,16 @@ def _fit_cell(
             d = norms.parse_descriptor(norm_id)
             problem = CoupledProblem(T, t_train, M, m_train, coupled_mode=d.coupled_mode)
 
-            def fit(lam, opts):
-                return solver.solve(problem, d, opts)
+            def fit(lam, opts, start):
+                return solver.solve(problem, d, opts, start)
 
-        fits = []
-        for lam in cfg.lambda_grid.values():
-            res = fit(lam, _cell_opts(cfg, lam))
-            fits.append((lam, res, val_mse(res.tensor, res.matrix)))
-        lam, res, val = cross_validate(fits)
-        T_hat, M_hat = res.tensor, res.matrix
-        iters, conv = res.iterations, res.converged
+        fits, res = [], None
+        for lam in cfg.lambda_grid.values()[::-1]:
+            res = fit(lam, _cell_opts(cfg, lam), res)
+            # the estimates only: a fit's solver state is spent once the next starts
+            estimate = (res.tensor, res.matrix, res.iterations, res.converged)
+            fits.append((lam, estimate, val_mse(res.tensor, res.matrix)))
+        lam, (T_hat, M_hat, iters, conv), val = cross_validate(fits[::-1])
     test_t = _pooled_mse([(T, T_hat, t_test)] if fits_tensor else [])
     test_m = _pooled_mse([(M, M_hat, m_test)] if fits_matrix else [])
     return lam, val, test_t, test_m, iters, conv

@@ -181,6 +181,9 @@ class CompletionResult:
     final_dual_residual: float
     iterations: int
     converged: bool
+    lam: float
+    # the final iterate, from which a later solve may start (``solve(start=)``)
+    state: SolverState = field(repr=False)
 
 
 def update_matrix(
@@ -361,20 +364,52 @@ def _admm(
         final_dual_residual=float(dual),
         iterations=it,
         converged=converged,
+        lam=opts.lam,
+        state=state,
     )
+
+
+def _warm_state(
+    start: CompletionResult, problem: CoupledProblem, lay: ComponentLayout, lam: float
+) -> SolverState:
+    """``start``'s final state, its multipliers rescaled from its lambda to ``lam``.
+
+    At the fixed point each multiplier is lambda times a point of the dual
+    norm ball; from lambda 0 only the primal point is carried.  The arrays
+    are shared, which is safe because the ADMM steps never write into them.
+    """
+    prev = start.state
+    if prev.layout.dims != lay.dims or prev.M.shape != problem.matrix.shape:
+        raise ValueError(
+            f"start is from a problem of shape {prev.layout.dims} + {prev.M.shape}, "
+            f"not {lay.dims} + {problem.matrix.shape}"
+        )
+    if prev.layout != lay:
+        raise ValueError("start is from a descriptor of another component layout")
+    ratio = lam / start.lam if start.lam else 0.0
+    state = SolverState(lay, prev.components, prev.M)
+    state.X, state.Y = prev.X, dict(prev.Y)
+    state.WM = ratio * prev.WM
+    state.W = {mode: ratio * w for mode, w in prev.W.items()}
+    return state
 
 
 def solve(
     problem: CoupledProblem,
     d: NormDescriptor,
     opts: SolverOptions = SolverOptions(),
+    start: CompletionResult | None = None,
 ) -> CompletionResult:
     """Run completion ADMM to convergence or the iteration cap.
 
-    Deterministic: all variables start at zero.  Residuals are judged
-    relative to max(1, ||observed data||_F).  Raises
-    :class:`InvalidDescriptorError` when the descriptor's coupled mode is not
-    the problem's.
+    Deterministic: every variable starts at zero, or at the final state of
+    ``start``, an earlier result of a problem of the same shapes under a
+    descriptor of the same layout, with its multipliers scaled by
+    ``opts.lam / start.lam``.  The problem is convex, so only the iteration
+    count depends on the start.  Residuals are judged relative to max(1,
+    ||observed data||_F).  Raises :class:`InvalidDescriptorError` when the
+    descriptor's coupled mode is not the problem's, and ``ValueError`` when
+    ``start`` does not fit the problem or the descriptor.
     """
     if d.coupled_mode != problem.coupled_mode:
         raise InvalidDescriptorError(
@@ -390,10 +425,13 @@ def solve(
         state.M = update_matrix(state, problem, opts)
         state.components = update_tensors(state, problem, opts)
 
-    state = SolverState(
-        lay, [np.zeros(problem.dims) for _ in range(lay.n_components)],
-        np.zeros_like(problem.matrix),
-    )
+    if start is None:
+        state = SolverState(
+            lay, [np.zeros(problem.dims) for _ in range(lay.n_components)],
+            np.zeros_like(problem.matrix),
+        )
+    else:
+        state = _warm_state(start, problem, lay, opts.lam)
     return _admm(
         state, opts, fit_step, max(1.0, float(data_norm)),
         loss=lambda state: _loss(problem, sum(state.components), state.M),

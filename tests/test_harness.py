@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from coupled_completion import datagen, harness
+from coupled_completion import baselines, datagen, harness
 from coupled_completion.harness import (
     ExperimentConfig,
     LambdaGrid,
@@ -172,6 +172,12 @@ class TestCrossValidate:
     def test_ties_break_toward_larger_lambda(self):
         fits = [(0.1, "a", 2.0), (0.5, "b", 2.0), (1.0, "c", 3.0)]
         lam, fit, _ = cross_validate(fits)
+        assert (lam, fit) == (0.5, "b")
+
+    @pytest.mark.parametrize("order", [[2, 1, 0], [1, 2, 0], [2, 0, 1]])
+    def test_ties_break_toward_larger_lambda_in_any_order(self, order):
+        fits = [(0.1, "a", 2.0), (0.5, "b", 2.0), (1.0, "c", 3.0)]
+        lam, fit, _ = cross_validate([fits[i] for i in order])
         assert (lam, fit) == (0.5, "b")
 
     def test_duplicate_grid_values_deterministic(self):
@@ -397,14 +403,49 @@ class TestRun:
         seen = []
         real_solve = harness.solver.solve
 
-        def spy(problem, d, opts):
+        def spy(problem, d, opts, start=None):
             seen.append(problem.matrix_mask)
-            return real_solve(problem, d, opts)
+            return real_solve(problem, d, opts, start)
 
         monkeypatch.setattr(harness.solver, "solve", spy)
         assert not run(cfg).failures()
         assert len(seen) == 1
         assert sorted(map(tuple, seen[0].indices)) == sorted(map(tuple, cells))
+
+    def test_warm_lambda_path_beats_cold_solves_and_is_deterministic(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config(
+            norms=("1:(S,O,O)", "SLTN", "MTN"),
+            synthetic=datagen.SyntheticSpec.low_noise(
+                dims=(10, 10, 10), multilinear_rank=(2, 2, 2), matrix_cols=15,
+                matrix_rank=2, shared=2, seed=5,
+            ),
+            lambda_grid=LambdaGrid(0.001, 5.0, 8, "log"),
+            train_fractions=(0.3,),
+        )
+        calls = []
+        real_solve = harness.solver.solve
+
+        def spy(problem, d, opts, start=None):
+            res = real_solve(problem, d, opts, start)
+            calls.append((problem, d, opts, res))
+            return res
+
+        # the coupled norms call solver.solve, the baselines their own import of it
+        monkeypatch.setattr(harness.solver, "solve", spy)
+        monkeypatch.setattr(baselines, "solve", spy)
+        first = emit_report(run(cfg), tmp_path / "a")["results"].read_bytes()
+        assert len(calls) == 3 * 8
+        warm, cold = {}, {}
+        for problem, d, opts, res in calls:
+            assert res.converged
+            cell = (d.tags, problem.dims)
+            warm[cell] = warm.get(cell, 0) + res.iterations
+            cold[cell] = cold.get(cell, 0) + real_solve(problem, d, opts).iterations
+        for cell in warm:
+            assert warm[cell] < cold[cell], cell
+        assert emit_report(run(cfg), tmp_path / "b")["results"].read_bytes() == first
 
 
 class TestEmitReport:

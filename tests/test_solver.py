@@ -522,3 +522,63 @@ class TestSolve:
         problem = random_problem(seed=25)
         res = solve(problem, NormDescriptor(1, ("L", "L", "L")), SolverOptions(lam=0.5))
         assert np.allclose(sum(res.components), res.tensor, atol=1e-14)
+
+
+class TestWarmStart:
+    D = NormDescriptor(1, ("S", "O", "O"))
+
+    def test_restart_at_same_lambda_converges_in_one_iteration(self):
+        problem = random_problem(seed=29)
+        opts = SolverOptions(lam=0.3, max_iters=5000, tol_primal=1e-7, tol_dual=1e-7)
+        res = solve(problem, self.D, opts)
+        assert res.converged and res.iterations > 10
+        again = solve(problem, self.D, opts, start=res)
+        assert again.converged
+        assert again.iterations == 1
+        # the scale the solver judges its residuals by
+        scale = max(1.0, np.hypot(np.linalg.norm(problem.tensor_observed),
+                                  np.linalg.norm(problem.matrix_observed)))
+        assert np.linalg.norm(again.tensor - res.tensor) <= opts.tol_dual * scale
+        assert np.linalg.norm(again.matrix - res.matrix) <= opts.tol_dual * scale
+
+    def test_start_from_other_lambda_reaches_the_cold_solution(self):
+        problem = random_problem(seed=30)
+        tight = dict(max_iters=5000, tol_primal=1e-8, tol_dual=1e-8)
+        prev = solve(problem, self.D, SolverOptions(lam=1.0, beta=1.0, **tight))
+        opts = SolverOptions(lam=0.3, beta=0.3, **tight)
+        cold, warm = solve(problem, self.D, opts), solve(problem, self.D, opts, start=prev)
+        assert warm.converged and warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.tensor - cold.tensor)) < 1e-5
+        assert np.max(np.abs(warm.matrix - cold.matrix)) < 1e-5
+
+    @pytest.mark.parametrize(
+        "dims, cols", [((5, 6, 7), 4), ((6, 6, 6), 5)], ids=["tensor", "matrix"]
+    )
+    def test_rejects_start_from_other_shape(self, dims, cols):
+        start = solve(random_problem(seed=31), self.D, SolverOptions(lam=0.3, max_iters=5))
+        problem = random_problem(dims=dims, cols=cols, seed=31)
+        with pytest.raises(ValueError, match="start is from a problem of shape"):
+            solve(problem, self.D, SolverOptions(lam=0.3), start=start)
+
+    def test_rejects_start_from_other_layout(self):
+        problem = random_problem(seed=32)
+        start = solve(problem, self.D, SolverOptions(lam=0.3, max_iters=5))
+        with pytest.raises(ValueError, match="another component layout"):
+            solve(problem, NormDescriptor(1, ("O", "S", "O")), SolverOptions(), start=start)
+
+    def test_no_start_is_bit_equal_to_cold_solve_and_start_is_left_intact(self):
+        problem = random_problem(seed=33)
+        opts = SolverOptions(lam=0.3, max_iters=80)
+        cold = solve(problem, self.D, opts)
+        start = solve(problem, self.D, SolverOptions(lam=0.6, max_iters=40))
+        kept = [a.copy() for a in (start.tensor, start.matrix, start.state.X, start.state.WM)]
+        kept += [a.copy() for a in (*start.state.Y.values(), *start.state.W.values())]
+        solve(problem, self.D, opts, start=start)
+        now = [start.tensor, start.matrix, start.state.X, start.state.WM]
+        now += [*start.state.Y.values(), *start.state.W.values()]
+        assert all(np.array_equal(a, b) for a, b in zip(kept, now))
+        again = solve(problem, self.D, opts, start=None)
+        assert again.iterations == cold.iterations
+        assert np.array_equal(again.tensor, cold.tensor)
+        assert np.array_equal(again.matrix, cold.matrix)
+        assert np.array_equal(again.primal_residual_trace, cold.primal_residual_trace)
