@@ -17,10 +17,10 @@ from .norms import (
 )
 from .prox import SvdFactors, spectral_norm, svd, svt, trace_norm
 from .solver import CompletionResult, CoupledProblem, SolverOptions, objective, solve
-from .tensor_ops import ObservationMask, concat_mode1, fold, mask_apply, tucker_synthesize, unfold
+from .tensor_ops import ObservationMask, fold, mask_apply, tucker_synthesize, unfold
 
 __all__ = [
-    "ObservationMask", "unfold", "fold", "concat_mode1", "tucker_synthesize",
+    "ObservationMask", "unfold", "fold", "tucker_synthesize",
     "mask_apply", "SvdFactors", "svd", "trace_norm", "spectral_norm", "svt",
     "NormDescriptor", "validate", "layout", "parse_descriptor",
     "format_descriptor", "evaluate", "evaluate_overlapped",

@@ -150,8 +150,7 @@ def coupled_cp_als(
     T_data, t_ind = problem.tensor_observed, problem.tensor_indicator
     M_data, m_ind = problem.matrix_observed, problem.matrix_indicator
     # A fits the tensor's mode-1 unfolding and the matrix rows jointly
-    data_A = np.hstack([unfold(T_data, 1), M_data])
-    obs_A = np.hstack([unfold(t_ind, 1), m_ind])
+    data_A, obs_A = unfold(T_data, 1, M_data), unfold(t_ind, 1, m_ind)
     data_B, obs_B = unfold(T_data, 2), unfold(t_ind, 2)
     data_C, obs_C = unfold(T_data, 3), unfold(t_ind, 3)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datagen import SyntheticSpec, gen_coupled_matrix, gen_tensor
 from .prox import numerical_rank
-from .tensor_ops import concat_mode1, unfold
+from .tensor_ops import unfold
 
 __all__ = ["NORM_IDS", "BoundParams", "bound", "rank_geometry"]
 
@@ -50,17 +50,13 @@ class BoundParams:
             raise ValueError("Frobenius caps must be non-negative")
 
 
-def _prod_except(dims, k: int) -> float:
-    return float(np.prod([n for i, n in enumerate(dims, start=1) if i != k]))
-
-
 def _coupled_dim_sqrt(p: BoundParams) -> float:
     n1, n2, n3 = p.dims
     return p.C2 * (math.sqrt(n1) + math.sqrt(n2 * n3 + p.matrix_cols))
 
 
 def _uncoupled_dim_sqrt(p: BoundParams, k: int, const: float) -> float:
-    return const * (math.sqrt(p.dims[k - 1]) + math.sqrt(_prod_except(p.dims, k)))
+    return const * (math.sqrt(p.dims[k - 1]) + math.sqrt(math.prod(p.dims) / p.dims[k - 1]))
 
 
 def _coupled_dim_scaled(p: BoundParams) -> float:
@@ -144,12 +140,11 @@ def rank_geometry(spec: SyntheticSpec, samples: int = 1) -> BoundParams:
     rng = np.random.default_rng(spec.seed)
     T = gen_tensor(spec, rng)
     X = gen_coupled_matrix(T, spec, rng)
-    coupled = concat_mode1(unfold(T, 1), X)
     return BoundParams(
         dims=spec.dims,
         matrix_cols=spec.matrix_cols,
         ranks=spec.multilinear_rank,
-        coupled_rank=numerical_rank(coupled, rtol=1e-10),
+        coupled_rank=numerical_rank(unfold(T, 1, X), rtol=1e-10),
         B_tensor=float(np.linalg.norm(T)),
         B_matrix=float(np.linalg.norm(X)),
         samples=samples,

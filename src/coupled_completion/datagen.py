@@ -52,8 +52,10 @@ class SyntheticSpec:
             raise ValueError("matrix rank exceeds dimensions")
         if self.shared > min(self.matrix_rank, self.multilinear_rank[0]):
             raise ValueError("shared components exceed available rank")
-        if self.noise_std < 0:
-            raise ValueError("noise std must be >= 0")
+        if not np.isfinite(self.noise_mean):
+            raise ValueError(f"noise_mean must be finite, got {self.noise_mean!r}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,10 @@ class LambdaGrid:
     scale: str = "log"  # "linear" or "log"
 
     def __post_init__(self):
-        if self.lo <= 0 or self.hi < self.lo or self.count < 1:
-            raise ValueError("lambda grid must be positive and non-empty")
+        if not 0 < self.lo <= self.hi < math.inf:
+            raise ValueError(f"lambda grid needs 0 < lo <= hi < inf, got {self.lo!r}, {self.hi!r}")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
+            raise ValueError(f"lambda grid count must be an integer >= 1, got {self.count!r}")
         if self.scale not in ("linear", "log"):
             raise ValueError("lambda grid scale must be 'linear' or 'log'")
 
@@ -83,8 +85,10 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        for name in ("repetitions", "cp_rank", "cp_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not self.norms:
             raise ValueError("at least one norm is required")
         for n in self.norms:

@@ -24,7 +24,7 @@ import numpy as np
 from .prox import spectral_norm, trace_norm
 # svt is not called here; bench/test_bench.py patches and checks norms.svt
 from .prox import svt  # noqa: F401
-from .tensor_ops import concat_mode1, unfold
+from .tensor_ops import unfold
 
 __all__ = [
     "TAGS",
@@ -160,14 +160,6 @@ def format_descriptor(d: NormDescriptor) -> str:
     return f"{d.coupled_mode}:({d.tags[0]},{d.tags[1]},{d.tags[2]})"
 
 
-def _coupled_unfolding(
-    T: np.ndarray, mode: int, M: np.ndarray, coupled_mode: int
-) -> np.ndarray:
-    """Mode unfolding of ``T``, with ``M`` concatenated on the coupled mode."""
-    Tk = unfold(T, mode)
-    return concat_mode1(Tk, M) if mode == coupled_mode else Tk
-
-
 def evaluate_overlapped(
     T: np.ndarray,
     M: np.ndarray,
@@ -188,7 +180,7 @@ def decomposition_value(
 ) -> float:
     """Norm-term sum of a concrete additive decomposition (an upper bound)."""
     return sum(
-        scale * trace_norm(_coupled_unfolding(components[c], mode, M, lay.coupled_mode))
+        scale * trace_norm(unfold(components[c], mode, M if mode == lay.coupled_mode else None))
         for mode, scale, c in lay.regularized_modes()
     )
 
@@ -235,7 +227,7 @@ def dual_norm_latent_type(
         )
     T = np.asarray(T, dtype=float)
     return max(
-        spectral_norm(_coupled_unfolding(T, mode, M, d.coupled_mode)) / scale
+        spectral_norm(unfold(T, mode, M if mode == d.coupled_mode else None)) / scale
         for mode, scale, _ in layout(d, T.shape).regularized_modes()
     )
 
@@ -245,8 +237,14 @@ def dual_norm_overlapped_upper(
 ) -> float:
     """Upper bound on the dual of the all-overlapped coupled norm.
 
-    The exact dual is an infimum over decompositions; assigning the whole
-    tensor to any single mode gives this min-of-spectral-norms bound.
+    The exact dual is an infimum over splits of ``(T, M)`` among the mode
+    terms, and only the coupled term can take the matrix.  The whole tensor
+    on mode ``k`` gives ``||[T_(k) | M]||_2`` for the coupled mode and
+    ``max(||T_(k)||_2, ||M||_2)`` for the others; this is the least of the three.
     """
-    T = np.asarray(T, dtype=float)
-    return min(spectral_norm(_coupled_unfolding(T, k, M, coupled_mode)) for k in (1, 2, 3))
+    m = spectral_norm(M)
+    return min(
+        spectral_norm(unfold(T, k, M)) if k == coupled_mode
+        else max(spectral_norm(unfold(T, k)), m)
+        for k in (1, 2, 3)
+    )

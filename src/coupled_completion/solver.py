@@ -31,7 +31,7 @@ from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
 # svd is not called here; bench/test_bench.py patches and checks solver.svd
 from .prox import svd  # noqa: F401
 from .prox import svt, trace_norm
-from .tensor_ops import ObservationMask, concat_mode1, fold, mask_apply, unfold
+from .tensor_ops import ObservationMask, fold, mask_apply, unfold
 
 __all__ = [
     "CoupledProblem",
@@ -126,14 +126,13 @@ class SolverOptions:
     record_objective: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be > 0")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        for name in ("beta", "tol_primal", "tol_dual"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -251,10 +250,9 @@ def update_auxiliaries(
     newX = state.X
     reg_value = 0.0
     for mode, scale, c in state.terms:
-        arg = unfold(state.components[c] + state.W[mode] / beta, mode)
-        nt = arg.shape[1]
-        if mode == lay.coupled_mode:
-            arg = concat_mode1(arg, state.M + state.WM / beta)
+        M = state.M + state.WM / beta if mode == lay.coupled_mode else None
+        arg = unfold(state.components[c] + state.W[mode] / beta, mode, M)
+        nt = arg.shape[1] - (0 if M is None else M.shape[1])
         tau = opts.lam * scale / beta
         Z = svt(arg, tau)
         if opts.record_objective:
@@ -263,7 +261,7 @@ def update_auxiliaries(
             tn = float(np.vdot(arg, Z) - np.vdot(Z, Z)) / tau if tau else trace_norm(Z)
             reg_value += scale * tn
         newY[mode] = fold(Z[:, :nt], mode, lay.dims)
-        if mode == lay.coupled_mode:
+        if M is not None:
             newX = Z[:, nt:]
     return newX, newY, reg_value
 

@@ -1,5 +1,5 @@
-"""Dense 3-way tensor algebra: unfolding/folding, concatenation, Tucker
-synthesis and observation masks.
+"""Dense 3-way tensor algebra: unfolding/folding, the coupled unfolding,
+Tucker synthesis and observation masks.
 
 Conventions
 -----------
@@ -21,7 +21,6 @@ __all__ = [
     "ObservationMask",
     "unfold",
     "fold",
-    "concat_mode1",
     "tucker_synthesize",
     "mask_apply",
     "inner",
@@ -30,44 +29,47 @@ __all__ = [
 _ORTHO_TOL = 1e-10
 
 
+# Per 0-based mode axis: that axis first, the other two ascending, and the
+# inverse permutation that puts the axes back.
+_AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
+_INVERSE = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+
+
 def _check_mode(k: int) -> int:
     if k not in (1, 2, 3):
         raise ValueError(f"mode index must be 1, 2 or 3, got {k!r}")
     return k - 1
 
 
-def unfold(T: np.ndarray, k: int) -> np.ndarray:
-    """Mode-``k`` unfolding of a 3-way tensor into an ``n_k x (N/n_k)`` matrix."""
+def unfold(T: np.ndarray, k: int, M: np.ndarray | None = None) -> np.ndarray:
+    """Mode-``k`` unfolding of a 3-way tensor into an ``n_k x (N/n_k)`` matrix.
+
+    With a matrix ``M`` of ``n_k`` rows, the coupled unfolding ``[T_(k) | M]``:
+    the term by which every coupled norm shares the common mode.
+    """
     axis = _check_mode(k)
     T = np.asarray(T)
     if T.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got ndim={T.ndim}")
-    rest = int(np.prod([d for i, d in enumerate(T.shape) if i != axis]))
-    return np.reshape(np.moveaxis(T, axis, 0), (T.shape[axis], rest), order="F")
+    T = T.transpose(_AXES[axis])
+    n, a, b = T.shape
+    Tk = T.reshape((n, a * b), order="F")
+    if M is not None and np.shape(M)[0] != n:
+        raise ValueError(f"mode-{k} unfolding has {n} rows, the matrix {np.shape(M)[0]}")
+    return Tk if M is None else np.concatenate([Tk, M], axis=1)
 
 
 def fold(Mk: np.ndarray, k: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor from its mode-``k`` unfolding."""
     axis = _check_mode(k)
     Mk = np.asarray(Mk)
-    nk = dims[axis]
-    rest = int(np.prod([d for i, d in enumerate(dims) if i != axis]))
-    if Mk.shape != (nk, rest):
+    n, a, b = (dims[i] for i in _AXES[axis])
+    if Mk.shape != (n, a * b):
         raise ValueError(
-            f"mode-{k} unfolding of dims {dims} must have shape {(nk, rest)}, "
+            f"mode-{k} unfolding of dims {dims} must have shape {(n, a * b)}, "
             f"got {Mk.shape}"
         )
-    shape = (nk,) + tuple(d for i, d in enumerate(dims) if i != axis)
-    return np.moveaxis(np.reshape(Mk, shape, order="F"), 0, axis)
-
-
-def concat_mode1(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Concatenate two matrices side by side (shared rows, stacked columns)."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape[0] != B.shape[0]:
-        raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-    return np.concatenate([A, B], axis=1)
+    return Mk.reshape((n, a, b), order="F").transpose(_INVERSE[axis])
 
 
 def tucker_synthesize(

@@ -17,7 +17,6 @@ from coupled_completion.prox import spectral_norm, svt, trace_norm
 from coupled_completion.solver import CoupledProblem, SolverOptions
 from coupled_completion.tensor_ops import (
     ObservationMask,
-    concat_mode1,
     fold,
     inner,
     mask_apply,

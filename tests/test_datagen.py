@@ -13,7 +13,7 @@ from coupled_completion.datagen import (
     gen_tensor,
 )
 from coupled_completion.prox import numerical_rank
-from coupled_completion.tensor_ops import concat_mode1, unfold
+from coupled_completion.tensor_ops import unfold
 
 
 def principal_angle_sines(A, B):
@@ -44,6 +44,11 @@ class TestSyntheticSpec:
     def test_rejects_shared_over_rank(self):
         with pytest.raises(ValueError):
             SyntheticSpec(matrix_rank=3, shared=4)
+
+    @pytest.mark.parametrize("name", ["noise_mean", "noise_std"])
+    def test_rejects_non_finite_noise(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SyntheticSpec(**{name: np.nan})
 
 
 class TestGenTensor:
@@ -102,7 +107,7 @@ class TestGenCoupledMatrix:
         rng = np.random.default_rng(5)
         T = gen_tensor(spec, rng)
         X = gen_coupled_matrix(T, spec, rng)
-        assert numerical_rank(concat_mode1(unfold(T, 1), X), rtol=1e-10) == 5
+        assert numerical_rank(np.hstack([unfold(T, 1), X]), rtol=1e-10) == 5
 
 
 class TestAddNoise:

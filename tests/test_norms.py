@@ -17,7 +17,7 @@ from coupled_completion.norms import (
     validate,
 )
 from coupled_completion.prox import trace_norm
-from coupled_completion.tensor_ops import concat_mode1, fold, unfold
+from coupled_completion.tensor_ops import fold, unfold
 
 
 def rank1_mode2_tensor(dims, seed=0):
@@ -153,7 +153,7 @@ class TestEvaluateOverlapped:
             return float(np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)).sum())
 
         expected = (
-            tn_eig(concat_mode1(unfold(T, 1), M))
+            tn_eig(np.hstack([unfold(T, 1), M]))
             + tn_eig(unfold(T, 2))
             + tn_eig(unfold(T, 3))
         )
@@ -264,7 +264,7 @@ class TestDualNorms:
         from coupled_completion.prox import spectral_norm
 
         expected = max(
-            2.0 * spectral_norm(concat_mode1(unfold(T, 1), M)),
+            2.0 * spectral_norm(np.hstack([unfold(T, 1), M])),
             3.0 * spectral_norm(unfold(T, 2)),
             4.0 * spectral_norm(unfold(T, 3)),
         )
@@ -299,6 +299,20 @@ class TestDualNorms:
             T[i, i, i] = 5.0
         val = dual_norm_overlapped_upper(T, np.zeros((3, 0)))
         assert val == pytest.approx(5.0, abs=1e-10)
+
+    @pytest.mark.parametrize("coupled_mode", [1, 2, 3])
+    def test_overlapped_upper_holds_for_a_matrix_heavy_pair(self, coupled_mode):
+        # a tiny tensor beside a unit-scale matrix: the matrix can sit only on
+        # the coupled term, so a single-mode bound that leaves it out fails
+        rng = np.random.default_rng(0)
+        G = 1e-3 * rng.standard_normal((4, 4, 4))
+        H = rng.standard_normal((4, 5))
+        U, _, Vt = np.linalg.svd(H)
+        N = np.outer(U[:, 0], Vt[0])
+        d = NormDescriptor(coupled_mode, ("O", "O", "O"))
+        assert evaluate_overlapped(np.zeros_like(G), N, d) == pytest.approx(1.0, abs=1e-12)
+        # Hoelder: <(G, H), (0, N)> <= ||(0, N)|| * dual(G, H)
+        assert np.sum(H * N) <= dual_norm_overlapped_upper(G, H, coupled_mode) * (1 + 1e-12)
 
     def test_overlapped_upper_dominates_sampled_ratio(self):
         rng = np.random.default_rng(9)

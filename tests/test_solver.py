@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupled_completion import norms
+from coupled_completion.baselines import complete_tensor
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
     CoupledProblem,
@@ -252,14 +255,12 @@ class TestUpdateAuxiliaries:
         state, lay = random_state(problem, d, seed=10)
         opts = SolverOptions(lam=0.8, beta=1.0)
         newX, newY, _ = update_auxiliaries(state, opts)
-        from coupled_completion.tensor_ops import concat_mode1
-
         for mode, scale, c in lay.regularized_modes():
             arg = unfold(state.components[c] + state.W[mode] / opts.beta, mode)
             Z = unfold(newY[mode], mode)
             if mode == lay.coupled_mode:
-                arg = concat_mode1(arg, state.M + state.WM / opts.beta)
-                Z = concat_mode1(Z, newX)
+                arg = np.hstack([arg, state.M + state.WM / opts.beta])
+                Z = np.hstack([Z, newX])
             assert_svt_optimal(arg, Z, opts.lam * scale / opts.beta)
 
 
@@ -507,6 +508,15 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_iters"):
             SolverOptions(max_iters=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("lam", np.nan), ("lam", np.inf), ("beta", np.nan), ("beta", np.inf),
+         ("tol_primal", np.nan), ("tol_dual", np.inf), ("max_iters", 100.0)],
+    )
+    def test_rejects_non_finite_or_fractional_setting(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be (finite|an integer)"):
+            SolverOptions(**{name: value})
+
     @pytest.mark.parametrize("part, bad", [("tensor", np.inf), ("matrix", np.nan)])
     def test_rejects_non_finite_observed_entry(self, part, bad):
         problem = random_problem(seed=27)
@@ -522,6 +532,58 @@ class TestSolve:
         problem = random_problem(seed=25)
         res = solve(problem, NormDescriptor(1, ("L", "L", "L")), SolverOptions(lam=0.5))
         assert np.allclose(sum(res.components), res.tensor, atol=1e-14)
+
+
+class TestMetamorphic:
+    # 6^3 unfoldings take LAPACK's SVD in svt, 12 x 11 x 10 ones the Gram route
+    DIMS = [(6, 6, 6), (12, 11, 10)]
+
+    @given(
+        st.sampled_from(DIMS),
+        st.sampled_from(["OOO", "SOO", "OSO", "OOL", "LLL", "SSS"]),
+        st.integers(-3, 8),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_scaling_data_and_lambda_by_a_power_of_two_scales_the_solution(
+        self, dims, tags, k, seed
+    ):
+        """(c T_obs, c M_obs, c lam) at the same beta gives exactly c times the fit.
+
+        Powers of two scale without rounding.  Both data norms are at least
+        1, so the residual scale max(1, ||data||) scales by c too.
+        """
+        c = 2.0**k
+        problem = random_problem(dims=dims, seed=seed)
+        scaled = CoupledProblem(
+            c * problem.tensor, problem.tensor_mask, c * problem.matrix, problem.matrix_mask
+        )
+        assert min(np.linalg.norm(p.tensor_observed) for p in (problem, scaled)) >= 1.0
+        d = NormDescriptor(1, tuple(tags))
+        res = solve(problem, d, SolverOptions(lam=0.3, beta=1.0, max_iters=300))
+        res_c = solve(scaled, d, SolverOptions(lam=0.3 * c, beta=1.0, max_iters=300))
+        assert res_c.iterations == res.iterations
+        assert np.array_equal(res_c.tensor, c * res.tensor)
+        assert np.array_equal(res_c.matrix, c * res.matrix)
+
+    # LAPACK's SVD rounds the wider coupled block differently, so at 6^3 the
+    # tensors agree to rounding; the Gram route only adds exact zeros
+    @pytest.mark.parametrize("dims, rtol", zip(DIMS, [1e-13, 0.0]))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unobserved_matrix_gives_the_overlapped_tensor_fit(self, dims, rtol, seed):
+        """With no matrix entry observed, the matrix block of 1:(O,O,O) stays
+        zero and the tensor is the tensor-only overlapped (OTN) fit."""
+        problem = random_problem(dims=dims, seed=seed)
+        blind = CoupledProblem(
+            problem.tensor, problem.tensor_mask, problem.matrix,
+            ObservationMask.empty(problem.matrix.shape),
+        )
+        opts = SolverOptions(lam=0.3, beta=1.0)
+        res = solve(blind, NormDescriptor(1, ("O", "O", "O")), opts)
+        otn = complete_tensor(problem.tensor, problem.tensor_mask, "overlapped", 0.3, opts)
+        assert res.iterations == otn.iterations
+        assert not res.matrix.any()
+        assert np.max(np.abs(res.tensor - otn.tensor)) <= rtol * np.max(np.abs(otn.tensor))
 
 
 class TestWarmStart:

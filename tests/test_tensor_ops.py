@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from coupled_completion.tensor_ops import (
     ObservationMask,
-    concat_mode1,
     fold,
     inner,
     mask_apply,
@@ -116,27 +115,40 @@ class TestFold:
 
 
 class TestConcatMode1:
+    """The coupled unfolding ``unfold(T, k, M)``: the matrix appended to ``T_(k)``."""
+
     def test_identity_left_block(self):
-        out = concat_mode1(np.eye(2), np.zeros((2, 1)))
+        T = fold(np.eye(2), 1, (2, 1, 2))
+        out = unfold(T, 1, np.ones((2, 1)))
         assert out.shape == (2, 3)
         assert np.array_equal(out[:, :2], np.eye(2))
-        assert np.array_equal(out[:, 2], np.zeros(2))
+        assert np.array_equal(out[:, 2], np.ones(2))
 
     def test_empty_right_block(self):
-        A = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(concat_mode1(A, np.zeros((2, 0))), A)
+        T = np.arange(24.0).reshape(2, 3, 4)
+        for k in (1, 2, 3):
+            assert np.array_equal(unfold(T, k, np.zeros((T.shape[k - 1], 0))), unfold(T, k))
 
     def test_frobenius_additivity(self):
         rng = np.random.default_rng(2)
-        A = rng.standard_normal((4, 3))
-        B = rng.standard_normal((4, 2))
-        lhs = np.linalg.norm(concat_mode1(A, B)) ** 2
-        rhs = np.linalg.norm(A) ** 2 + np.linalg.norm(B) ** 2
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        T = rng.standard_normal((3, 4, 2))
+        for k in (1, 2, 3):
+            M = rng.standard_normal((T.shape[k - 1], 2))
+            lhs = np.linalg.norm(unfold(T, k, M)) ** 2
+            rhs = np.linalg.norm(T) ** 2 + np.linalg.norm(M) ** 2
+            assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_row_mismatch(self):
-        with pytest.raises(ValueError):
-            concat_mode1(np.zeros((2, 2)), np.zeros((3, 2)))
+        T = np.zeros((2, 3, 4))
+        with pytest.raises(ValueError, match="mode-2 unfolding has 3 rows, the matrix 2"):
+            unfold(T, 2, np.zeros((2, 2)))
+
+    def test_matrix_block_follows_the_unfolding(self):
+        rng = np.random.default_rng(3)
+        T = rng.standard_normal((3, 4, 2))
+        for k in (1, 2, 3):
+            M = rng.standard_normal((T.shape[k - 1], 5))
+            assert np.array_equal(unfold(T, k, M), np.hstack([brute_force_unfold(T, k), M]))
 
 
 def brute_force_kron(A, B):
