@@ -13,7 +13,6 @@ from .norms import (
     format_descriptor,
     layout,
     parse_descriptor,
-    validate,
 )
 from .prox import SvdFactors, spectral_norm, svd, svt, trace_norm
 from .solver import CompletionResult, CoupledProblem, SolverOptions, objective, solve
@@ -22,7 +21,7 @@ from .tensor_ops import ObservationMask, fold, mask_apply, tucker_synthesize, un
 __all__ = [
     "ObservationMask", "unfold", "fold", "tucker_synthesize",
     "mask_apply", "SvdFactors", "svd", "trace_norm", "spectral_norm", "svt",
-    "NormDescriptor", "validate", "layout", "parse_descriptor",
+    "NormDescriptor", "layout", "parse_descriptor",
     "format_descriptor", "evaluate", "evaluate_overlapped",
     "dual_norm_latent_type", "dual_norm_overlapped_upper",
     "CoupledProblem", "SolverOptions", "CompletionResult", "solve", "objective",

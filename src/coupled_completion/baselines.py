@@ -25,6 +25,8 @@ __all__ = [
 ]
 
 RIDGE = 1e-8
+# CP-ALS stops once a sweep lowers its objective by at most this, relative
+CP_TOL = 1e-10
 
 
 def _solve_alone(
@@ -129,7 +131,6 @@ def coupled_cp_als(
     rank: int,
     iters: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> CpFactors:
     """Masked ALS for the coupled CP model with a shared mode-1 factor.
 
@@ -165,7 +166,7 @@ def coupled_cp_als(
         # masked squared residual of the tensor and the matrix, on A's layout
         obj = float(np.sum((obs_A * (A @ design_A.T) - data_A) ** 2))
         trace.append(obj)
-        if np.isfinite(prev) and prev - obj <= tol * max(1.0, prev):
+        if np.isfinite(prev) and prev - obj <= CP_TOL * max(1.0, prev):
             converged = True
             break
         prev = obj

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .datagen import SyntheticSpec, gen_coupled_matrix, gen_tensor
+from .datagen import SyntheticSpec, check_integers, gen_coupled_matrix, gen_tensor
 from .prox import numerical_rank
 from .tensor_ops import unfold
 
@@ -38,16 +38,15 @@ class BoundParams:
     C2: float = 1.0
 
     def __post_init__(self):
-        if any(n <= 0 for n in self.dims) or self.matrix_cols <= 0:
-            raise ValueError("dimensions must be positive")
-        if any(r < 0 for r in self.ranks) or self.coupled_rank < 0:
-            raise ValueError("ranks must be non-negative")
+        check_integers(self, dims=1, matrix_cols=1, ranks=0, coupled_rank=0, samples=1)
         if any(r > n for r, n in zip(self.ranks, self.dims)):
             raise ValueError("ranks exceed dimensions")
-        if self.samples <= 0 or self.Lipschitz <= 0:
-            raise ValueError("samples and Lipschitz constant must be positive")
-        if self.B_tensor < 0 or self.B_matrix < 0:
-            raise ValueError("Frobenius caps must be non-negative")
+        for name in ("B_tensor", "B_matrix"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        for name in ("Lipschitz", "C1", "C2"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 def _coupled_dim_sqrt(p: BoundParams) -> float:

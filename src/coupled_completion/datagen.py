@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def check_integers(obj, **least: int) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` holds integers >= its bound."""
+    for name, low in least.items():
+        value = getattr(obj, name)
+        if not all(isinstance(v, (int, np.integer)) and v >= low for v in np.ravel(value)):
+            raise ValueError(f"{name} must be integer and >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     dims: tuple[int, int, int] = (20, 20, 20)
@@ -46,6 +54,9 @@ class SyntheticSpec:
         return SyntheticSpec(**kwargs)
 
     def __post_init__(self):
+        check_integers(self, dims=1, multilinear_rank=0, matrix_cols=1, matrix_rank=0, shared=0)
+        if len(self.dims) != 3 or len(self.multilinear_rank) != 3:
+            raise ValueError(f"dims and multilinear_rank need three entries, got {self!r}")
         if any(c > n for c, n in zip(self.multilinear_rank, self.dims)):
             raise ValueError("multilinear rank exceeds dimensions")
         if self.matrix_rank > min(self.dims[0], self.matrix_cols):
@@ -79,10 +90,8 @@ def _orthonormal(rng: np.random.Generator, n: int, c: int) -> np.ndarray:
     return Q * np.sign(np.where(np.diag(R) == 0, 1.0, np.diag(R)))
 
 
-def gen_tensor(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Noise-free Tucker low-rank tensor with the spec's multilinear rank."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+def gen_tensor(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    """Noise-free Tucker low-rank tensor with the spec's multilinear rank, drawn from ``rng``."""
     core = rng.standard_normal(spec.multilinear_rank)
     factors = [
         _orthonormal(rng, n, c) for n, c in zip(spec.dims, spec.multilinear_rank)
@@ -90,17 +99,13 @@ def gen_tensor(spec: SyntheticSpec, rng: np.random.Generator | None = None) -> n
     return tucker_synthesize(core, *factors)
 
 
-def gen_coupled_matrix(
-    T: np.ndarray, spec: SyntheticSpec, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def gen_coupled_matrix(T: np.ndarray, spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     """Rank-``r`` matrix sharing ``spec.shared`` mode-1 components with ``T``.
 
     The non-shared singular values are drawn bounded away from zero; when
     components are shared they are additionally kept strictly below the
     shared singular values so that the shared directions stay dominant.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed + 1)
     n1 = T.shape[0]
     r, s, m = spec.matrix_rank, spec.shared, spec.matrix_cols
     U = _orthonormal(rng, n1, r)
@@ -129,14 +134,14 @@ def add_noise(
     X: np.ndarray, mean: float, std: float, seed: int
 ) -> np.ndarray:
     """Elementwise additive Gaussian noise, deterministic given ``seed``."""
-    if std < 0:
-        raise ValueError("std must be >= 0")
+    if not (np.isfinite(mean) and 0 <= std < np.inf):
+        raise ValueError(f"mean must be finite and std finite and >= 0, got {mean!r}, {std!r}")
     rng = np.random.default_rng(seed)
     return np.asarray(X, dtype=float) + mean + std * rng.standard_normal(np.shape(X))
 
 
 def gen_instance(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Noisy (tensor, matrix) pair; pure function of the spec."""
+    """Noisy (tensor, matrix) pair, drawn in that order from one ``default_rng(spec.seed)``."""
     rng = np.random.default_rng(spec.seed)
     T = gen_tensor(spec, rng)
     M = gen_coupled_matrix(T, spec, rng)

@@ -57,8 +57,6 @@ class LambdaGrid:
             raise ValueError("lambda grid scale must be 'linear' or 'log'")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.lo])
         if self.scale == "linear":
             return np.linspace(self.lo, self.hi, self.count)
         return np.geomspace(self.lo, self.hi, self.count)
@@ -98,6 +96,11 @@ class ExperimentConfig:
             raise ValueError("configure exactly one of synthetic data or files")
         for f in self.train_fractions:
             datagen.MaskSpec(f, self.validation_fraction)  # raises on a bad split
+        # every norm but CP selects its lambda on the validation entries it fits
+        if self.validation_fraction == 0 and set(self.norms) != {"CP"}:
+            raise ValueError("validation_fraction must be > 0 to select lambda for a non-CP norm")
+        if self.matrix_fully_observed and "MTN" in self.norms:
+            raise ValueError("matrix_fully_observed leaves MTN no matrix entries to validate on")
 
 
 def _fields(doc: dict, path: str, *keys: str, **renamed: str) -> dict:
@@ -161,10 +164,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         lambda_grid=LambdaGrid(
             **_fields(grid, "lambda_grid", "count", "scale", min="lo", max="hi")
         ),
-        # objective traces cost time per iteration and no report reads them
         solver=SolverOptions(
-            record_objective=False,
-            **_fields(sdoc, "solver", "beta", "max_iters", "tol_primal", "tol_dual"),
+            **_fields(sdoc, "solver", "beta", "max_iters", "tol_primal", "tol_dual")
         ),
         **fields,
     )
@@ -247,6 +248,7 @@ def _cell_opts(cfg: ExperimentConfig, lam: float) -> SolverOptions:
     beta = cfg.solver.beta
     if cfg.beta_tracks_lambda:
         beta = max(lam, 1e-3) * cfg.solver.beta
+    # objective traces cost time per iteration and no report reads them
     return replace(cfg.solver, lam=lam, beta=beta, record_objective=False)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "NormDescriptor",
     "ComponentLayout",
     "InvalidDescriptorError",
-    "validate",
     "layout",
     "parse_descriptor",
     "format_descriptor",
@@ -50,7 +49,12 @@ class InvalidDescriptorError(ValueError):
 
 @dataclass(frozen=True)
 class NormDescriptor:
-    """Coupled mode + per-mode tags; construction enforces the tag grammar."""
+    """Coupled mode + per-mode tags; construction enforces the tag grammar.
+
+    An overlapped group needs at least two modes, so exactly one ``O`` tag
+    is invalid; the accepted patterns are all-``O``, all-``L``, all-``S``
+    and a single ``L``/``S`` mode with the other two ``O``.
+    """
 
     coupled_mode: int
     tags: tuple[str, str, str]
@@ -64,7 +68,15 @@ class NormDescriptor:
             raise InvalidDescriptorError(
                 f"tags must be a triple over {TAGS}, got {self.tags!r}"
             )
-        validate(self)
+        tags = self.tags
+        n_o = tags.count("O")
+        if n_o == 1:
+            raise InvalidDescriptorError("an overlapped group needs at least two modes tagged 'O'")
+        if n_o != 2 and tags not in (("O", "O", "O"), ("L", "L", "L"), ("S", "S", "S")):
+            raise InvalidDescriptorError(
+                f"unsupported tag pattern {tags}: mixing requires exactly one "
+                "latent-style mode with the other two overlapped"
+            )
 
     @property
     def is_all_overlapped(self) -> bool:
@@ -72,26 +84,6 @@ class NormDescriptor:
 
     def has_latent(self) -> bool:
         return any(t in ("L", "S") for t in self.tags)
-
-
-def validate(d: NormDescriptor) -> None:
-    """Check descriptor against the tag grammar; raise on violation.
-
-    An overlapped group needs at least two modes, so exactly one ``O`` tag
-    is invalid; the accepted patterns are all-``O``, all-``L``, all-``S``
-    and a single ``L``/``S`` mode with the other two ``O``.
-    """
-    tags = d.tags
-    n_o = tags.count("O")
-    if n_o == 1:
-        raise InvalidDescriptorError(
-            "an overlapped group needs at least two modes tagged 'O'"
-        )
-    if n_o != 2 and tags not in (("O", "O", "O"), ("L", "L", "L"), ("S", "S", "S")):
-        raise InvalidDescriptorError(
-            f"unsupported tag pattern {tags}: mixing requires exactly one "
-            "latent-style mode with the other two overlapped"
-        )
 
 
 @dataclass(frozen=True)
@@ -242,6 +234,8 @@ def dual_norm_overlapped_upper(
     on mode ``k`` gives ``||[T_(k) | M]||_2`` for the coupled mode and
     ``max(||T_(k)||_2, ||M||_2)`` for the others; this is the least of the three.
     """
+    if coupled_mode not in (1, 2, 3):
+        raise ValueError(f"coupled_mode must be 1, 2 or 3, got {coupled_mode!r}")
     m = spectral_norm(M)
     return min(
         spectral_norm(unfold(T, k, M)) if k == coupled_mode

@@ -38,26 +38,29 @@ class SvdFactors:
         return (self.U * self.S) @ self.Vt
 
 
+def _matrix(X: np.ndarray) -> np.ndarray:
+    """``X`` as a float array; ``ValueError`` unless it is a finite matrix."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={X.ndim}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("matrix contains non-finite entries")
+    return X
+
+
 def svd(X: np.ndarray) -> SvdFactors:
     """Thin SVD of a dense matrix.
 
     Raises on non-finite input; LAPACK convergence failures propagate as
     ``numpy.linalg.LinAlgError``.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={X.ndim}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("svd input contains non-finite entries")
-    U, S, Vt = np.linalg.svd(X, full_matrices=False)
+    U, S, Vt = np.linalg.svd(_matrix(X), full_matrices=False)
     return SvdFactors(U=U, S=S, Vt=Vt)
 
 
 def _singular_values(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite entries")
-    if min(X.shape, default=0) == 0:
+    X = _matrix(X)
+    if min(X.shape) == 0:
         return np.zeros(0)
     return np.linalg.svd(X, compute_uv=False)
 

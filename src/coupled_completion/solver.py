@@ -308,17 +308,15 @@ def _admm(
     fit_step: Callable[[SolverState], None],
     tol_scale: float,
     loss: Callable[[SolverState], float] | None = None,
-    matrix_fixed: bool = False,
 ) -> CompletionResult:
     """The ADMM iteration: primal data-fit step, SVT step, dual step.
 
     ``fit_step`` updates ``state.M`` and ``state.components``, the one piece
     that differs between completion and norm evaluation.  The objective
     trace, when recorded, is ``loss`` at the primal plus the regularizer at
-    the auxiliaries.  A ``matrix_fixed`` matrix is data, so its auxiliary's
-    change is no part of the dual residual.  Converged means the maximum
-    primal and beta-scaled dual residuals fell below their tolerances times
-    ``tol_scale``.
+    the auxiliaries.  Converged means the maximum primal residual and the
+    beta-scaled change of every auxiliary, the matrix block's included, fell
+    below their tolerances times ``tol_scale``.
     """
     terms = state.terms
     obj_trace: list[float] = []
@@ -332,10 +330,7 @@ def _admm(
         fit_step(state)
         newX, newY, reg_value = update_auxiliaries(state, opts)
 
-        dual = opts.beta * _max_gap(
-            [(newY[m], state.Y[m]) for m in newY]
-            + ([] if matrix_fixed else [(newX, state.X)])
-        )
+        dual = opts.beta * _max_gap([(newY[m], state.Y[m]) for m in newY] + [(newX, state.X)])
         state.X, state.Y = newX, newY
         state.WM, state.W = update_duals(state, opts)
         primal = _max_gap(
@@ -436,9 +431,7 @@ def solve(
     )
 
 
-def decompose(
-    T: np.ndarray, M: np.ndarray, lay: ComponentLayout, tol: float = 1e-6
-) -> list[np.ndarray]:
+def decompose(T: np.ndarray, M: np.ndarray, lay: ComponentLayout, tol: float) -> list[np.ndarray]:
     """Minimize the norm terms of ``lay`` subject to the components summing to ``T``.
 
     The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
@@ -460,4 +453,4 @@ def decompose(
         tol_dual=tol, record_objective=False,
     )
     scale = max(1.0, float(np.linalg.norm(T)), float(np.linalg.norm(M)))
-    return _admm(state, opts, project, scale, matrix_fixed=True).components
+    return _admm(state, opts, project, scale).components

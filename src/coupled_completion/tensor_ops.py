@@ -62,6 +62,8 @@ def unfold(T: np.ndarray, k: int, M: np.ndarray | None = None) -> np.ndarray:
 def fold(Mk: np.ndarray, k: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor from its mode-``k`` unfolding."""
     axis = _check_mode(k)
+    if len(dims) != 3:
+        raise ValueError(f"dims must have three entries, got {dims!r}")
     Mk = np.asarray(Mk)
     n, a, b = (dims[i] for i in _AXES[axis])
     if Mk.shape != (n, a * b):

@@ -106,7 +106,7 @@ class TestCompleteTensor:
             noise_std=0.0,
             seed=8,
         )
-        T = datagen.gen_tensor(spec)
+        T = datagen.gen_tensor(spec, np.random.default_rng(spec.seed))
         train, val, test = datagen.gen_masks(T.shape, datagen.MaskSpec(0.7, 0.1, 8))
         best = None
         for lam in np.geomspace(1e-3, 1.0, 10):

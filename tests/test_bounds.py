@@ -88,6 +88,28 @@ class TestBoundParamsValidation:
         with pytest.raises(ValueError):
             replace(BASE, coupled_rank=-1)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"samples": math.nan, "B_tensor": math.nan}, "samples must be integer and >= 1"),
+         ({"samples": 2.5}, "samples must be integer and >= 1"),
+         ({"dims": (20.0, 20, 20)}, "dims must be integer and >= 1"),
+         ({"matrix_cols": 0}, "matrix_cols must be integer and >= 1"),
+         ({"ranks": (5, 5, 4.5)}, "ranks must be integer and >= 0"),
+         ({"coupled_rank": 1.5}, "coupled_rank must be integer and >= 0"),
+         ({"B_tensor": math.nan}, "B_tensor must be finite and >= 0"),
+         ({"B_matrix": math.inf}, "B_matrix must be finite and >= 0"),
+         ({"Lipschitz": math.nan}, "Lipschitz must be finite and > 0"),
+         ({"C1": 0.0}, "C1 must be finite and > 0"),
+         ({"C2": math.inf}, "C2 must be finite and > 0")],
+    )
+    def test_rejects_nan_non_integer_and_out_of_range_settings(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(BASE, **changes)
+
+    def test_accepts_numpy_integers(self):
+        p = replace(BASE, dims=tuple(np.full(3, 20)), samples=np.int64(2), coupled_rank=np.int32(5))
+        assert bound("OOO", p) == pytest.approx(bound("OOO", BASE) / 2.0, rel=1e-15)
+
 
 class TestRankGeometry:
     def test_full_sharing_collapses_coupled_rank(self):

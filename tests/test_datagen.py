@@ -1,5 +1,7 @@
 """Tests for synthetic coupled instance generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -50,29 +52,60 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SyntheticSpec(**{name: np.nan})
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"dims": (4.5, 4, 4)}, "dims must be integer and >= 1"),
+         ({"dims": (0, 4, 4), "multilinear_rank": (0, 2, 2), "matrix_rank": 0, "shared": 0},
+          "dims must be integer and >= 1"),
+         ({"multilinear_rank": (5, 5, 5.0)}, "multilinear_rank must be integer and >= 0"),
+         ({"multilinear_rank": (-1, 5, 5)}, "multilinear_rank must be integer and >= 0"),
+         ({"matrix_cols": 0}, "matrix_cols must be integer and >= 1"),
+         ({"matrix_cols": 30.0}, "matrix_cols must be integer and >= 1"),
+         ({"matrix_rank": np.nan}, "matrix_rank must be integer and >= 0"),
+         ({"shared": -1}, "shared must be integer and >= 0"),
+         ({"shared": 2.5}, "shared must be integer and >= 0"),
+         ({"dims": (6, 6, 6, 6)}, "dims and multilinear_rank need three entries"),
+         ({"dims": (6, 6), "multilinear_rank": (2, 2)}, "dims and multilinear_rank need three entries")],
+    )
+    def test_rejects_non_integer_or_out_of_range_size(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SyntheticSpec(**kwargs)
+
+    def test_accepts_numpy_integer_sizes(self):
+        spec = SyntheticSpec(
+            dims=tuple(np.arange(6, 9)), multilinear_rank=(np.int32(2),) * 3,
+            matrix_cols=np.int64(4), matrix_rank=np.int64(2), shared=np.int8(0),
+        )
+        T, M = gen_instance(spec)
+        assert T.shape == (6, 7, 8) and M.shape == (6, 4)
+
 
 class TestGenTensor:
     def test_rank_one(self):
         spec = SyntheticSpec(dims=(6, 6, 6), multilinear_rank=(1, 1, 1), matrix_rank=1, shared=1)
-        T = gen_tensor(spec)
+        T = gen_tensor(spec, np.random.default_rng(spec.seed))
         for k in (1, 2, 3):
             assert numerical_rank(unfold(T, k), rtol=1e-10) == 1
 
     def test_full_rank(self):
         spec = SyntheticSpec(dims=(4, 4, 4), multilinear_rank=(4, 4, 4), matrix_rank=4, shared=0)
-        T = gen_tensor(spec)
+        T = gen_tensor(spec, np.random.default_rng(spec.seed))
         for k in (1, 2, 3):
             assert numerical_rank(unfold(T, k), rtol=1e-10) == 4
 
     def test_multilinear_rank_five(self):
-        T = gen_tensor(SyntheticSpec(seed=1))
+        spec = SyntheticSpec(seed=1)
+        T = gen_tensor(spec, np.random.default_rng(spec.seed))
         for k in (1, 2, 3):
             s = np.linalg.svd(unfold(T, k), compute_uv=False)
             assert np.all(s[5:] < 1e-10 * s[0])
 
     def test_reproducible(self):
         spec = SyntheticSpec(seed=9)
-        assert np.array_equal(gen_tensor(spec), gen_tensor(spec))
+        assert np.array_equal(
+            gen_tensor(spec, np.random.default_rng(spec.seed)),
+            gen_tensor(spec, np.random.default_rng(spec.seed)),
+        )
 
 
 class TestGenCoupledMatrix:
@@ -128,6 +161,11 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(3), 0.0, -1.0, 0)
 
+    @pytest.mark.parametrize("mean, std", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)])
+    def test_rejects_non_finite_mean_or_std(self, mean, std):
+        with pytest.raises(ValueError, match="mean must be finite and std finite and >= 0"):
+            add_noise(np.zeros(3), mean, std, 0)
+
 
 class TestGenInstance:
     def test_pure_function_of_spec(self):
@@ -136,6 +174,16 @@ class TestGenInstance:
         T2, M2 = gen_instance(spec)
         assert np.array_equal(T1, T2)
         assert np.array_equal(M1, M2)
+
+    def test_tensor_then_matrix_from_one_rng(self):
+        spec = SyntheticSpec(seed=13)
+        rng = np.random.default_rng(spec.seed)
+        T_clean = gen_tensor(spec, rng)
+        M_clean = gen_coupled_matrix(T_clean, spec, rng)
+        T, M = gen_instance(spec)
+        noise = SyntheticSpec().noise_mean, SyntheticSpec().noise_std
+        assert np.array_equal(T, add_noise(T_clean, *noise, spec.seed + 101))
+        assert np.array_equal(M, add_noise(M_clean, *noise, spec.seed + 102))
 
     def test_noise_applied(self):
         spec = SyntheticSpec(seed=12)

@@ -89,6 +89,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got 1.5"):
             tiny_config(**{name: 1.5})
 
+    def test_rejects_no_validation_entries_for_a_non_cp_norm(self):
+        with pytest.raises(ValueError, match="validation_fraction must be > 0"):
+            tiny_config(norms=("CP", "OTN"), validation_fraction=0.0)
+
+    def test_cp_only_config_needs_no_validation_entries(self):
+        cfg = tiny_config(norms=("CP",), validation_fraction=0.0, cp_iters=2)
+        assert not run(cfg).failures()
+
+    def test_rejects_mtn_on_a_fully_observed_matrix(self):
+        with pytest.raises(ValueError, match="matrix_fully_observed leaves MTN"):
+            tiny_config(norms=("1:(O,O,O)", "MTN"), matrix_fully_observed=True)
+
     def test_rejects_train_fraction_leaving_no_test_split(self):
         # 0.95 + 0.1 validation leaves no test entries; caught before any fit
         with pytest.raises(ValueError, match="sum below 1"):
@@ -162,7 +174,6 @@ class TestExperimentConfig:
             cp_iters=100,
             solver=SolverOptions(
                 lam=0.1, beta=1.0, max_iters=2000, tol_primal=1e-6, tol_dual=1e-6,
-                record_objective=False,
             ),
             beta_tracks_lambda=True,
             output_dir="results",

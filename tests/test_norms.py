@@ -14,7 +14,6 @@ from coupled_completion.norms import (
     format_descriptor,
     layout,
     parse_descriptor,
-    validate,
 )
 from coupled_completion.prox import trace_norm
 from coupled_completion.tensor_ops import fold, unfold
@@ -44,7 +43,7 @@ class TestValidate:
         ],
     )
     def test_accepts_valid(self, tags):
-        validate(NormDescriptor(1, tags))
+        NormDescriptor(1, tags)
 
     @pytest.mark.parametrize(
         "tags",
@@ -52,16 +51,15 @@ class TestValidate:
     )
     def test_rejects_two_latent_one_overlapped(self, tags):
         with pytest.raises(InvalidDescriptorError):
-            validate(NormDescriptor(1, tags))
+            NormDescriptor(1, tags)
 
     def test_rejects_single_overlapped_mode(self):
         with pytest.raises(InvalidDescriptorError, match="at least two"):
-            validate(NormDescriptor(1, ("O", "L", "L")))
+            NormDescriptor(1, ("O", "L", "L"))
 
     def test_rejects_two_dashes(self):
         with pytest.raises(InvalidDescriptorError):
             NormDescriptor(1, ("L", "-", "-"))
-            validate(NormDescriptor(1, ("L", "-", "-")))
 
     def test_bad_tags_rejected_at_construction(self):
         with pytest.raises(InvalidDescriptorError):
@@ -291,6 +289,11 @@ class TestDualNorms:
 
     def test_overlapped_upper_zero(self):
         assert dual_norm_overlapped_upper(np.zeros((2, 2, 2)), np.zeros((2, 1))) == 0.0
+
+    @pytest.mark.parametrize("coupled_mode", [0, 4])
+    def test_overlapped_upper_rejects_bad_coupled_mode(self, coupled_mode):
+        with pytest.raises(ValueError, match=f"coupled_mode must be 1, 2 or 3, got {coupled_mode}"):
+            dual_norm_overlapped_upper(np.ones((2, 2, 2)), np.ones((2, 1)), coupled_mode)
 
     def test_overlapped_upper_constructed(self):
         # diagonal-like tensor: all unfoldings share the same spectrum

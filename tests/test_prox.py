@@ -55,6 +55,13 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("fn", [svd, trace_norm, spectral_norm, numerical_rank])
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (3,)])
+    def test_every_norm_rejects_non_matrix_alike(self, fn, shape):
+        # a 3-way array once gave a trace norm summed over batched SVDs
+        with pytest.raises(ValueError, match=f"expected a matrix, got ndim={len(shape)}"):
+            fn(np.ones(shape))
+
 
 class TestTraceNorm:
     def test_identity(self):

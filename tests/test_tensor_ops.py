@@ -101,6 +101,11 @@ class TestFold:
         with pytest.raises(ValueError):
             fold(np.zeros((3, 7)), 2, (2, 3, 4))
 
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 1), (2, 12)])
+    def test_rejects_dims_without_three_entries(self, dims):
+        with pytest.raises(ValueError, match="dims must have three entries"):
+            fold(np.zeros((2, 12)), 1, dims)
+
     @given(
         st.tuples(
             st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)
