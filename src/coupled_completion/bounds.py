@@ -39,6 +39,9 @@ class BoundParams:
 
     def __post_init__(self):
         check_integers(self, dims=1, matrix_cols=1, ranks=0, coupled_rank=0, samples=1)
+        for name in ("dims", "ranks"):
+            if np.shape(getattr(self, name)) != (3,):
+                raise ValueError(f"{name} needs three entries, got {getattr(self, name)!r}")
         if any(r > n for r, n in zip(self.ranks, self.dims)):
             raise ValueError("ranks exceed dimensions")
         for name in ("B_tensor", "B_matrix"):

@@ -11,7 +11,9 @@ tag per tensor mode.  Tag semantics:
 
 All-``O`` norms have a closed form; every descriptor containing latent
 components is defined as an infimum over additive decompositions and is
-evaluated by the solver's ADMM iteration (:func:`solver.decompose`).
+evaluated by the solver's ADMM iteration (:func:`solver.decompose`), which
+brackets it between a feasible decomposition's value and a Hoelder lower
+bound.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "format_descriptor",
     "evaluate_overlapped",
     "evaluate",
+    "bracket",
     "dual_norm_latent_type",
     "dual_norm_overlapped_upper",
 ]
@@ -183,15 +186,32 @@ def evaluate(
     d: NormDescriptor,
     tol: float = 1e-6,
 ) -> float:
-    """Value of the coupled norm at ``(T, M)``.
+    """Value of the coupled norm at ``(T, M)``: the upper end of :func:`bracket`.
 
-    All-overlapped descriptors are closed-form: the decomposition is ``[T]``.
-    Latent-containing ones are infima over additive decompositions and are
-    computed by the solver's ADMM on the decomposition constraint, run until
-    the constraint residuals fall below ``tol``; the returned value comes
-    from the feasible primal decomposition, so it never undershoots the true
-    infimum.  Inputs are copied to C order first, so the value does not
-    depend on their memory layout.
+    It comes from a feasible decomposition, so it never undershoots the true
+    infimum, and it exceeds it by at most ``tol`` times itself: the
+    certified gap of :func:`bracket`, unless the ADMM reached its iteration
+    cap first.
+    """
+    return bracket(T, M, d, tol)[1]
+
+
+def bracket(
+    T: np.ndarray,
+    M: np.ndarray,
+    d: NormDescriptor,
+    tol: float = 1e-6,
+) -> tuple[float, float]:
+    """Certified ``(lower, upper)`` bounds on the coupled norm at ``(T, M)``.
+
+    All-overlapped descriptors are closed-form: the decomposition is ``[T]``
+    and both ends are its value.  Latent-containing ones are infima over
+    additive decompositions, computed by the solver's ADMM on the
+    decomposition constraint (:func:`solver.decompose`) until ``upper -
+    lower <= tol * upper``: ``upper`` is the value of a feasible
+    decomposition, ``lower`` a Hoelder bound from the ADMM multipliers.
+    Inputs are copied to C order first, so the values do not depend on their
+    memory layout.
     """
     # function-local: solver imports this module at load time, so a
     # module-level import of solver would be circular
@@ -200,8 +220,28 @@ def evaluate(
     T = np.ascontiguousarray(T, dtype=float)
     M = np.ascontiguousarray(M, dtype=float)
     lay = layout(d, T.shape)
-    comps = [T] if d.is_all_overlapped else decompose(T, M, lay, tol=tol)
-    return decomposition_value(comps, lay, M)
+    if d.is_all_overlapped:
+        value = decomposition_value([T], lay, M)
+        return value, value
+    _, lower, upper = decompose(T, M, lay, tol=tol)
+    return lower, upper
+
+
+def split_dual_bound(
+    lay: ComponentLayout, split: dict[int, np.ndarray], GM: np.ndarray
+) -> float:
+    """``max_k ||unfold(split[k], k, GM if k is coupled)||_2 / scale_k`` over the terms.
+
+    When the ``split[k]`` of every component's terms sum to the same tensor
+    ``G``, this bounds the dual norm of ``(G, GM)`` from above: any
+    decomposition of ``(T, M)`` pairs with ``(G, GM)`` term by term.  For
+    the all-latent layouts, whose components have one term each, the split
+    ``split[k] = G`` gives the dual norm itself.
+    """
+    return max(
+        spectral_norm(unfold(split[mode], mode, GM if mode == lay.coupled_mode else None)) / scale
+        for mode, scale, _ in lay.regularized_modes()
+    )
 
 
 def dual_norm_latent_type(
@@ -218,10 +258,7 @@ def dual_norm_latent_type(
             f"closed-form dual available for (L,L,L) and (S,S,S) only, got {d.tags}"
         )
     T = np.asarray(T, dtype=float)
-    return max(
-        spectral_norm(unfold(T, mode, M if mode == d.coupled_mode else None)) / scale
-        for mode, scale, _ in layout(d, T.shape).regularized_modes()
-    )
+    return split_dual_bound(layout(d, T.shape), {k: T for k in (1, 2, 3)}, M)
 
 
 def dual_norm_overlapped_upper(

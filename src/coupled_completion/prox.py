@@ -38,11 +38,17 @@ class SvdFactors:
         return (self.U * self.S) @ self.Vt
 
 
-def _matrix(X: np.ndarray) -> np.ndarray:
-    """``X`` as a float array; ``ValueError`` unless it is a finite matrix."""
+def _as_matrix(X: np.ndarray) -> np.ndarray:
+    """``X`` as a float array; ``ValueError`` unless it is a matrix."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={X.ndim}")
+    return X
+
+
+def _matrix(X: np.ndarray) -> np.ndarray:
+    """``X`` as a float array; ``ValueError`` unless it is a finite matrix."""
+    X = _as_matrix(X)
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite entries")
     return X
@@ -95,7 +101,8 @@ def svt(X: np.ndarray, tau: float) -> np.ndarray:
     """
     if tau < 0:
         raise ValueError(f"threshold must be non-negative, got {tau}")
-    X = np.asarray(X, dtype=float)
+    # shape only: finiteness is left to the SVD, off this hot path
+    X = _as_matrix(X)
     if min(X.shape, default=0) == 0:
         return X.copy()
     if tau == 0.0:

@@ -12,10 +12,10 @@ unfolding being thresholded jointly with the matrix block.  Because the
 observation operators are entrywise 0/1, every linear subproblem is solved
 in closed form entry by entry.
 
-One iteration loop (:func:`_admm`) serves completion (:func:`solve`) and the
-evaluation of latent-type norms (:func:`decompose`, the infimum over
-additive decompositions with the matrix held fixed); only the primal
-data-fit step differs between the two.
+One over-relaxed iteration loop (:func:`_admm`) serves completion
+(:func:`solve`) and the evaluation of latent-type norms (:func:`decompose`,
+the infimum over additive decompositions with the matrix held fixed); only
+the primal data-fit step and the stopping rule differ between the two.
 """
 
 from __future__ import annotations
@@ -47,9 +47,14 @@ __all__ = [
     "objective",
 ]
 
-# ADMM proximity parameter and iteration cap of :func:`decompose`
+# over-relaxation factor of the SVT and dual steps (Eckstein & Bertsekas 1992;
+# Boyd et al. 2011, section 3.4.3); 1 is the plain ADMM step
+RELAXATION = 1.8
+# ADMM proximity parameter and iteration cap of :func:`decompose`, and the
+# interval at which it evaluates its duality bracket
 DECOMPOSE_BETA = 1.0
 DECOMPOSE_MAX_ITERS = 5000
+DECOMPOSE_CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -141,10 +146,11 @@ class SolverState:
 
     Built from the start point ``(components, M)``: each auxiliary ``Y[mode]``
     starts as its component (the same array: the ADMM steps replace arrays
-    and never write into them), and ``X``, ``WM`` and every dual ``W[mode]``
-    at zero.  ``terms`` (the layout's ``(mode, scale, component)`` norm
-    terms) and ``g`` (the number of terms per component) are derived from
-    ``layout`` once, at construction.
+    and never write into them, except the SVT-input arrays that one run of
+    :func:`_admm` allocates and reuses for its multipliers), and ``X``,
+    ``WM`` and every dual ``W[mode]`` at zero.  ``terms`` (the layout's
+    ``(mode, scale, component)`` norm terms) and ``g`` (the number of terms
+    per component) are derived from ``layout`` once, at construction.
     """
 
     layout: ComponentLayout
@@ -236,23 +242,51 @@ def update_tensors(
 
 
 def update_auxiliaries(
-    state: SolverState, opts: SolverOptions
-) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
+    state: SolverState,
+    opts: SolverOptions,
+    out: dict[int, np.ndarray] | None = None,
+) -> tuple[np.ndarray, dict[int, np.ndarray], float, dict[int, np.ndarray]]:
     """Prox (SVT) step for the auxiliary unfoldings and the matrix block.
 
-    Returns the new X, the new Y dict, and the regularizer value at the new
-    auxiliaries; that value feeds only the objective trace, so it is 0.0
-    unless ``opts.record_objective`` is set.
+    Each term thresholds the unfolding of ``W[mode] / beta + h`` at the
+    over-relaxed point ``h = (1 - a) * Y[mode] + a * t_c``, ``a =
+    RELAXATION``; the coupled mode's unfolding carries ``WM / beta + (1 - a)
+    * X + a * M`` as its matrix block.  Returns the new X, the new Y dict,
+    the regularizer value at the new auxiliaries (it feeds only the
+    objective trace, so it is 0.0 unless ``opts.record_objective`` is set),
+    and each term's SVT input, keyed by mode, for :func:`update_duals`.
+
+    ``out`` may hold the inputs that the previous step returned and
+    :func:`update_duals` turned into ``state``'s multipliers; the new inputs
+    are then built in those arrays, which overwrites ``W`` and ``WM``.
     """
     lay = state.layout
-    beta = opts.beta
+    beta, a = opts.beta, RELAXATION
     newY: dict[int, np.ndarray] = {}
+    inputs: dict[int, np.ndarray] = {}
     newX = state.X
     reg_value = 0.0
     for mode, scale, c in state.terms:
-        M = state.M + state.WM / beta if mode == lay.coupled_mode else None
-        arg = unfold(state.components[c] + state.W[mode] / beta, mode, M)
-        nt = arg.shape[1] - (0 if M is None else M.shape[1])
+        coupled = mode == lay.coupled_mode
+        if out is None:
+            arg = unfold(state.W[mode], mode, state.WM if coupled else None)
+            arg = np.divide(arg, beta, order="C")
+        else:
+            arg = out[mode]
+            arg /= beta
+        nt = arg.shape[1] - state.M.shape[1] * coupled
+        # The loop's Y and W are C-contiguous once unfolded, t_c is not: a
+        # plain copy moves it to that layout faster than arithmetic on the
+        # strided tensor view of arg would
+        tmp = np.multiply(unfold(state.Y[mode], mode), 1 - a)
+        arg[:, :nt] += tmp
+        np.copyto(fold(tmp, mode, lay.dims), state.components[c])
+        tmp *= a
+        arg[:, :nt] += tmp
+        del tmp  # before the SVT allocates its output
+        if coupled:
+            arg[:, nt:] += (1 - a) * state.X
+            arg[:, nt:] += a * state.M
         tau = opts.lam * scale / beta
         Z = svt(arg, tau)
         if opts.record_objective:
@@ -261,20 +295,35 @@ def update_auxiliaries(
             tn = float(np.vdot(arg, Z) - np.vdot(Z, Z)) / tau if tau else trace_norm(Z)
             reg_value += scale * tn
         newY[mode] = fold(Z[:, :nt], mode, lay.dims)
-        if M is not None:
+        if coupled:
             newX = Z[:, nt:]
-    return newX, newY, reg_value
+        inputs[mode] = arg
+    return newX, newY, reg_value, inputs
 
 
 def update_duals(
-    state: SolverState, opts: SolverOptions
+    state: SolverState, opts: SolverOptions, inputs: dict[int, np.ndarray]
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Gradient-ascent dual step: W <- W + beta * (primal - auxiliary)."""
-    WM = state.WM + opts.beta * (state.M - state.X)
-    W = {
-        mode: state.W[mode] + opts.beta * (state.components[c] - state.Y[mode])
-        for mode, _, c in state.terms
-    }
+    """Dual step: each multiplier becomes beta * (SVT input - SVT output).
+
+    ``inputs`` are :func:`update_auxiliaries`' SVT inputs and ``state``
+    holds its outputs, so this is ``W + beta * (h - Y)`` at the relaxed point
+    ``h`` with no second pass over ``h``.  The multipliers are built in the
+    input arrays, which they then share: ``W[mode]`` is a view of
+    ``inputs[mode]``, and ``WM`` of the coupled mode's input.
+    """
+    lay = state.layout
+    WM = state.WM
+    W: dict[int, np.ndarray] = {}
+    for mode, R in inputs.items():
+        coupled = mode == lay.coupled_mode
+        nt = R.shape[1] - state.M.shape[1] * coupled
+        R[:, :nt] -= unfold(state.Y[mode], mode)
+        if coupled:
+            R[:, nt:] -= state.X
+            WM = R[:, nt:]
+        R *= opts.beta
+        W[mode] = fold(R[:, :nt], mode, lay.dims)
     return WM, W
 
 
@@ -306,17 +355,22 @@ def _admm(
     state: SolverState,
     opts: SolverOptions,
     fit_step: Callable[[SolverState], None],
-    tol_scale: float,
+    done: Callable[[int, float, float], bool],
     loss: Callable[[SolverState], float] | None = None,
 ) -> CompletionResult:
-    """The ADMM iteration: primal data-fit step, SVT step, dual step.
+    """The over-relaxed ADMM iteration: data-fit step, SVT step, dual step.
 
-    ``fit_step`` updates ``state.M`` and ``state.components``, the one piece
-    that differs between completion and norm evaluation.  The objective
-    trace, when recorded, is ``loss`` at the primal plus the regularizer at
-    the auxiliaries.  Converged means the maximum primal residual and the
-    beta-scaled change of every auxiliary, the matrix block's included, fell
-    below their tolerances times ``tol_scale``.
+    ``fit_step`` updates ``state.M`` and ``state.components``, the piece
+    that differs between completion and norm evaluation.  The SVT and dual
+    steps read the over-relaxed point ``RELAXATION * primal + (1 -
+    RELAXATION) * auxiliary`` in place of the fresh primal (Boyd et al.
+    2011, section 3.4.3).  The primal residual is the largest gap between a
+    primal block and its auxiliary, the dual residual the beta-scaled change
+    of every auxiliary, the matrix block's included.  The loop stops after
+    the first iteration ``it`` at which ``done(it, primal, dual)`` holds, or
+    at ``opts.max_iters``; ``converged`` records which.  The objective trace,
+    when recorded, is ``loss`` at the primal plus the regularizer at the
+    auxiliaries.
     """
     terms = state.terms
     obj_trace: list[float] = []
@@ -324,15 +378,18 @@ def _admm(
     dual_trace: list[float] = []
     converged = False
     primal = dual = np.inf
+    inputs = None
     it = 0
 
     for it in range(1, opts.max_iters + 1):
         fit_step(state)
-        newX, newY, reg_value = update_auxiliaries(state, opts)
+        # the previous inputs back state.W and state.WM, which the fit step
+        # has read, so the SVT step may build the new inputs in them
+        newX, newY, reg_value, inputs = update_auxiliaries(state, opts, out=inputs)
 
         dual = opts.beta * _max_gap([(newY[m], state.Y[m]) for m in newY] + [(newX, state.X)])
         state.X, state.Y = newX, newY
-        state.WM, state.W = update_duals(state, opts)
+        state.WM, state.W = update_duals(state, opts, inputs)
         primal = _max_gap(
             [(state.M, state.X)] + [(state.components[c], state.Y[m]) for m, _, c in terms]
         )
@@ -342,7 +399,7 @@ def _admm(
         primal_trace.append(primal)
         dual_trace.append(dual)
 
-        if primal <= opts.tol_primal * tol_scale and dual <= opts.tol_dual * tol_scale:
+        if done(it, primal, dual):
             converged = True
             break
 
@@ -368,8 +425,9 @@ def _warm_state(
     """``start``'s final state, its multipliers rescaled from its lambda to ``lam``.
 
     At the fixed point each multiplier is lambda times a point of the dual
-    norm ball; from lambda 0 only the primal point is carried.  The arrays
-    are shared, which is safe because the ADMM steps never write into them.
+    norm ball; from lambda 0 only the primal point is carried.  The primal
+    and auxiliary arrays are shared, which is safe because the ADMM steps
+    never write into them; the multipliers are new arrays.
     """
     prev = start.state
     if prev.layout.dims != lay.dims or prev.M.shape != problem.matrix.shape:
@@ -425,32 +483,67 @@ def solve(
         )
     else:
         state = _warm_state(start, problem, lay, opts.lam)
+    scale = max(1.0, float(data_norm))
+
+    def done(it: int, primal: float, dual: float) -> bool:
+        return primal <= opts.tol_primal * scale and dual <= opts.tol_dual * scale
+
     return _admm(
-        state, opts, fit_step, max(1.0, float(data_norm)),
+        state, opts, fit_step, done,
         loss=lambda state: _loss(problem, sum(state.components), state.M),
     )
 
 
-def decompose(T: np.ndarray, M: np.ndarray, lay: ComponentLayout, tol: float) -> list[np.ndarray]:
+def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
+    """Hoelder lower bound ``(<G, T> + <WM, M>) / D`` on the norm :func:`decompose` minimizes.
+
+    ``G`` is the mean over components of ``G_c``, the sum of component c's
+    multipliers.  The split ``G_k = W[k] + (G - G_c) / g_c`` sums to ``G``
+    over every component's terms, so ``D``, its
+    :func:`norms.split_dual_bound`, bounds the dual norm of ``(G, WM)`` and
+    the bound holds whatever the multipliers are.
+    """
+    Gc = [np.zeros(state.layout.dims) for _ in state.g]
+    for m, _, c in state.terms:
+        Gc[c] = Gc[c] + state.W[m]
+    G = sum(Gc) / len(Gc)
+    split = {m: state.W[m] + (G - Gc[c]) / state.g[c] for m, _, c in state.terms}
+    D = norms.split_dual_bound(state.layout, split, state.WM)
+    return float(np.vdot(G, T) + np.vdot(state.WM, M)) / D if D > 0 else 0.0
+
+
+def decompose(
+    T: np.ndarray, M: np.ndarray, lay: ComponentLayout, tol: float
+) -> tuple[list[np.ndarray], float, float]:
     """Minimize the norm terms of ``lay`` subject to the components summing to ``T``.
 
     The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
     concatenated block keeps its own dual, so the joint SVT is the correct
     partial prox.  The data-fit step projects the components onto the sum
     constraint by an exact entrywise equality-constrained solve.  Starts
-    from the even split ``T / C``; stops when the residuals fall below
-    ``tol`` relative to max(1, ||T||_F, ||M||_F), or after
-    ``DECOMPOSE_MAX_ITERS`` iterations.
+    from the even split ``T / C``.  Every ``DECOMPOSE_CHECK_EVERY``
+    iterations, and at the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
+    infimum: ``upper`` is the norm-term sum of the current (feasible)
+    components, ``lower`` the Hoelder bound of :func:`_lower_bound` from
+    the current multipliers.  Stops once ``upper - lower <= tol * upper``.
+    Returns the components and the last ``lower`` and ``upper``; zero input
+    gives ``0, 0``.
     """
     C = lay.n_components
     state = SolverState(lay, [T / C for _ in range(C)], M)
+    bracket = [-np.inf, np.inf]
 
     def project(state: SolverState) -> None:
         state.components = _fit_entries(state, DECOMPOSE_BETA, 0.0, lambda s: T - s)
 
+    def done(it: int, primal: float, dual: float) -> bool:
+        if it % DECOMPOSE_CHECK_EVERY and it < DECOMPOSE_MAX_ITERS:
+            return False
+        bracket[:] = _lower_bound(state, T, M), norms.decomposition_value(state.components, lay, M)
+        return bracket[1] - bracket[0] <= tol * bracket[1]
+
     opts = SolverOptions(
-        lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS, tol_primal=tol,
-        tol_dual=tol, record_objective=False,
+        lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS, record_objective=False
     )
-    scale = max(1.0, float(np.linalg.norm(T)), float(np.linalg.norm(M)))
-    return _admm(state, opts, project, scale).components
+    components = _admm(state, opts, project, done).components
+    return components, bracket[0], bracket[1]

@@ -147,6 +147,41 @@ def test_criterion_3_duality_suite():
     report(3, "duality suite", violations == 0, f"violations={violations}/1002")
 
 
+def test_criterion_3_latent_pairs_at_the_lower_bound():
+    """Criterion 3's latent-norm pairs, with the certified lower end of each value.
+
+    ``norms.evaluate`` returns the upper end of a bracket; Hoelder must hold
+    at the lower end as well, which is the stricter check.
+    """
+    rng = np.random.default_rng(102)
+    dims = (3, 3, 3)
+    cols = 2
+    n_pairs = 334
+
+    def pair():
+        return (
+            rng.standard_normal(dims),
+            rng.standard_normal((dims[0], cols)),
+            rng.standard_normal(dims),
+            rng.standard_normal((dims[0], cols)),
+        )
+
+    for _ in range(n_pairs):  # criterion 3's (O,O,O) pairs
+        pair()
+    violations = 0
+    for tags in (("L", "L", "L"), ("S", "S", "S")):
+        d = NormDescriptor(1, tags)
+        for _ in range(n_pairs):
+            T, M, T2, M2 = pair()
+            ip = abs(float(np.sum(T * T2) + np.sum(M * M2)))
+            lower, _ = norms.bracket(T, M, d, tol=1e-4)
+            dual = norms.dual_norm_latent_type(T2, M2, d)
+            if ip > lower * dual * (1 + 1e-9) + 1e-12:
+                violations += 1
+
+    report(3, "duality suite at the lower bound", violations == 0, f"violations={violations}/668")
+
+
 ALL_DESCRIPTORS = [
     NormDescriptor(1, tags)
     for tags in [

@@ -106,6 +106,15 @@ class TestBoundParamsValidation:
         with pytest.raises(ValueError, match=message):
             replace(BASE, **changes)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [({"dims": (4, 4, 4, 4), "ranks": (2, 2, 2)}, "dims needs three entries"),
+         ({"ranks": (5, 5)}, "ranks needs three entries")],
+    )
+    def test_rejects_other_than_three_dims_or_ranks(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(BASE, **changes)
+
     def test_accepts_numpy_integers(self):
         p = replace(BASE, dims=tuple(np.full(3, 20)), samples=np.int64(2), coupled_rank=np.int32(5))
         assert bound("OOO", p) == pytest.approx(bound("OOO", BASE) / 2.0, rel=1e-15)

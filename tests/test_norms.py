@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from coupled_completion import solver
+from coupled_completion.datagen import SyntheticSpec, gen_instance
 from coupled_completion.norms import (
     InvalidDescriptorError,
     NormDescriptor,
+    bracket,
     decomposition_value,
     dual_norm_latent_type,
     dual_norm_overlapped_upper,
@@ -241,6 +244,53 @@ class TestEvaluate:
         ref = evaluate(T, M, d)
         assert evaluate(np.asfortranarray(T), np.asfortranarray(M), d) == ref
         assert evaluate(strided_T, strided_M, d) == ref
+
+
+NINE = ["1:(O,O,O)", "1:(L,L,L)", "1:(S,S,S)", "1:(L,O,O)", "1:(O,L,O)",
+        "1:(O,O,L)", "1:(S,O,O)", "1:(O,S,O)", "1:(O,O,S)"]
+
+
+def bracket_instance(kind):
+    if kind == "random":
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((6, 6, 6)), rng.standard_normal((6, 4))
+    return gen_instance(SyntheticSpec.low_noise(
+        dims=(8, 8, 8), multilinear_rank=(2, 2, 2), matrix_cols=5, matrix_rank=2, shared=2, seed=12
+    ))
+
+
+class TestBracket:
+    @pytest.mark.parametrize("kind", ["random", "low-rank"])
+    @pytest.mark.parametrize("text", NINE)
+    def test_certified_width_on_return(self, text, kind):
+        T, M = bracket_instance(kind)
+        d = parse_descriptor(text)
+        tol = 1e-6
+        lower, upper = bracket(T, M, d, tol)
+        assert 0.0 < lower <= upper
+        assert upper - lower <= tol * upper
+        assert evaluate(T, M, d, tol) == upper
+
+    @pytest.mark.parametrize("text", ["1:(L,L,L)", "1:(S,O,O)"])
+    def test_zero_input(self, text):
+        assert bracket(np.zeros((3, 3, 3)), np.zeros((3, 2)), parse_descriptor(text)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("text", ["1:(L,L,L)", "1:(S,S,S)", "1:(S,O,O)", "1:(O,O,L)"])
+    def test_lower_bound_holds_for_arbitrary_multipliers(self, text):
+        T, M = bracket_instance("random")
+        d = parse_descriptor(text)
+        lay = layout(d, T.shape)
+        _, upper = bracket(T, M, d, 1e-8)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            state = solver.SolverState(lay, [T for _ in lay.components], M)
+            # near (T, M), so that the bound is positive and not slack, and
+            # unequal across components, so that the split matters
+            state.WM = rng.uniform(0.5, 2.0) * M
+            state.W = {m: rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
+                       for m in state.W}
+            lower = solver._lower_bound(state, T, M)
+            assert 0.0 < lower <= upper
 
 
 class TestDualNorms:

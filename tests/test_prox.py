@@ -133,6 +133,13 @@ class TestSvt:
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
 
+    # (10, 10, 10) once reached the Gram route and failed there; (12,) indexed a
+    # missing second dimension
+    @pytest.mark.parametrize("shape", [(10, 10, 10), (12,)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match=f"expected a matrix, got ndim={len(shape)}"):
+            svt(np.ones(shape), 0.1)
+
     def test_singular_values_shrink(self):
         X = np.random.default_rng(7).standard_normal((5, 4))
         Z = svt(X, 0.3)

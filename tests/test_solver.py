@@ -11,6 +11,7 @@ from coupled_completion import norms
 from coupled_completion.baselines import complete_tensor
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
+    RELAXATION,
     CoupledProblem,
     SolverOptions,
     SolverState,
@@ -225,24 +226,38 @@ class TestUpdateTensors:
             assert np.linalg.norm(grad) < 1e-10
 
 
+def relaxed_inputs(state, beta):
+    """Each term's SVT input at the over-relaxed point, summed in the solver's order."""
+    a = RELAXATION
+    lay = state.layout
+    out = {}
+    for mode, _, c in lay.regularized_modes():
+        H = state.W[mode] / beta + (1 - a) * state.Y[mode] + a * state.components[c]
+        HM = state.WM / beta + (1 - a) * state.X + a * state.M
+        out[mode] = unfold(H, mode, HM if mode == lay.coupled_mode else None)
+    return out
+
+
 class TestUpdateAuxiliaries:
     def test_lambda_zero_identity(self):
         problem = random_problem(seed=8)
         d = NormDescriptor(1, ("S", "O", "O"))
         state, lay = random_state(problem, d, seed=8)
         opts = SolverOptions(lam=0.0, beta=1.0)
-        newX, newY, reg = update_auxiliaries(state, opts)
-        for mode, _, c in lay.regularized_modes():
-            expected = state.components[c] + state.W[mode] / opts.beta
-            assert np.array_equal(newY[mode], expected)
-        assert np.array_equal(newX, state.M + state.WM / opts.beta)
+        expected = relaxed_inputs(state, opts.beta)
+        newX, newY, reg, inputs = update_auxiliaries(state, opts)
+        for mode, _, _ in lay.regularized_modes():
+            assert np.array_equal(inputs[mode], expected[mode])
+            nt = expected[mode].shape[1] - (problem.matrix.shape[1] if mode == 1 else 0)
+            assert np.array_equal(unfold(newY[mode], mode), expected[mode][:, :nt])
+        assert np.array_equal(newX, expected[1][:, -problem.matrix.shape[1]:])
 
     def test_huge_threshold_zeroes_auxiliaries(self):
         problem = random_problem(seed=9)
         d = NormDescriptor(1, ("O", "O", "O"))
         state, _ = random_state(problem, d, seed=9)
         opts = SolverOptions(lam=1e9, beta=1.0)
-        newX, newY, reg = update_auxiliaries(state, opts)
+        newX, newY, reg, _ = update_auxiliaries(state, opts)
         assert all(np.max(np.abs(Y)) < 1e-10 for Y in newY.values())
         assert np.max(np.abs(newX)) < 1e-10
         assert reg == 0.0
@@ -254,25 +269,50 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("O", "S", "O"))
         state, lay = random_state(problem, d, seed=10)
         opts = SolverOptions(lam=0.8, beta=1.0)
-        newX, newY, _ = update_auxiliaries(state, opts)
-        for mode, scale, c in lay.regularized_modes():
-            arg = unfold(state.components[c] + state.W[mode] / opts.beta, mode)
-            Z = unfold(newY[mode], mode)
-            if mode == lay.coupled_mode:
-                arg = np.hstack([arg, state.M + state.WM / opts.beta])
-                Z = np.hstack([Z, newX])
-            assert_svt_optimal(arg, Z, opts.lam * scale / opts.beta)
+        args = relaxed_inputs(state, opts.beta)
+        newX, newY, _, _ = update_auxiliaries(state, opts)
+        for mode, scale, _ in lay.regularized_modes():
+            Z = unfold(newY[mode], mode, newX if mode == lay.coupled_mode else None)
+            assert_svt_optimal(args[mode], Z, opts.lam * scale / opts.beta)
+
+    def test_builds_inputs_in_the_given_arrays(self):
+        problem = random_problem(seed=14)
+        state, lay = random_state(problem, NormDescriptor(1, ("O", "O", "O")), seed=14)
+        opts = SolverOptions(lam=0.4, beta=0.5)
+        fresh = update_auxiliaries(state, opts)
+        # what update_duals leaves in them: the multipliers, unfolded
+        out = {
+            m: np.ascontiguousarray(unfold(state.W[m], m, state.WM if m == 1 else None))
+            for m, _, _ in lay.regularized_modes()
+        }
+        newX, newY, _, inputs = update_auxiliaries(state, opts, out=out)
+        assert np.array_equal(newX, fresh[0])
+        for mode in out:
+            assert inputs[mode] is out[mode]
+            assert np.array_equal(inputs[mode], fresh[3][mode])
+            assert np.array_equal(newY[mode], fresh[1][mode])
 
 
 class TestUpdateDuals:
-    def test_feasible_state_unchanged(self):
+    def test_fixed_point_leaves_multipliers_unchanged(self):
+        # integer data and beta = 2: every step below is exact in floating point
         problem = random_problem(seed=11)
         d = NormDescriptor(1, ("O", "O", "O"))
         state, lay = random_state(problem, d, seed=11)
-        state.X = state.M.copy()
-        for mode, _, c in lay.regularized_modes():
-            state.Y[mode] = state.components[c].copy()
-        WM, W = update_duals(state, SolverOptions(beta=2.0))
+        rng = np.random.default_rng(11)
+        state.WM = rng.integers(-9, 9, state.WM.shape).astype(float)
+        state.X = rng.integers(-9, 9, state.X.shape).astype(float)
+        for mode in state.W:
+            state.W[mode] = rng.integers(-9, 9, problem.dims).astype(float)
+            state.Y[mode] = rng.integers(-9, 9, problem.dims).astype(float)
+        beta = 2.0
+        # the SVT output equals its input minus W / beta
+        inputs = {
+            mode: unfold(state.W[mode] / beta + state.Y[mode], mode,
+                         state.WM / beta + state.X if mode == 1 else None)
+            for mode, _, _ in lay.regularized_modes()
+        }
+        WM, W = update_duals(state, SolverOptions(beta=beta), inputs)
         assert np.array_equal(WM, state.WM)
         for mode in W:
             assert np.array_equal(W[mode], state.W[mode])
@@ -284,13 +324,17 @@ class TestUpdateDuals:
         state.WM = np.zeros_like(state.WM)
         for mode in state.W:
             state.W[mode] = np.zeros(problem.dims)
-        beta = 1.7
-        WM, W = update_duals(state, SolverOptions(beta=beta))
-        assert np.allclose(WM, beta * (state.M - state.X), atol=1e-14)
-        for mode, _, c in lay.regularized_modes():
-            assert np.allclose(
-                W[mode], beta * (state.components[c] - state.Y[mode]), atol=1e-14
-            )
+        opts = SolverOptions(lam=0.3, beta=1.7)
+        a = RELAXATION
+        relaxed_M = (1 - a) * state.X + a * state.M
+        relaxed = {
+            m: (1 - a) * state.Y[m] + a * state.components[c] for m, _, c in lay.regularized_modes()
+        }
+        state.X, state.Y, _, inputs = update_auxiliaries(state, opts)
+        WM, W = update_duals(state, opts, inputs)
+        assert np.allclose(WM, opts.beta * (relaxed_M - state.X), atol=1e-14)
+        for mode in W:
+            assert np.allclose(W[mode], opts.beta * (relaxed[mode] - state.Y[mode]), atol=1e-14)
 
     def test_dual_step_small_after_convergence(self):
         problem = random_problem(seed=13)
