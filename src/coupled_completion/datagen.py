@@ -54,7 +54,7 @@ class SyntheticSpec:
         return SyntheticSpec(**kwargs)
 
     def __post_init__(self):
-        check_integers(self, dims=1, multilinear_rank=0, matrix_cols=1, matrix_rank=0, shared=0)
+        check_integers(self, dims=1, multilinear_rank=0, matrix_cols=1, matrix_rank=0, shared=0, seed=0)
         if len(self.dims) != 3 or len(self.multilinear_rank) != 3:
             raise ValueError(f"dims and multilinear_rank need three entries, got {self!r}")
         if any(c > n for c, n in zip(self.multilinear_rank, self.dims)):

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 BASELINE_IDS = ("MTN", "OTN", "SLTN", "CP")
+# config fields given as JSON arrays; a scalar in their place is an error
+_ARRAYS = frozenset({"norms", "train_fractions", "dims", "multilinear_rank"})
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,10 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for name in ("repetitions", "cp_rank", "cp_iters"):
+        for name, low in (("repetitions", 1), ("cp_rank", 1), ("cp_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.norms:
             raise ValueError("at least one norm is required")
         for n in self.norms:
@@ -107,15 +109,19 @@ def _fields(doc: dict, path: str, *keys: str, **renamed: str) -> dict:
     """Constructor keywords set by the config section ``doc`` at dotted ``path``.
 
     The section accepts ``keys`` (each sets the field of its own name) and
-    the keys of ``renamed`` (each sets the field it maps to); any other key
-    raises ``ValueError`` naming its dotted path.  Absent keys are left out,
-    so the dataclass defaults apply.  JSON arrays become tuples.
+    the keys of ``renamed`` (each sets the field it maps to); any other key,
+    or a non-array value for a field of ``_ARRAYS``, raises ``ValueError``
+    naming its dotted path.  Absent keys are left out, so the dataclass
+    defaults apply.  JSON arrays become tuples.
     """
     names = {**{k: k for k in keys}, **renamed}
+    dotted = {k: f"{path}.{k}" if path else k for k in doc}
     unknown = sorted(set(doc) - set(names))
     if unknown:
-        keys_text = ", ".join(f"{path}.{k}" if path else k for k in unknown)
-        raise ValueError(f"unknown config key(s): {keys_text}")
+        raise ValueError(f"unknown config key(s): {', '.join(dotted[k] for k in unknown)}")
+    for k, v in doc.items():
+        if names[k] in _ARRAYS and not isinstance(v, list):
+            raise ValueError(f"{dotted[k]} must be a JSON array, got {v!r}")
     return {names[k]: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
 
 

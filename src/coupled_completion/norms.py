@@ -81,10 +81,6 @@ class NormDescriptor:
                 "latent-style mode with the other two overlapped"
             )
 
-    @property
-    def is_all_overlapped(self) -> bool:
-        return self.tags == ("O", "O", "O")
-
     def has_latent(self) -> bool:
         return any(t in ("L", "S") for t in self.tags)
 
@@ -161,7 +157,7 @@ def evaluate_overlapped(
     d: NormDescriptor,
 ) -> float:
     """Closed-form value of an all-overlapped coupled norm."""
-    if not d.is_all_overlapped:
+    if d.has_latent():
         raise InvalidDescriptorError(
             f"closed-form evaluation needs (O,O,O), got {d.tags}"
         )
@@ -220,7 +216,7 @@ def bracket(
     T = np.ascontiguousarray(T, dtype=float)
     M = np.ascontiguousarray(M, dtype=float)
     lay = layout(d, T.shape)
-    if d.is_all_overlapped:
+    if not d.has_latent():
         value = decomposition_value([T], lay, M)
         return value, value
     _, lower, upper = decompose(T, M, lay, tol=tol)

@@ -16,10 +16,14 @@ One over-relaxed iteration loop (:func:`_admm`) serves completion
 (:func:`solve`) and the evaluation of latent-type norms (:func:`decompose`,
 the infimum over additive decompositions with the matrix held fixed); only
 the primal data-fit step and the stopping rule differ between the two.
+The :class:`SolverState` owns the multipliers, one array per norm term shaped
+like its (coupled) unfolding: the SVT step builds its input there and the
+dual step turns it back into the multiplier in place.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -145,12 +149,13 @@ class SolverState:
     """Mutable per-solve state; owned exclusively by one solve.
 
     Built from the start point ``(components, M)``: each auxiliary ``Y[mode]``
-    starts as its component (the same array: the ADMM steps replace arrays
-    and never write into them, except the SVT-input arrays that one run of
-    :func:`_admm` allocates and reuses for its multipliers), and ``X``,
-    ``WM`` and every dual ``W[mode]`` at zero.  ``terms`` (the layout's
-    ``(mode, scale, component)`` norm terms) and ``g`` (the number of terms
-    per component) are derived from ``layout`` once, at construction.
+    starts as its component (the same array) and ``X`` at zero.  Each norm
+    term owns a C-contiguous multiplier array ``multipliers[mode]``, zero and
+    shaped like its SVT input (``n_k x N/n_k``, plus the matrix's columns on
+    the coupled mode); ``W[mode]`` and ``WM`` are views of these, made once
+    here.  The steps replace ``X``, ``Y``, ``M`` and the components, and write
+    only into the multiplier arrays.  ``terms`` (the layout's ``(mode, scale,
+    component)`` norm terms) and ``g`` (terms per component) come from ``layout``.
     """
 
     layout: ComponentLayout
@@ -160,15 +165,23 @@ class SolverState:
     Y: dict[int, np.ndarray] = field(init=False)
     WM: np.ndarray = field(init=False)
     W: dict[int, np.ndarray] = field(init=False)
+    multipliers: dict[int, np.ndarray] = field(init=False, repr=False)
     terms: list[tuple[int, float, int]] = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.terms = self.layout.regularized_modes()
         self.X = np.zeros_like(self.M)
-        self.WM = np.zeros_like(self.M)
         self.Y = {mode: self.components[c] for mode, _, c in self.terms}
-        self.W = {mode: np.zeros(self.layout.dims) for mode, _, _ in self.terms}
+        dims, cols = self.layout.dims, self.M.shape[1]
+        self.multipliers, self.W = {}, {}
+        for mode, _, _ in self.terms:
+            coupled = mode == self.layout.coupled_mode
+            nt = math.prod(dims[: mode - 1] + dims[mode:])
+            buf = self.multipliers[mode] = np.zeros((dims[mode - 1], nt + cols * coupled))
+            self.W[mode] = fold(buf[:, :nt], mode, dims)
+            if coupled:
+                self.WM = buf[:, nt:]
         self.g = np.bincount(
             [c for _, _, c in self.terms], minlength=self.layout.n_components
         ).astype(float)
@@ -242,41 +255,31 @@ def update_tensors(
 
 
 def update_auxiliaries(
-    state: SolverState,
-    opts: SolverOptions,
-    out: dict[int, np.ndarray] | None = None,
-) -> tuple[np.ndarray, dict[int, np.ndarray], float, dict[int, np.ndarray]]:
+    state: SolverState, opts: SolverOptions
+) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
     """Prox (SVT) step for the auxiliary unfoldings and the matrix block.
 
     Each term thresholds the unfolding of ``W[mode] / beta + h`` at the
     over-relaxed point ``h = (1 - a) * Y[mode] + a * t_c``, ``a =
     RELAXATION``; the coupled mode's unfolding carries ``WM / beta + (1 - a)
-    * X + a * M`` as its matrix block.  Returns the new X, the new Y dict,
-    the regularizer value at the new auxiliaries (it feeds only the
-    objective trace, so it is 0.0 unless ``opts.record_objective`` is set),
-    and each term's SVT input, keyed by mode, for :func:`update_duals`.
-
-    ``out`` may hold the inputs that the previous step returned and
-    :func:`update_duals` turned into ``state``'s multipliers; the new inputs
-    are then built in those arrays, which overwrites ``W`` and ``WM``.
+    * X + a * M`` as its matrix block.  The SVT input is built in the term's
+    multiplier array, which :func:`update_duals` then turns back into the
+    multiplier.  Returns the new X, the new Y dict and the regularizer value
+    at the new auxiliaries (it feeds only the objective trace, so it is 0.0
+    unless ``opts.record_objective`` is set).
     """
     lay = state.layout
     beta, a = opts.beta, RELAXATION
     newY: dict[int, np.ndarray] = {}
-    inputs: dict[int, np.ndarray] = {}
     newX = state.X
     reg_value = 0.0
     for mode, scale, c in state.terms:
         coupled = mode == lay.coupled_mode
-        if out is None:
-            arg = unfold(state.W[mode], mode, state.WM if coupled else None)
-            arg = np.divide(arg, beta, order="C")
-        else:
-            arg = out[mode]
-            arg /= beta
+        arg = state.multipliers[mode]
+        arg /= beta
         nt = arg.shape[1] - state.M.shape[1] * coupled
-        # The loop's Y and W are C-contiguous once unfolded, t_c is not: a
-        # plain copy moves it to that layout faster than arithmetic on the
+        # arg, and the loop's Y once unfolded, are C-contiguous, t_c is not:
+        # a plain copy moves it to that layout faster than arithmetic on the
         # strided tensor view of arg would
         tmp = np.multiply(unfold(state.Y[mode], mode), 1 - a)
         arg[:, :nt] += tmp
@@ -297,34 +300,24 @@ def update_auxiliaries(
         newY[mode] = fold(Z[:, :nt], mode, lay.dims)
         if coupled:
             newX = Z[:, nt:]
-        inputs[mode] = arg
-    return newX, newY, reg_value, inputs
+    return newX, newY, reg_value
 
 
-def update_duals(
-    state: SolverState, opts: SolverOptions, inputs: dict[int, np.ndarray]
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Dual step: each multiplier becomes beta * (SVT input - SVT output).
+def update_duals(state: SolverState, opts: SolverOptions) -> None:
+    """Dual step: each multiplier becomes beta * (SVT input - SVT output), in place.
 
-    ``inputs`` are :func:`update_auxiliaries`' SVT inputs and ``state``
-    holds its outputs, so this is ``W + beta * (h - Y)`` at the relaxed point
-    ``h`` with no second pass over ``h``.  The multipliers are built in the
-    input arrays, which they then share: ``W[mode]`` is a view of
-    ``inputs[mode]``, and ``WM`` of the coupled mode's input.
+    The multiplier arrays hold :func:`update_auxiliaries`' SVT inputs and
+    ``state`` its outputs, so this is ``W + beta * (h - Y)`` at the relaxed
+    point ``h`` with no second pass over ``h``.
     """
-    lay = state.layout
-    WM = state.WM
-    W: dict[int, np.ndarray] = {}
-    for mode, R in inputs.items():
-        coupled = mode == lay.coupled_mode
+    for mode, _, _ in state.terms:
+        R = state.multipliers[mode]
+        coupled = mode == state.layout.coupled_mode
         nt = R.shape[1] - state.M.shape[1] * coupled
         R[:, :nt] -= unfold(state.Y[mode], mode)
         if coupled:
             R[:, nt:] -= state.X
-            WM = R[:, nt:]
         R *= opts.beta
-        W[mode] = fold(R[:, :nt], mode, lay.dims)
-    return WM, W
 
 
 def _loss(problem: CoupledProblem, T: np.ndarray, M: np.ndarray) -> float:
@@ -378,18 +371,15 @@ def _admm(
     dual_trace: list[float] = []
     converged = False
     primal = dual = np.inf
-    inputs = None
     it = 0
 
     for it in range(1, opts.max_iters + 1):
         fit_step(state)
-        # the previous inputs back state.W and state.WM, which the fit step
-        # has read, so the SVT step may build the new inputs in them
-        newX, newY, reg_value, inputs = update_auxiliaries(state, opts, out=inputs)
+        newX, newY, reg_value = update_auxiliaries(state, opts)
 
         dual = opts.beta * _max_gap([(newY[m], state.Y[m]) for m in newY] + [(newX, state.X)])
         state.X, state.Y = newX, newY
-        state.WM, state.W = update_duals(state, opts, inputs)
+        update_duals(state, opts)
         primal = _max_gap(
             [(state.M, state.X)] + [(state.components[c], state.Y[m]) for m, _, c in terms]
         )
@@ -427,7 +417,7 @@ def _warm_state(
     At the fixed point each multiplier is lambda times a point of the dual
     norm ball; from lambda 0 only the primal point is carried.  The primal
     and auxiliary arrays are shared, which is safe because the ADMM steps
-    never write into them; the multipliers are new arrays.
+    never write into them; the multipliers go into the new state's own arrays.
     """
     prev = start.state
     if prev.layout.dims != lay.dims or prev.M.shape != problem.matrix.shape:
@@ -440,8 +430,8 @@ def _warm_state(
     ratio = lam / start.lam if start.lam else 0.0
     state = SolverState(lay, prev.components, prev.M)
     state.X, state.Y = prev.X, dict(prev.Y)
-    state.WM = ratio * prev.WM
-    state.W = {mode: ratio * w for mode, w in prev.W.items()}
+    for mode, buf in state.multipliers.items():
+        np.multiply(prev.multipliers[mode], ratio, out=buf)
     return state
 
 

@@ -127,9 +127,11 @@ class ObservationMask:
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
+        idx = np.asarray(self.indices)
         if idx.size == 0:
-            idx = idx.reshape(0, len(self.shape))
+            idx = np.empty((0, len(self.shape)), dtype=np.intp)
+        elif not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"mask indices must be integers, got dtype {idx.dtype}")
         if idx.ndim != 2 or idx.shape[1] != len(self.shape):
             raise ValueError(
                 f"indices must be (n, {len(self.shape)}), got {idx.shape}"
@@ -141,7 +143,7 @@ class ObservationMask:
             idx = idx[order]
             if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
                 raise ValueError("duplicate indices in mask")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", idx.astype(np.intp, copy=False))
 
     @classmethod
     def full(cls, shape: tuple[int, ...]) -> "ObservationMask":

@@ -109,49 +109,15 @@ def test_criterion_2_algebra_suite():
     report(2, "algebra suite", ok, f"inner={inner_dev:.2e} kron={kron_dev:.2e}")
 
 
-def test_criterion_3_duality_suite():
-    """Hoelder inequality on 1e3 random primal/dual pairs, zero violations."""
-    rng = np.random.default_rng(102)
-    dims = (3, 3, 3)
-    cols = 2
-    violations = 0
-    n_pairs = 334
+@pytest.fixture(scope="module")
+def criterion_3_pairs():
+    """Criterion 3's random primal/dual pairs, each latent one with its norm bracket.
 
-    def pair():
-        return (
-            rng.standard_normal(dims),
-            rng.standard_normal((dims[0], cols)),
-            rng.standard_normal(dims),
-            rng.standard_normal((dims[0], cols)),
-        )
-
-    d_ooo = NormDescriptor(1, ("O", "O", "O"))
-    for _ in range(n_pairs):
-        T, M, T2, M2 = pair()
-        ip = abs(float(np.sum(T * T2) + np.sum(M * M2)))
-        primal = norms.evaluate_overlapped(T, M, d_ooo)
-        dual_up = norms.dual_norm_overlapped_upper(T2, M2)
-        if ip > primal * dual_up * (1 + 1e-9) + 1e-12:
-            violations += 1
-
-    for tags in (("L", "L", "L"), ("S", "S", "S")):
-        d = NormDescriptor(1, tags)
-        for _ in range(n_pairs):
-            T, M, T2, M2 = pair()
-            ip = abs(float(np.sum(T * T2) + np.sum(M * M2)))
-            primal = norms.evaluate(T, M, d, tol=1e-4)
-            dual = norms.dual_norm_latent_type(T2, M2, d)
-            if ip > primal * dual * (1 + 1e-9) + 1e-12:
-                violations += 1
-
-    report(3, "duality suite", violations == 0, f"violations={violations}/1002")
-
-
-def test_criterion_3_latent_pairs_at_the_lower_bound():
-    """Criterion 3's latent-norm pairs, with the certified lower end of each value.
-
-    ``norms.evaluate`` returns the upper end of a bracket; Hoelder must hold
-    at the lower end as well, which is the stricter check.
+    Drawn once from ``default_rng(102)``: 334 pairs ``(T, M, T2, M2)`` for
+    (O,O,O), then 334 for each of (L,L,L) and (S,S,S).  Each latent pair
+    also carries the certified ``(lower, upper)`` bracket of its norm at
+    ``(T, M)``, at tol 1e-4; the upper end is ``norms.evaluate``'s value.
+    Both criterion-3 tests read these, so each latent pair is bracketed once.
     """
     rng = np.random.default_rng(102)
     dims = (3, 3, 3)
@@ -166,15 +132,53 @@ def test_criterion_3_latent_pairs_at_the_lower_bound():
             rng.standard_normal((dims[0], cols)),
         )
 
-    for _ in range(n_pairs):  # criterion 3's (O,O,O) pairs
-        pair()
-    violations = 0
+    overlapped = [pair() for _ in range(n_pairs)]
+    latent = {}
     for tags in (("L", "L", "L"), ("S", "S", "S")):
         d = NormDescriptor(1, tags)
+        latent[tags] = []
         for _ in range(n_pairs):
             T, M, T2, M2 = pair()
+            latent[tags].append((T, M, T2, M2, norms.bracket(T, M, d, tol=1e-4)))
+    return overlapped, latent
+
+
+def test_criterion_3_duality_suite(criterion_3_pairs):
+    """Hoelder inequality on 1e3 random primal/dual pairs, zero violations."""
+    overlapped, latent = criterion_3_pairs
+    violations = 0
+
+    d_ooo = NormDescriptor(1, ("O", "O", "O"))
+    for T, M, T2, M2 in overlapped:
+        ip = abs(float(np.sum(T * T2) + np.sum(M * M2)))
+        primal = norms.evaluate_overlapped(T, M, d_ooo)
+        dual_up = norms.dual_norm_overlapped_upper(T2, M2)
+        if ip > primal * dual_up * (1 + 1e-9) + 1e-12:
+            violations += 1
+
+    for tags, pairs in latent.items():
+        d = NormDescriptor(1, tags)
+        for T, M, T2, M2, (_, primal) in pairs:
             ip = abs(float(np.sum(T * T2) + np.sum(M * M2)))
-            lower, _ = norms.bracket(T, M, d, tol=1e-4)
+            dual = norms.dual_norm_latent_type(T2, M2, d)
+            if ip > primal * dual * (1 + 1e-9) + 1e-12:
+                violations += 1
+
+    report(3, "duality suite", violations == 0, f"violations={violations}/1002")
+
+
+def test_criterion_3_latent_pairs_at_the_lower_bound(criterion_3_pairs):
+    """Criterion 3's latent-norm pairs, with the certified lower end of each value.
+
+    ``norms.evaluate`` returns the upper end of a bracket; Hoelder must hold
+    at the lower end as well, which is the stricter check.
+    """
+    _, latent = criterion_3_pairs
+    violations = 0
+    for tags, pairs in latent.items():
+        d = NormDescriptor(1, tags)
+        for T, M, T2, M2, (lower, _) in pairs:
+            ip = abs(float(np.sum(T * T2) + np.sum(M * M2)))
             dual = norms.dual_norm_latent_type(T2, M2, d)
             if ip > lower * dual * (1 + 1e-9) + 1e-12:
                 violations += 1
@@ -239,10 +243,10 @@ def test_criterion_4_solver_convergence():
         state.M = res.matrix.copy()
         srng = np.random.default_rng(5)
         state.X = srng.standard_normal(M.shape)
-        state.WM = srng.standard_normal(M.shape)
+        state.WM[...] = srng.standard_normal(M.shape)
         for mode in state.Y:
             state.Y[mode] = srng.standard_normal(dims)
-            state.W[mode] = srng.standard_normal(dims)
+            state.W[mode][...] = srng.standard_normal(dims)
 
         def m_obj(W):
             val = 0.5 * np.linalg.norm(

@@ -71,6 +71,11 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match=re.escape(message)):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be integer and >= 0, got {seed}"):
+            SyntheticSpec(seed=seed)
+
     def test_accepts_numpy_integer_sizes(self):
         spec = SyntheticSpec(
             dims=tuple(np.arange(6, 9)), multilinear_rank=(np.int32(2),) * 3,

@@ -89,6 +89,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got 1.5"):
             tiny_config(**{name: 1.5})
 
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+            tiny_config(seed=seed)
+
     def test_rejects_no_validation_entries_for_a_non_cp_norm(self):
         with pytest.raises(ValueError, match="validation_fraction must be > 0"):
             tiny_config(norms=("CP", "OTN"), validation_fraction=0.0)
@@ -188,6 +193,23 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="beta must be finite and > 0, got nan"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("masks.train_fractions", 0.3), ("data.synthetic.dims", 20),
+         ("data.synthetic.multilinear_rank", 5), ("norms", "MTN")],
+    )
+    def test_load_config_rejects_a_scalar_for_an_array(self, tmp_path, key, value):
+        doc = {"norms": ["MTN"], "data": {"synthetic": {}}, "masks": {}}
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be a JSON array, got"):
             load_config(path)
 
     def test_load_config_rejects_unknown_noise_name(self, tmp_path):

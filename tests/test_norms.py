@@ -286,9 +286,9 @@ class TestBracket:
             state = solver.SolverState(lay, [T for _ in lay.components], M)
             # near (T, M), so that the bound is positive and not slack, and
             # unequal across components, so that the split matters
-            state.WM = rng.uniform(0.5, 2.0) * M
-            state.W = {m: rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
-                       for m in state.W}
+            state.WM[...] = rng.uniform(0.5, 2.0) * M
+            for m in state.W:
+                state.W[m][...] = rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
             lower = solver._lower_bound(state, T, M)
             assert 0.0 < lower <= upper
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_completion import norms
+from coupled_completion import norms, solver
 from coupled_completion.baselines import complete_tensor
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
@@ -46,17 +46,20 @@ def random_problem(dims=(6, 6, 6), cols=4, density=0.6, seed=0):
 
 
 def random_state(problem, d, seed=0):
-    """Solver state after a few iterations, for exercising block updates."""
+    """Solver state after a few iterations, for exercising block updates.
+
+    The multipliers are written into the state's own arrays, as the steps do.
+    """
     lay = norms.layout(d, problem.dims)
     state = SolverState(lay, [np.zeros(problem.dims) for _ in lay.components], problem.matrix)
     rng = np.random.default_rng(seed)
     state.M = rng.standard_normal(problem.matrix.shape)
     state.X = rng.standard_normal(problem.matrix.shape)
-    state.WM = rng.standard_normal(problem.matrix.shape)
+    state.WM[...] = rng.standard_normal(problem.matrix.shape)
     state.components = [rng.standard_normal(problem.dims) for _ in state.components]
     for mode in state.Y:
         state.Y[mode] = rng.standard_normal(problem.dims)
-        state.W[mode] = rng.standard_normal(problem.dims)
+        state.W[mode][...] = rng.standard_normal(problem.dims)
     return state, lay
 
 
@@ -152,7 +155,7 @@ class TestUpdateMatrix:
         )
         d = NormDescriptor(1, ("O", "O", "O"))
         state, _ = random_state(problem, d, seed=2)
-        state.WM = np.zeros_like(state.WM)
+        state.WM[...] = 0.0
         M = update_matrix(state, problem, SolverOptions(beta=1.0))
         assert np.allclose(M, state.X, atol=1e-14)
 
@@ -245,9 +248,9 @@ class TestUpdateAuxiliaries:
         state, lay = random_state(problem, d, seed=8)
         opts = SolverOptions(lam=0.0, beta=1.0)
         expected = relaxed_inputs(state, opts.beta)
-        newX, newY, reg, inputs = update_auxiliaries(state, opts)
+        newX, newY, reg = update_auxiliaries(state, opts)
         for mode, _, _ in lay.regularized_modes():
-            assert np.array_equal(inputs[mode], expected[mode])
+            assert np.array_equal(state.multipliers[mode], expected[mode])
             nt = expected[mode].shape[1] - (problem.matrix.shape[1] if mode == 1 else 0)
             assert np.array_equal(unfold(newY[mode], mode), expected[mode][:, :nt])
         assert np.array_equal(newX, expected[1][:, -problem.matrix.shape[1]:])
@@ -257,7 +260,7 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("O", "O", "O"))
         state, _ = random_state(problem, d, seed=9)
         opts = SolverOptions(lam=1e9, beta=1.0)
-        newX, newY, reg, _ = update_auxiliaries(state, opts)
+        newX, newY, reg = update_auxiliaries(state, opts)
         assert all(np.max(np.abs(Y)) < 1e-10 for Y in newY.values())
         assert np.max(np.abs(newX)) < 1e-10
         assert reg == 0.0
@@ -270,27 +273,24 @@ class TestUpdateAuxiliaries:
         state, lay = random_state(problem, d, seed=10)
         opts = SolverOptions(lam=0.8, beta=1.0)
         args = relaxed_inputs(state, opts.beta)
-        newX, newY, _, _ = update_auxiliaries(state, opts)
+        newX, newY, _ = update_auxiliaries(state, opts)
         for mode, scale, _ in lay.regularized_modes():
             Z = unfold(newY[mode], mode, newX if mode == lay.coupled_mode else None)
             assert_svt_optimal(args[mode], Z, opts.lam * scale / opts.beta)
 
-    def test_builds_inputs_in_the_given_arrays(self):
+    def test_builds_inputs_in_the_states_own_arrays(self):
         problem = random_problem(seed=14)
         state, lay = random_state(problem, NormDescriptor(1, ("O", "O", "O")), seed=14)
         opts = SolverOptions(lam=0.4, beta=0.5)
-        fresh = update_auxiliaries(state, opts)
-        # what update_duals leaves in them: the multipliers, unfolded
-        out = {
-            m: np.ascontiguousarray(unfold(state.W[m], m, state.WM if m == 1 else None))
-            for m, _, _ in lay.regularized_modes()
-        }
-        newX, newY, _, inputs = update_auxiliaries(state, opts, out=out)
-        assert np.array_equal(newX, fresh[0])
-        for mode in out:
-            assert inputs[mode] is out[mode]
-            assert np.array_equal(inputs[mode], fresh[3][mode])
-            assert np.array_equal(newY[mode], fresh[1][mode])
+        expected = relaxed_inputs(state, opts.beta)
+        arrays, W, WM = dict(state.multipliers), dict(state.W), state.WM
+        newX, newY, _ = update_auxiliaries(state, opts)
+        assert state.WM is WM and not np.shares_memory(newX, arrays[1])
+        for mode in arrays:
+            assert state.multipliers[mode] is arrays[mode] and state.W[mode] is W[mode]
+            assert np.array_equal(arrays[mode], expected[mode])
+            # the dual step writes into the arrays, so no output may share them
+            assert not np.shares_memory(newY[mode], arrays[mode])
 
 
 class TestUpdateDuals:
@@ -300,41 +300,42 @@ class TestUpdateDuals:
         d = NormDescriptor(1, ("O", "O", "O"))
         state, lay = random_state(problem, d, seed=11)
         rng = np.random.default_rng(11)
-        state.WM = rng.integers(-9, 9, state.WM.shape).astype(float)
+        WM = rng.integers(-9, 9, state.WM.shape).astype(float)
         state.X = rng.integers(-9, 9, state.X.shape).astype(float)
+        W = {}
         for mode in state.W:
-            state.W[mode] = rng.integers(-9, 9, problem.dims).astype(float)
+            W[mode] = rng.integers(-9, 9, problem.dims).astype(float)
             state.Y[mode] = rng.integers(-9, 9, problem.dims).astype(float)
         beta = 2.0
         # the SVT output equals its input minus W / beta
-        inputs = {
-            mode: unfold(state.W[mode] / beta + state.Y[mode], mode,
-                         state.WM / beta + state.X if mode == 1 else None)
-            for mode, _, _ in lay.regularized_modes()
-        }
-        WM, W = update_duals(state, SolverOptions(beta=beta), inputs)
-        assert np.array_equal(WM, state.WM)
+        for mode, _, _ in lay.regularized_modes():
+            state.multipliers[mode][...] = unfold(
+                W[mode] / beta + state.Y[mode], mode, WM / beta + state.X if mode == 1 else None
+            )
+        assert update_duals(state, SolverOptions(beta=beta)) is None
+        assert np.array_equal(state.WM, WM)
         for mode in W:
-            assert np.array_equal(W[mode], state.W[mode])
+            assert np.array_equal(state.W[mode], W[mode])
 
     def test_single_step_from_zero(self):
         problem = random_problem(seed=12)
         d = NormDescriptor(1, ("O", "O", "O"))
         state, lay = random_state(problem, d, seed=12)
-        state.WM = np.zeros_like(state.WM)
-        for mode in state.W:
-            state.W[mode] = np.zeros(problem.dims)
+        for buf in state.multipliers.values():
+            buf[...] = 0.0
         opts = SolverOptions(lam=0.3, beta=1.7)
         a = RELAXATION
         relaxed_M = (1 - a) * state.X + a * state.M
         relaxed = {
             m: (1 - a) * state.Y[m] + a * state.components[c] for m, _, c in lay.regularized_modes()
         }
-        state.X, state.Y, _, inputs = update_auxiliaries(state, opts)
-        WM, W = update_duals(state, opts, inputs)
-        assert np.allclose(WM, opts.beta * (relaxed_M - state.X), atol=1e-14)
-        for mode in W:
-            assert np.allclose(W[mode], opts.beta * (relaxed[mode] - state.Y[mode]), atol=1e-14)
+        state.X, state.Y, _ = update_auxiliaries(state, opts)
+        assert update_duals(state, opts) is None
+        assert np.allclose(state.WM, opts.beta * (relaxed_M - state.X), atol=1e-14)
+        for mode in state.W:
+            assert np.allclose(
+                state.W[mode], opts.beta * (relaxed[mode] - state.Y[mode]), atol=1e-14
+            )
 
     def test_dual_step_small_after_convergence(self):
         problem = random_problem(seed=13)
@@ -688,3 +689,55 @@ class TestWarmStart:
         assert np.array_equal(again.tensor, cold.tensor)
         assert np.array_equal(again.matrix, cold.matrix)
         assert np.array_equal(again.primal_residual_trace, cold.primal_residual_trace)
+
+
+class TestMultiplierArrays:
+    """``W[mode]`` and ``WM`` are made once, as views of the state's own arrays."""
+
+    @staticmethod
+    def snapshot(state):
+        return dict(state.W), state.WM, dict(state.multipliers)
+
+    @staticmethod
+    def assert_owned(state, snap):
+        W, WM, arrays = snap
+        assert state.multipliers.keys() == arrays.keys() == state.W.keys()
+        assert state.WM is WM
+        assert WM.base is arrays[state.layout.coupled_mode]
+        for mode, buf in arrays.items():
+            assert state.multipliers[mode] is buf and buf.flags.c_contiguous
+            assert state.W[mode] is W[mode] and W[mode].base is buf
+
+    @pytest.mark.parametrize("text", ["1:(O,O,O)", "1:(S,O,O)", "1:(L,L,L)"])
+    def test_cold_and_warm_solves_keep_them_at_every_iteration(self, text, monkeypatch):
+        built, steps = [], []
+
+        class RecordedState(SolverState):
+            def __post_init__(self):
+                super().__post_init__()
+                built.append((self, TestMultiplierArrays.snapshot(self)))
+
+        def recorded_update_duals(state, opts):
+            steps.append((state, TestMultiplierArrays.snapshot(state)))
+            return update_duals(state, opts)
+
+        monkeypatch.setattr(solver, "SolverState", RecordedState)
+        monkeypatch.setattr(solver, "update_duals", recorded_update_duals)
+        problem = random_problem(seed=34)
+        d = norms.parse_descriptor(text)
+        # tolerances no iterate meets, so each solve runs all its iterations
+        tight = dict(tol_primal=1e-300, tol_dual=1e-300)
+        cold = solve(problem, d, SolverOptions(lam=0.6, max_iters=7, **tight))
+        warm = solve(problem, d, SolverOptions(lam=0.2, max_iters=4, **tight), start=cold)
+        assert len(built) == 2
+        for res, (state, snap) in zip((cold, warm), built):
+            assert state is res.state
+            self.assert_owned(state, snap)
+            seen = [taken for owner, taken in steps if owner is state]
+            assert len(seen) == res.iterations
+            for later in seen:
+                self.assert_owned(state, later)
+        assert not any(
+            np.shares_memory(cold.state.multipliers[m], warm.state.multipliers[m])
+            for m in cold.state.multipliers
+        )

@@ -243,6 +243,19 @@ class TestObservationMask:
         assert len(ObservationMask.full((2, 3, 4))) == 24
         assert len(ObservationMask.empty((2, 3, 4))) == 0
 
+    @pytest.mark.parametrize(
+        "indices", [[[0.5, 1.7]], np.array([[0.0, 1.0]]), np.array([[True, False]])],
+        ids=["fractional", "integral-float", "bool"],
+    )
+    def test_rejects_indices_that_are_not_integers(self, indices):
+        with pytest.raises(ValueError, match="must be integers"):
+            ObservationMask((3, 3), indices)
+
+    def test_accepts_an_empty_index_list(self):
+        assert len(ObservationMask((3, 3), [])) == 0
+        assert ObservationMask((3, 3), []).indices.shape == (0, 2)
+        assert ObservationMask((3, 3), np.array([[2, 1]], dtype=np.uint8)).indices.tolist() == [[2, 1]]
+
     def test_indicator(self):
         mask = ObservationMask((2, 2), np.array([[0, 1]]))
         assert np.array_equal(mask.indicator(), [[0.0, 1.0], [0.0, 0.0]])
