@@ -105,6 +105,17 @@ class ExperimentConfig:
             raise ValueError("matrix_fully_observed leaves MTN no matrix entries to validate on")
 
 
+def _section(doc: dict, key: str, path: str) -> dict:
+    """Pop the sub-section ``key`` of ``doc`` (empty when absent).
+
+    Raises ``ValueError`` naming its dotted ``path`` unless it is a JSON object.
+    """
+    section = doc.pop(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{path} must be a JSON object, got {section!r}")
+    return section
+
+
 def _fields(doc: dict, path: str, *keys: str, **renamed: str) -> dict:
     """Constructor keywords set by the config section ``doc`` at dotted ``path``.
 
@@ -133,12 +144,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"the config must be a JSON object, got {doc!r}")
     # sub-sections come out first; each key left in a section sets a field
-    data = doc.pop("data", {})
-    synthetic = data.pop("synthetic", None)
-    grid = doc.pop("lambda_grid", {})
-    masks = doc.pop("masks", {})
-    sdoc = doc.pop("solver", {})
+    data = _section(doc, "data", "data")
+    synthetic = _section(data, "synthetic", "data.synthetic") if "synthetic" in data else None
+    grid = _section(doc, "lambda_grid", "lambda_grid")
+    masks = _section(doc, "masks", "masks")
+    sdoc = _section(doc, "solver", "solver")
     fields = _fields(
         doc, "", "norms", "repetitions", "seed", "cp_rank", "cp_iters", "output_dir"
     )

@@ -77,9 +77,23 @@ def trace_norm(X: np.ndarray) -> float:
 
 
 def spectral_norm(X: np.ndarray) -> float:
-    """Largest singular value (operator norm)."""
-    s = _singular_values(X)
-    return float(s[0]) if s.size else 0.0
+    """Largest singular value (operator norm).
+
+    The square root of the largest eigenvalue of the smaller Gram matrix of
+    ``X / max|X|``, rescaled: that eigenvalue is well conditioned, with an
+    absolute error of about eps times itself, so the value carries a
+    relative error of about eps.  Scaling keeps the Gram matrix from
+    overflowing or underflowing.
+    """
+    X = _as_matrix(X)
+    peak = float(np.max(np.abs(X), initial=0.0))
+    if not np.isfinite(peak):
+        raise ValueError("matrix contains non-finite entries")
+    if peak == 0.0:
+        return 0.0
+    A = X / peak
+    G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return peak * float(np.sqrt(max(np.linalg.eigvalsh(G)[-1], 0.0)))
 
 
 def numerical_rank(X: np.ndarray, rtol: float = RANK_RTOL) -> int:

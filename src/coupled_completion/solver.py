@@ -16,9 +16,24 @@ One over-relaxed iteration loop (:func:`_admm`) serves completion
 (:func:`solve`) and the evaluation of latent-type norms (:func:`decompose`,
 the infimum over additive decompositions with the matrix held fixed); only
 the primal data-fit step and the stopping rule differ between the two.
-The :class:`SolverState` owns the multipliers, one array per norm term shaped
-like its (coupled) unfolding: the SVT step builds its input there and the
-dual step turns it back into the multiplier in place.
+The :class:`SolverState` owns the multipliers, one flat array viewed as one
+array per norm term shaped like its (coupled) unfolding: the SVT step builds
+every term's input there and the dual step turns it back into the
+multiplier in place.
+
+In :func:`decompose` the state between two iterations is a function of the
+SVT input ``s`` alone: after the SVT, ``Y = prox(s)`` and ``W = beta (s -
+Y)``, and the next data-fit step reads ``Y - W / beta = 2 Y - s``.  So an
+iteration is the fixed-point map ``F(s) = s + a (t(2 prox(s) - s) -
+prox(s))``, ``a = RELAXATION`` and ``t`` the projection onto the sum
+constraint (``M`` in place of ``t`` for the matrix block): relaxed
+Douglas-Rachford.  :class:`_Anderson` accelerates it (type-II Anderson of
+memory ``DECOMPOSE_MEMORY``) by rewriting the flat array between the input
+build and the SVTs, with a safeguard that drops any extrapolated point whose
+residual ``||F(s) - s||`` exceeds the last accepted point's and restarts
+from the plain step.  Its history, ``2 * DECOMPOSE_MEMORY + 2`` vectors the
+size of ``s``, lives only as long as the call.  :func:`solve` runs the plain
+iteration.
 """
 
 from __future__ import annotations
@@ -54,9 +69,11 @@ __all__ = [
 # over-relaxation factor of the SVT and dual steps (Eckstein & Bertsekas 1992;
 # Boyd et al. 2011, section 3.4.3); 1 is the plain ADMM step
 RELAXATION = 1.8
-# ADMM proximity parameter and iteration cap of :func:`decompose`, and the
-# interval at which it evaluates its duality bracket
+# ADMM proximity parameter and iteration cap of :func:`decompose`, the
+# interval at which it evaluates its duality bracket, and the memory of its
+# Anderson acceleration (0 runs the plain iteration)
 DECOMPOSE_BETA = 1.0
+DECOMPOSE_MEMORY = 4
 DECOMPOSE_MAX_ITERS = 5000
 DECOMPOSE_CHECK_EVERY = 10
 
@@ -149,13 +166,14 @@ class SolverState:
     """Mutable per-solve state; owned exclusively by one solve.
 
     Built from the start point ``(components, M)``: each auxiliary ``Y[mode]``
-    starts as its component (the same array) and ``X`` at zero.  Each norm
-    term owns a C-contiguous multiplier array ``multipliers[mode]``, zero and
-    shaped like its SVT input (``n_k x N/n_k``, plus the matrix's columns on
-    the coupled mode); ``W[mode]`` and ``WM`` are views of these, made once
-    here.  The steps replace ``X``, ``Y``, ``M`` and the components, and write
-    only into the multiplier arrays.  ``terms`` (the layout's ``(mode, scale,
-    component)`` norm terms) and ``g`` (terms per component) come from ``layout``.
+    starts as its component (the same array) and ``X`` at zero.  The
+    multipliers live in one flat zero array ``flat``; each norm term's
+    ``multipliers[mode]`` is a C-contiguous view of a slice of it, shaped like
+    its SVT input (``n_k x N/n_k``, plus the matrix's columns on the coupled
+    mode), and ``W[mode]`` and ``WM`` are views of these, all made once here.
+    The steps replace ``X``, ``Y``, ``M`` and the components, and write only
+    into ``flat``.  ``terms`` (the layout's ``(mode, scale, component)`` norm
+    terms) and ``g`` (terms per component) come from ``layout``.
     """
 
     layout: ComponentLayout
@@ -165,6 +183,7 @@ class SolverState:
     Y: dict[int, np.ndarray] = field(init=False)
     WM: np.ndarray = field(init=False)
     W: dict[int, np.ndarray] = field(init=False)
+    flat: np.ndarray = field(init=False, repr=False)
     multipliers: dict[int, np.ndarray] = field(init=False, repr=False)
     terms: list[tuple[int, float, int]] = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
@@ -174,13 +193,19 @@ class SolverState:
         self.X = np.zeros_like(self.M)
         self.Y = {mode: self.components[c] for mode, _, c in self.terms}
         dims, cols = self.layout.dims, self.M.shape[1]
-        self.multipliers, self.W = {}, {}
+        coupled = self.layout.coupled_mode
+        shapes = {}
         for mode, _, _ in self.terms:
-            coupled = mode == self.layout.coupled_mode
             nt = math.prod(dims[: mode - 1] + dims[mode:])
-            buf = self.multipliers[mode] = np.zeros((dims[mode - 1], nt + cols * coupled))
+            shapes[mode] = (dims[mode - 1], nt, nt + cols * (mode == coupled))
+        self.flat = np.zeros(sum(n * width for n, _, width in shapes.values()))
+        self.multipliers, self.W = {}, {}
+        start = 0
+        for mode, (n, nt, width) in shapes.items():
+            buf = self.multipliers[mode] = self.flat[start : start + n * width].reshape(n, width)
+            start += n * width
             self.W[mode] = fold(buf[:, :nt], mode, dims)
-            if coupled:
+            if mode == coupled:
                 self.WM = buf[:, nt:]
         self.g = np.bincount(
             [c for _, _, c in self.terms], minlength=self.layout.n_components
@@ -255,29 +280,31 @@ def update_tensors(
 
 
 def update_auxiliaries(
-    state: SolverState, opts: SolverOptions
+    state: SolverState,
+    opts: SolverOptions,
+    accelerate: Callable[[np.ndarray], None] | None = None,
 ) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
     """Prox (SVT) step for the auxiliary unfoldings and the matrix block.
 
     Each term thresholds the unfolding of ``W[mode] / beta + h`` at the
     over-relaxed point ``h = (1 - a) * Y[mode] + a * t_c``, ``a =
     RELAXATION``; the coupled mode's unfolding carries ``WM / beta + (1 - a)
-    * X + a * M`` as its matrix block.  The SVT input is built in the term's
-    multiplier array, which :func:`update_duals` then turns back into the
-    multiplier.  Returns the new X, the new Y dict and the regularizer value
-    at the new auxiliaries (it feeds only the objective trace, so it is 0.0
-    unless ``opts.record_objective`` is set).
+    * X + a * M`` as its matrix block.  Every term's SVT input is built in its
+    multiplier array before the first SVT, so ``state.flat`` then holds them
+    all; ``accelerate``, when given, may rewrite it there in place.
+    :func:`update_duals` turns the inputs back into the multipliers.  Returns
+    the new X, the new Y dict and the regularizer value at the new
+    auxiliaries (it feeds only the objective trace, so it is 0.0 unless
+    ``opts.record_objective`` is set).
     """
     lay = state.layout
     beta, a = opts.beta, RELAXATION
-    newY: dict[int, np.ndarray] = {}
-    newX = state.X
-    reg_value = 0.0
-    for mode, scale, c in state.terms:
+    cols = state.M.shape[1]
+    for mode, _, c in state.terms:
         coupled = mode == lay.coupled_mode
         arg = state.multipliers[mode]
         arg /= beta
-        nt = arg.shape[1] - state.M.shape[1] * coupled
+        nt = arg.shape[1] - cols * coupled
         # arg, and the loop's Y once unfolded, are C-contiguous, t_c is not:
         # a plain copy moves it to that layout faster than arithmetic on the
         # strided tensor view of arg would
@@ -286,10 +313,18 @@ def update_auxiliaries(
         np.copyto(fold(tmp, mode, lay.dims), state.components[c])
         tmp *= a
         arg[:, :nt] += tmp
-        del tmp  # before the SVT allocates its output
+        del tmp  # before the next term's array or an SVT output is allocated
         if coupled:
             arg[:, nt:] += (1 - a) * state.X
             arg[:, nt:] += a * state.M
+    if accelerate is not None:
+        accelerate(state.flat)
+    newY: dict[int, np.ndarray] = {}
+    newX = state.X
+    reg_value = 0.0
+    for mode, scale, _ in state.terms:
+        arg = state.multipliers[mode]
+        nt = arg.shape[1] - cols * (mode == lay.coupled_mode)
         tau = opts.lam * scale / beta
         Z = svt(arg, tau)
         if opts.record_objective:
@@ -298,7 +333,7 @@ def update_auxiliaries(
             tn = float(np.vdot(arg, Z) - np.vdot(Z, Z)) / tau if tau else trace_norm(Z)
             reg_value += scale * tn
         newY[mode] = fold(Z[:, :nt], mode, lay.dims)
-        if coupled:
+        if mode == lay.coupled_mode:
             newX = Z[:, nt:]
     return newX, newY, reg_value
 
@@ -350,6 +385,7 @@ def _admm(
     fit_step: Callable[[SolverState], None],
     done: Callable[[int, float, float], bool],
     loss: Callable[[SolverState], float] | None = None,
+    accelerate: Callable[[np.ndarray], None] | None = None,
 ) -> CompletionResult:
     """The over-relaxed ADMM iteration: data-fit step, SVT step, dual step.
 
@@ -363,7 +399,7 @@ def _admm(
     the first iteration ``it`` at which ``done(it, primal, dual)`` holds, or
     at ``opts.max_iters``; ``converged`` records which.  The objective trace,
     when recorded, is ``loss`` at the primal plus the regularizer at the
-    auxiliaries.
+    auxiliaries.  ``accelerate`` is handed to :func:`update_auxiliaries`.
     """
     terms = state.terms
     obj_trace: list[float] = []
@@ -375,7 +411,7 @@ def _admm(
 
     for it in range(1, opts.max_iters + 1):
         fit_step(state)
-        newX, newY, reg_value = update_auxiliaries(state, opts)
+        newX, newY, reg_value = update_auxiliaries(state, opts, accelerate)
 
         dual = opts.beta * _max_gap([(newY[m], state.Y[m]) for m in newY] + [(newX, state.X)])
         state.X, state.Y = newX, newY
@@ -409,6 +445,75 @@ def _admm(
     )
 
 
+class _Anderson:
+    """Safeguarded type-II Anderson acceleration of a fixed-point iteration ``x <- F(x)``.
+
+    Called once per iteration with ``s`` holding ``F(x)`` at the point ``x``
+    it handed out last (the first call's ``s`` is the starting point), and
+    rewrites ``s`` in place into the next point.  From the last accepted
+    point, with ``g = F(x)`` and residual ``f = g - x``, the next point is
+    ``g - dG @ gamma``, where ``gamma`` minimizes ``||f - dF @ gamma||`` over
+    the differences ``dF``, ``dG`` of ``f`` and ``g`` between the last
+    ``memory + 1`` accepted points (Walker & Ni 2011); the normal equations
+    use an m x m Gram matrix of ``dF`` that gains one row per iteration and
+    are solved in the least-squares sense, so a singular one is no fault.
+    Safeguard: an extrapolated point whose residual norm exceeds the last
+    accepted point's is dropped, the history is cleared, and the next point
+    is the plain step ``F`` of the accepted point, which is accepted.  Holds
+    ``2 * memory + 2`` vectors of the size of ``s``; memory 0 leaves every
+    ``s`` as it is.  ``rejections`` counts dropped points.
+    """
+
+    def __init__(self, size: int, memory: int):
+        self.memory = memory
+        # differences of f and g in rows ``:count``, written cyclically from
+        # row 0 after each reset; row ``head`` is written next, and until
+        # then holds the point handed out last
+        self.dF = np.zeros((memory, size))
+        self.dG = np.zeros((memory, size))
+        self.gram = np.zeros((memory, memory))
+        self.count = self.head = 0
+        self.f = np.zeros(size)  # f and g at the accepted point
+        self.g = np.zeros(size)
+        self.best = math.inf  # ||f|| at the accepted point
+        self.calls = 0
+        self.extrapolated = False
+        self.rejections = 0
+
+    def __call__(self, s: np.ndarray) -> None:
+        if not self.memory:
+            return
+        m, x = self.memory, self.dF[self.head]
+        self.calls += 1
+        if self.calls > 1:
+            f = np.subtract(s, x, out=x)
+            norm = math.sqrt(float(f @ f))
+            if self.extrapolated and norm > self.best:
+                self.rejections += 1
+                self.count = self.head = 0
+                self.extrapolated = False
+                np.copyto(s, self.g)
+                np.copyto(x, s)
+                return
+            if self.calls > 2:
+                f -= self.f  # row head becomes the difference, self.f the new f
+                self.f += f
+                np.subtract(s, self.g, out=self.dG[self.head])
+                self.gram[self.head] = self.gram[:, self.head] = self.dF @ f
+                self.count = min(self.count + 1, m)
+                self.head = (self.head + 1) % m
+            else:
+                np.copyto(self.f, f)
+            np.copyto(self.g, s)
+            self.best = norm
+            self.extrapolated = self.count > 0
+            if self.extrapolated:
+                k = self.count
+                b = self.dF[:k] @ self.f
+                s -= np.linalg.lstsq(self.gram[:k, :k], b, rcond=None)[0] @ self.dG[:k]
+        np.copyto(self.dF[self.head], s)
+
+
 def _warm_state(
     start: CompletionResult, problem: CoupledProblem, lay: ComponentLayout, lam: float
 ) -> SolverState:
@@ -430,8 +535,7 @@ def _warm_state(
     ratio = lam / start.lam if start.lam else 0.0
     state = SolverState(lay, prev.components, prev.M)
     state.X, state.Y = prev.X, dict(prev.Y)
-    for mode, buf in state.multipliers.items():
-        np.multiply(prev.multipliers[mode], ratio, out=buf)
+    np.multiply(prev.flat, ratio, out=state.flat)
     return state
 
 
@@ -511,8 +615,10 @@ def decompose(
     concatenated block keeps its own dual, so the joint SVT is the correct
     partial prox.  The data-fit step projects the components onto the sum
     constraint by an exact entrywise equality-constrained solve.  Starts
-    from the even split ``T / C``.  Every ``DECOMPOSE_CHECK_EVERY``
-    iterations, and at the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
+    from the even split ``T / C``.  The SVT inputs are extrapolated by
+    :class:`_Anderson` of memory ``DECOMPOSE_MEMORY``, whose history is
+    freed on return.  Every ``DECOMPOSE_CHECK_EVERY`` iterations, and at
+    the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
     infimum: ``upper`` is the norm-term sum of the current (feasible)
     components, ``lower`` the Hoelder bound of :func:`_lower_bound` from
     the current multipliers.  Stops once ``upper - lower <= tol * upper``.
@@ -535,5 +641,6 @@ def decompose(
     opts = SolverOptions(
         lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS, record_objective=False
     )
-    components = _admm(state, opts, project, done).components
+    accelerate = _Anderson(state.flat.size, DECOMPOSE_MEMORY)
+    components = _admm(state, opts, project, done, accelerate=accelerate).components
     return components, bracket[0], bracket[1]

@@ -128,9 +128,9 @@ class ObservationMask:
 
     def __post_init__(self):
         idx = np.asarray(self.indices)
-        if idx.size == 0:
+        if idx.size == 0 and idx.ndim < 2:  # ``[]``: no positions, of any width
             idx = np.empty((0, len(self.shape)), dtype=np.intp)
-        elif not np.issubdtype(idx.dtype, np.integer):
+        elif idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"mask indices must be integers, got dtype {idx.dtype}")
         if idx.ndim != 2 or idx.shape[1] != len(self.shape):
             raise ValueError(

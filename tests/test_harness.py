@@ -212,6 +212,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(key)} must be a JSON array, got"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("data", [1]), ("data.synthetic", "low"), ("lambda_grid", 5),
+         ("masks", [0.3]), ("solver", None)],
+    )
+    def test_load_config_rejects_a_section_that_is_not_an_object(self, tmp_path, key, value):
+        doc = {"norms": ["MTN"], "data": {"synthetic": {}}}
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} must be a JSON object, got"):
+            load_config(path)
+
+    def test_load_config_rejects_a_config_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(["MTN"]))
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            load_config(path)
+
     def test_load_config_rejects_unknown_noise_name(self, tmp_path):
         doc = {"norms": ["MTN"], "data": {"synthetic": {"noise": "high"}}}
         path = tmp_path / "config.json"

@@ -110,6 +110,32 @@ class TestSpectralNorm:
         estimate = np.linalg.norm(X @ v)
         assert spectral_norm(X) == pytest.approx(estimate, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "kind", ["random", "rank_deficient", "wide", "tall", "zero", "huge", "tiny"]
+    )
+    def test_agrees_with_the_lapack_svd(self, kind):
+        # computed from the Gram matrix's largest eigenvalue, not by an SVD
+        rng = np.random.default_rng(6)
+        X = {
+            "random": lambda: rng.standard_normal((20, 20)),
+            "rank_deficient": lambda: rng.standard_normal((20, 3)) @ rng.standard_normal((3, 430)),
+            "wide": lambda: rng.standard_normal((20, 430)),
+            "tall": lambda: rng.standard_normal((430, 20)),
+            "zero": lambda: np.zeros((7, 9)),
+            "huge": lambda: 1e200 * rng.standard_normal((6, 9)),
+            "tiny": lambda: 1e-200 * rng.standard_normal((9, 6)),
+        }[kind]()
+        expected = float(np.linalg.svd(X, compute_uv=False)[0])
+        assert spectral_norm(X) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_empty_matrix_is_zero(self):
+        assert spectral_norm(np.zeros((3, 0))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(np.array([[1.0, bad], [0.0, 1.0]]))
+
 
 class TestNumericalRank:
     def test_exact_low_rank(self):

@@ -692,21 +692,25 @@ class TestWarmStart:
 
 
 class TestMultiplierArrays:
-    """``W[mode]`` and ``WM`` are made once, as views of the state's own arrays."""
+    """``W[mode]`` and ``WM`` are made once, as views of the state's own arrays,
+    which are in turn views of its one flat array."""
 
     @staticmethod
     def snapshot(state):
-        return dict(state.W), state.WM, dict(state.multipliers)
+        return dict(state.W), state.WM, dict(state.multipliers), state.flat
 
     @staticmethod
     def assert_owned(state, snap):
-        W, WM, arrays = snap
+        W, WM, arrays, flat = snap
         assert state.multipliers.keys() == arrays.keys() == state.W.keys()
+        assert state.flat is flat and flat.ndim == 1
+        assert flat.size == sum(buf.size for buf in arrays.values())
         assert state.WM is WM
-        assert WM.base is arrays[state.layout.coupled_mode]
+        assert np.shares_memory(WM, arrays[state.layout.coupled_mode])
         for mode, buf in arrays.items():
             assert state.multipliers[mode] is buf and buf.flags.c_contiguous
-            assert state.W[mode] is W[mode] and W[mode].base is buf
+            assert buf.base is flat
+            assert state.W[mode] is W[mode] and np.shares_memory(W[mode], buf)
 
     @pytest.mark.parametrize("text", ["1:(O,O,O)", "1:(S,O,O)", "1:(L,L,L)"])
     def test_cold_and_warm_solves_keep_them_at_every_iteration(self, text, monkeypatch):
@@ -741,3 +745,110 @@ class TestMultiplierArrays:
             np.shares_memory(cold.state.multipliers[m], warm.state.multipliers[m])
             for m in cold.state.multipliers
         )
+
+
+LATENT = [d for d in ALL_SUPPORTED if d.has_latent()]
+
+
+def decompose_instance(dims, cols, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(dims), rng.standard_normal((dims[0], cols))
+
+
+class TestAnderson:
+    def test_solves_an_affine_fixed_point_within_its_memory(self):
+        # on an affine map of dimension <= memory, type-II Anderson is GMRES
+        # and reaches the fixed point in a few steps
+        rng = np.random.default_rng(40)
+        A = 0.95 * np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        b = rng.standard_normal(3)
+        fixed = np.linalg.solve(np.eye(3) - A, b)
+        acc = solver._Anderson(3, 4)
+        x = np.zeros(3)
+        acc(x)
+        for _ in range(8):
+            x = A @ x + b
+            acc(x)
+        assert np.allclose(x, fixed, rtol=0.0, atol=1e-9)
+        assert acc.rejections == 0
+
+    def test_a_rejected_point_is_replaced_by_the_plain_step_of_the_accepted_one(self):
+        acc = solver._Anderson(2, 4)
+
+        def F(x):
+            return 0.5 * x + 1.0
+
+        start = np.array([4.0, -2.0])
+        x = start.copy()
+        acc(x)  # the starting point, handed out as it is
+        x = F(x)
+        acc(x)  # accepted, with no history yet: handed out as it is
+        x = F(x)
+        acc(x)  # accepted, and extrapolated from one difference
+        assert acc.extrapolated and acc.count == 1
+        # F of a point with a residual far above the accepted one's
+        x = x + 1e6
+        acc(x)
+        assert acc.rejections == 1 and acc.count == 0 and not acc.extrapolated
+        # the next point is the plain step from the accepted point F(start)
+        assert np.array_equal(x, F(F(start)))
+
+    def test_memory_zero_leaves_every_point_as_it_is(self):
+        acc = solver._Anderson(4, 0)
+        x = np.arange(4.0)
+        for _ in range(3):
+            x = 0.5 * x + 1.0
+            before = x.copy()
+            acc(x)
+            assert np.array_equal(x, before)
+
+
+class TestAcceleratedDecompose:
+    """``decompose`` runs Anderson acceleration; its brackets stay certified."""
+
+    @pytest.mark.parametrize("d", LATENT, ids=norms.format_descriptor)
+    @pytest.mark.parametrize(
+        "dims, cols", [((20, 20, 20), 30), ((10, 15, 8), 12), ((3, 3, 3), 2)],
+        ids=["20^3", "10x15x8", "3^3"],
+    )
+    def test_every_latent_descriptor_ends_certified(self, d, dims, cols):
+        T, M = decompose_instance(dims, cols, seed=41)
+        tol = 1e-6
+        components, lower, upper = solver.decompose(T, M, norms.layout(d, T.shape), tol)
+        assert 0.0 < lower <= upper
+        assert upper - lower <= tol * upper
+        assert np.allclose(sum(components), T, rtol=0.0, atol=1e-12 * np.max(np.abs(T)))
+
+    def test_the_safeguard_drops_points_and_the_bracket_still_closes(self, monkeypatch):
+        made = []
+
+        class Recorded(solver._Anderson):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(solver, "_Anderson", Recorded)
+        T, M = decompose_instance((6, 5, 4), 3, seed=0)
+        tol = 1e-6
+        lay = norms.layout(NormDescriptor(1, ("S", "S", "S")), T.shape)
+        _, lower, upper = solver.decompose(T, M, lay, tol)
+        assert len(made) == 1 and made[0].memory == solver.DECOMPOSE_MEMORY
+        assert made[0].rejections >= 1
+        assert 0.0 < lower and upper - lower <= tol * upper
+
+    @pytest.mark.parametrize("text", ["1:(S,S,S)", "1:(O,L,O)"])
+    def test_memory_zero_is_the_unaccelerated_loop_bit_for_bit(self, text, monkeypatch):
+        T, M = decompose_instance((6, 5, 4), 3, seed=42)
+        lay = norms.layout(norms.parse_descriptor(text), T.shape)
+        monkeypatch.setattr(solver, "DECOMPOSE_MEMORY", 0)
+        zero = solver.decompose(T, M, lay, 1e-6)
+        monkeypatch.undo()
+        admm = solver._admm
+
+        def unaccelerated(state, opts, fit_step, done, accelerate=None):
+            return admm(state, opts, fit_step, done)
+
+        monkeypatch.setattr(solver, "_admm", unaccelerated)
+        plain = solver.decompose(T, M, lay, 1e-6)
+        assert zero[1:] == plain[1:]
+        assert all(np.array_equal(a, b) for a, b in zip(zero[0], plain[0], strict=True))

@@ -1,5 +1,7 @@
 """Tests for the dense 3-way tensor algebra."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,6 +257,12 @@ class TestObservationMask:
         assert len(ObservationMask((3, 3), [])) == 0
         assert ObservationMask((3, 3), []).indices.shape == (0, 2)
         assert ObservationMask((3, 3), np.array([[2, 1]], dtype=np.uint8)).indices.tolist() == [[2, 1]]
+
+    @pytest.mark.parametrize("indices", [np.empty((0, 5)), np.zeros((1, 5), dtype=int)],
+                             ids=["empty", "one-row"])
+    def test_rejects_indices_of_the_wrong_width_even_when_empty(self, indices):
+        with pytest.raises(ValueError, match=re.escape(f"indices must be (n, 3), got {indices.shape}")):
+            ObservationMask((3, 3, 3), indices)
 
     def test_indicator(self):
         mask = ObservationMask((2, 2), np.array([[0, 1]]))
