@@ -136,10 +136,11 @@ def _svt_gram(A: np.ndarray, tau: float) -> np.ndarray | None:
 
     With ``A A^T = U diag(s**2) U^T`` the thresholded matrix is
     ``U diag((1 - tau/s)_+) U^T A``, so no right singular vectors are formed;
-    only the kept eigenvectors enter the products.  Returns None when the
-    Gram matrix is not finite (non-finite or overflowing input) or a kept
-    singular value lies below ``GRAM_RTOL`` times the largest, which the
-    Gram matrix cannot resolve.
+    only the kept eigenvectors enter the products, and when more than half
+    of the n values are kept, ``A`` enters one product with the n x n
+    operator, not two.  Returns None when the Gram matrix is not finite
+    (non-finite or overflowing input) or a kept singular value lies below
+    ``GRAM_RTOL`` times the largest, which the Gram matrix cannot resolve.
     """
     G = A @ A.T
     if not np.all(np.isfinite(G)):
@@ -152,4 +153,7 @@ def _svt_gram(A: np.ndarray, tau: float) -> np.ndarray | None:
     if s[-k] < GRAM_RTOL * s[-1]:
         return None
     Uk = U[:, -k:]
-    return (Uk * (1.0 - tau / s[-k:])) @ (Uk.T @ A)
+    scaled = Uk * (1.0 - tau / s[-k:])
+    if 2 * k > A.shape[0]:
+        return (scaled @ Uk.T) @ A
+    return scaled @ (Uk.T @ A)

@@ -16,24 +16,26 @@ One over-relaxed iteration loop (:func:`_admm`) serves completion
 (:func:`solve`) and the evaluation of latent-type norms (:func:`decompose`,
 the infimum over additive decompositions with the matrix held fixed); only
 the primal data-fit step and the stopping rule differ between the two.
-The :class:`SolverState` owns the multipliers, one flat array viewed as one
-array per norm term shaped like its (coupled) unfolding: the SVT step builds
-every term's input there and the dual step turns it back into the
-multiplier in place.
+Its whole state (:class:`SolverState`) is two flat arrays over all norm
+terms, viewed term by term: the SVT inputs ``s`` and their outputs ``z =
+prox(s)``.  In the textbook form (Boyd et al. 2011, section 3.4.3) ``z``
+holds the auxiliaries ``Y`` and ``X`` and the multipliers are ``W = beta
+(s - z)``, so the data-fit step reads ``Y - W / beta = 2 z - s`` and the
+next SVT input ``W / beta + (1 - a) Y + a t`` at the over-relaxed point is
+``s + a (t - z)``, with ``a = RELAXATION`` and ``t`` the fitted components
+(``M`` on the matrix columns).  An iteration is thus the relaxed
+Douglas-Rachford map ``F(s) = s + a (t(2 prox(s) - s) - prox(s))``, and
+every step but the data fit and the SVTs is one operation on flat arrays.
+The multipliers are formed only where read: in the lower bound of
+:func:`decompose` and the warm start of :func:`solve`.
 
-In :func:`decompose` the state between two iterations is a function of the
-SVT input ``s`` alone: after the SVT, ``Y = prox(s)`` and ``W = beta (s -
-Y)``, and the next data-fit step reads ``Y - W / beta = 2 Y - s``.  So an
-iteration is the fixed-point map ``F(s) = s + a (t(2 prox(s) - s) -
-prox(s))``, ``a = RELAXATION`` and ``t`` the projection onto the sum
-constraint (``M`` in place of ``t`` for the matrix block): relaxed
-Douglas-Rachford.  :class:`_Anderson` accelerates it (type-II Anderson of
-memory ``DECOMPOSE_MEMORY``) by rewriting the flat array between the input
-build and the SVTs, with a safeguard that drops any extrapolated point whose
-residual ``||F(s) - s||`` exceeds the last accepted point's and restarts
-from the plain step.  Its history, ``2 * DECOMPOSE_MEMORY + 2`` vectors the
-size of ``s``, lives only as long as the call.  :func:`solve` runs the plain
-iteration.
+:func:`decompose` accelerates ``F`` by :class:`_Anderson` (type-II
+Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
+input step and the SVTs and drops any extrapolated point whose residual
+``||F(s) - s||`` exceeds the last accepted point's, restarting from the
+plain step; its history, ``2 * DECOMPOSE_MEMORY + 2`` vectors the size of
+``s``, lives as long as the call.  :func:`solve` runs the plain iteration
+and alone computes the residuals its stopping rule reads.
 """
 
 from __future__ import annotations
@@ -47,22 +49,23 @@ import numpy as np
 
 from . import norms
 from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
-# svd is not called here; bench/test_bench.py patches and checks solver.svd
+# svd and unfold are not called here; bench/test_bench.py patches and checks them
 from .prox import svd  # noqa: F401
-from .prox import svt, trace_norm
-from .tensor_ops import ObservationMask, fold, mask_apply, unfold
+from .prox import svt
+from .tensor_ops import ObservationMask, fold, mask_apply
+from .tensor_ops import unfold  # noqa: F401
 
 __all__ = [
     "CoupledProblem",
     "SolverOptions",
     "SolverState",
+    "TermArrays",
     "CompletionResult",
     "solve",
     "decompose",
     "update_matrix",
     "update_tensors",
     "update_auxiliaries",
-    "update_duals",
     "objective",
 ]
 
@@ -162,54 +165,74 @@ class SolverOptions:
 
 
 @dataclass
+class TermArrays:
+    """A flat array of the size of the state, with its views made once.
+
+    ``blocks[mode]`` is the C-contiguous SVT block of the term on ``mode``
+    (its unfolding, with the matrix's columns on the coupled mode),
+    ``tensors[mode]`` the block's tensor columns folded into a tensor, and
+    ``matrix`` the coupled block's matrix columns.
+    """
+
+    flat: np.ndarray
+    blocks: dict[int, np.ndarray]
+    tensors: dict[int, np.ndarray]
+    matrix: np.ndarray
+
+
+@dataclass
 class SolverState:
     """Mutable per-solve state; owned exclusively by one solve.
 
-    Built from the start point ``(components, M)``: each auxiliary ``Y[mode]``
-    starts as its component (the same array) and ``X`` at zero.  The
-    multipliers live in one flat zero array ``flat``; each norm term's
-    ``multipliers[mode]`` is a C-contiguous view of a slice of it, shaped like
-    its SVT input (``n_k x N/n_k``, plus the matrix's columns on the coupled
-    mode), and ``W[mode]`` and ``WM`` are views of these, all made once here.
-    The steps replace ``X``, ``Y``, ``M`` and the components, and write only
-    into ``flat``.  ``terms`` (the layout's ``(mode, scale, component)`` norm
-    terms) and ``g`` (terms per component) come from ``layout``.
+    The ADMM state is ``s``, the SVT inputs of all norm terms, and ``z =
+    prox(s)``, their outputs: ``z``'s tensor views are the auxiliaries
+    ``Y[mode]``, its matrix columns the auxiliary ``X``, and the multipliers
+    ``W = beta (s - z)`` are formed only where read.  While :func:`_admm`
+    runs, ``scratch`` holds a third such array.  Built from the start point
+    ``(components, M)``: ``z`` takes the components and a zero ``X``, and
+    ``s = z``.  The data-fit step then sets ``M`` and writes the (copied)
+    components in place.  ``terms`` (the layout's ``(mode, scale,
+    component)`` norm terms), ``g`` (terms per component) and ``widths``
+    (block widths) come from ``layout``.
     """
 
     layout: ComponentLayout
     components: list[np.ndarray]
     M: np.ndarray
-    X: np.ndarray = field(init=False)
-    Y: dict[int, np.ndarray] = field(init=False)
-    WM: np.ndarray = field(init=False)
-    W: dict[int, np.ndarray] = field(init=False)
-    flat: np.ndarray = field(init=False, repr=False)
-    multipliers: dict[int, np.ndarray] = field(init=False, repr=False)
+    beta: float
+    s: TermArrays = field(init=False, repr=False)
+    z: TermArrays = field(init=False, repr=False)
+    scratch: TermArrays | None = field(init=False, repr=False, default=None)
     terms: list[tuple[int, float, int]] = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
+    widths: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.components = [np.array(c, dtype=float) for c in self.components]
         self.terms = self.layout.regularized_modes()
-        self.X = np.zeros_like(self.M)
-        self.Y = {mode: self.components[c] for mode, _, c in self.terms}
-        dims, cols = self.layout.dims, self.M.shape[1]
-        coupled = self.layout.coupled_mode
-        shapes = {}
-        for mode, _, _ in self.terms:
-            nt = math.prod(dims[: mode - 1] + dims[mode:])
-            shapes[mode] = (dims[mode - 1], nt, nt + cols * (mode == coupled))
-        self.flat = np.zeros(sum(n * width for n, _, width in shapes.values()))
-        self.multipliers, self.W = {}, {}
-        start = 0
-        for mode, (n, nt, width) in shapes.items():
-            buf = self.multipliers[mode] = self.flat[start : start + n * width].reshape(n, width)
-            start += n * width
-            self.W[mode] = fold(buf[:, :nt], mode, dims)
-            if mode == coupled:
-                self.WM = buf[:, nt:]
+        dims, coupled = self.layout.dims, self.layout.coupled_mode
+        self.widths = {
+            m: math.prod(dims[: m - 1] + dims[m:]) + self.M.shape[1] * (m == coupled)
+            for m, _, _ in self.terms
+        }
+        size = sum(dims[m - 1] * width for m, width in self.widths.items())
+        self.s, self.z = self.views(np.zeros(size)), self.views(np.zeros(size))
+        for mode, _, c in self.terms:
+            np.copyto(self.z.tensors[mode], self.components[c])
+        np.copyto(self.s.flat, self.z.flat)
         self.g = np.bincount(
             [c for _, _, c in self.terms], minlength=self.layout.n_components
         ).astype(float)
+
+    def views(self, flat: np.ndarray) -> TermArrays:
+        """``flat``, of the size of ``s``, viewed term by term."""
+        dims, cols, coupled = self.layout.dims, self.M.shape[1], self.layout.coupled_mode
+        blocks, tensors, start = {}, {}, 0
+        for m, width in self.widths.items():
+            blocks[m] = flat[start : start + dims[m - 1] * width].reshape(dims[m - 1], width)
+            start += blocks[m].size
+            tensors[m] = fold(blocks[m][:, : width - cols * (m == coupled)], m, dims)
+        return TermArrays(flat, blocks, tensors, blocks[coupled][:, self.widths[coupled] - cols :])
 
 
 @dataclass
@@ -234,10 +257,11 @@ def update_matrix(
 ) -> np.ndarray:
     """Closed-form minimizer of the matrix block of the Lagrangian.
 
-    The observation operator is entrywise, so (Omega^T Omega + beta I) is
-    diagonal and the solve is elementwise.
+    Reads the fit point ``X - WM / beta``, the matrix columns of ``2 z - s``
+    in ``state.scratch``.  The observation operator is entrywise, so
+    (Omega^T Omega + beta I) is diagonal and the solve is elementwise.
     """
-    rhs = problem.matrix_observed - state.WM + opts.beta * state.X
+    rhs = problem.matrix_observed + opts.beta * state.scratch.matrix
     return rhs / (problem.matrix_indicator + opts.beta)
 
 
@@ -246,23 +270,34 @@ def _fit_entries(
     beta: float,
     rho: float,
     residual: Callable[[np.ndarray], np.ndarray],
-) -> list[np.ndarray]:
-    """The latent components' entrywise data-fit step.
+) -> None:
+    """The latent components' entrywise data-fit step, in place.
 
     Component c gets ``t_c = v_c + r / (beta g_c (rho + sum_c 1 / (beta g_c)))``,
-    where ``v_c`` is its mean of ``Y - W / beta`` over its ``g_c`` norm terms
-    and ``r = residual(sum_c v_c)``.  For completion rho = 1 and ``r`` is the
-    observed data minus the masked sum; for the exact constraint sum_c t_c =
-    T, rho = 0 and ``r = T - sum``.
+    where ``v_c`` is its mean of the fit point ``Y - W / beta`` (the tensor
+    views of ``state.scratch``) over its ``g_c`` norm terms and ``r =
+    residual(sum_c v_c)``, which may overwrite its argument.  For completion
+    rho = 1 and ``r`` is the observed data minus the masked sum; for the
+    exact constraint sum_c t_c = T, rho = 0 and ``r = T - sum``.
     """
-    # built in the components' memory layout, which the SVT step then reads
-    v = [np.zeros_like(state.components[0]) for _ in state.g]
+    t = state.components
+    for tc in t:
+        tc.fill(0.0)
     for m, _, c in state.terms:
-        v[c] += state.Y[m] - state.W[m] / beta
-    for vc, g in zip(v, state.g):
-        vc /= g
-    r = residual(sum(v)) / (rho + float(np.sum(1.0 / (beta * state.g))))
-    return [vc + r / (beta * g) for vc, g in zip(v, state.g)]
+        t[c] += state.scratch.tensors[m]
+    for tc, g in zip(t, state.g):
+        tc /= g
+    r = t[0].copy()
+    for tc in t[1:]:
+        r += tc
+    r = residual(r)
+    r /= rho + float(np.sum(1.0 / (beta * state.g)))
+    # r becomes r / (beta g_c) for each component in turn
+    prev = 1.0
+    for tc, g in zip(t, state.g):
+        r *= prev / (beta * g)
+        prev = beta * g
+        tc += r
 
 
 def update_tensors(
@@ -273,86 +308,45 @@ def update_tensors(
     Per entry the normal equations are (omega * ones + beta * diag(g)) t =
     rhs, with omega the 0/1 mask indicator and g_c the number of auxiliary
     constraints attached to component c; :func:`_fit_entries` with rho = 1
-    is their Sherman-Morrison solution.
+    is their Sherman-Morrison solution.  Writes ``state.components`` in
+    place and returns it.
     """
-    omega = problem.tensor_indicator
-    return _fit_entries(state, opts.beta, 1.0, lambda s: problem.tensor_observed - omega * s)
+    omega, observed = problem.tensor_indicator, problem.tensor_observed
+    _fit_entries(
+        state, opts.beta, 1.0, lambda S: np.subtract(observed, np.multiply(omega, S, out=S), out=S)
+    )
+    return state.components
+
+
+def _lay_out(state: SolverState, out: TermArrays) -> None:
+    """Copy each term's component, and ``M``, into ``out`` (faster than arithmetic into its views)."""
+    for mode, _, c in state.terms:
+        np.copyto(out.tensors[mode], state.components[c])
+    np.copyto(out.matrix, state.M)
 
 
 def update_auxiliaries(
     state: SolverState,
     opts: SolverOptions,
     accelerate: Callable[[np.ndarray], None] | None = None,
-) -> tuple[np.ndarray, dict[int, np.ndarray], float]:
-    """Prox (SVT) step for the auxiliary unfoldings and the matrix block.
+) -> None:
+    """Input and SVT step: ``s += a (t - z)``, ``a = RELAXATION``, then ``z = prox(s)``.
 
-    Each term thresholds the unfolding of ``W[mode] / beta + h`` at the
-    over-relaxed point ``h = (1 - a) * Y[mode] + a * t_c``, ``a =
-    RELAXATION``; the coupled mode's unfolding carries ``WM / beta + (1 - a)
-    * X + a * M`` as its matrix block.  Every term's SVT input is built in its
-    multiplier array before the first SVT, so ``state.flat`` then holds them
-    all; ``accelerate``, when given, may rewrite it there in place.
-    :func:`update_duals` turns the inputs back into the multipliers.  Returns
-    the new X, the new Y dict and the regularizer value at the new
-    auxiliaries (it feeds only the objective trace, so it is 0.0 unless
-    ``opts.record_objective`` is set).
+    ``t`` is each term's component, and ``M`` on the matrix columns.
+    ``accelerate``, when given, may then rewrite ``s.flat`` in place.  Each
+    term is thresholded into ``state.scratch``, which then trades places
+    with ``state.z``.
     """
-    lay = state.layout
-    beta, a = opts.beta, RELAXATION
-    cols = state.M.shape[1]
-    for mode, _, c in state.terms:
-        coupled = mode == lay.coupled_mode
-        arg = state.multipliers[mode]
-        arg /= beta
-        nt = arg.shape[1] - cols * coupled
-        # arg, and the loop's Y once unfolded, are C-contiguous, t_c is not:
-        # a plain copy moves it to that layout faster than arithmetic on the
-        # strided tensor view of arg would
-        tmp = np.multiply(unfold(state.Y[mode], mode), 1 - a)
-        arg[:, :nt] += tmp
-        np.copyto(fold(tmp, mode, lay.dims), state.components[c])
-        tmp *= a
-        arg[:, :nt] += tmp
-        del tmp  # before the next term's array or an SVT output is allocated
-        if coupled:
-            arg[:, nt:] += (1 - a) * state.X
-            arg[:, nt:] += a * state.M
+    s, z, out = state.s, state.z, state.scratch
+    _lay_out(state, out)
+    out.flat -= z.flat
+    out.flat *= RELAXATION
+    s.flat += out.flat
     if accelerate is not None:
-        accelerate(state.flat)
-    newY: dict[int, np.ndarray] = {}
-    newX = state.X
-    reg_value = 0.0
+        accelerate(s.flat)
     for mode, scale, _ in state.terms:
-        arg = state.multipliers[mode]
-        nt = arg.shape[1] - cols * (mode == lay.coupled_mode)
-        tau = opts.lam * scale / beta
-        Z = svt(arg, tau)
-        if opts.record_objective:
-            # prox optimality makes (arg - Z) / tau a subgradient of the trace
-            # norm at Z, so <arg, Z> - <Z, Z> = tau * ||Z||_tr: no second SVD
-            tn = float(np.vdot(arg, Z) - np.vdot(Z, Z)) / tau if tau else trace_norm(Z)
-            reg_value += scale * tn
-        newY[mode] = fold(Z[:, :nt], mode, lay.dims)
-        if mode == lay.coupled_mode:
-            newX = Z[:, nt:]
-    return newX, newY, reg_value
-
-
-def update_duals(state: SolverState, opts: SolverOptions) -> None:
-    """Dual step: each multiplier becomes beta * (SVT input - SVT output), in place.
-
-    The multiplier arrays hold :func:`update_auxiliaries`' SVT inputs and
-    ``state`` its outputs, so this is ``W + beta * (h - Y)`` at the relaxed
-    point ``h`` with no second pass over ``h``.
-    """
-    for mode, _, _ in state.terms:
-        R = state.multipliers[mode]
-        coupled = mode == state.layout.coupled_mode
-        nt = R.shape[1] - state.M.shape[1] * coupled
-        R[:, :nt] -= unfold(state.Y[mode], mode)
-        if coupled:
-            R[:, nt:] -= state.X
-        R *= opts.beta
+        out.blocks[mode][...] = svt(s.blocks[mode], opts.lam * scale / opts.beta)
+    state.z, state.scratch = out, z
 
 
 def _loss(problem: CoupledProblem, T: np.ndarray, M: np.ndarray) -> float:
@@ -375,74 +369,57 @@ def objective(
     return _loss(problem, T, M) + reg
 
 
-def _max_gap(pairs: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    return max(float(np.linalg.norm(a - b)) for a, b in pairs)
+def _largest_norm(d: TermArrays) -> float:
+    """Largest norm of a tensor block or the matrix block of ``d``, squaring ``d`` in place."""
+    np.square(d.flat, out=d.flat)
+    return math.sqrt(max(float(b.sum()) for b in (d.matrix, *d.tensors.values())))
+
+
+def _residuals(state: SolverState) -> tuple[float, float]:
+    """Primal and dual residuals of the step just taken.
+
+    The primal residual is the largest gap between a primal block (a
+    component on one term, or ``M``) and its auxiliary; the dual residual is
+    beta times the largest change of an auxiliary block.  Reads the previous
+    ``z`` from ``state.scratch`` and overwrites it.
+    """
+    z, d = state.z, state.scratch
+    np.subtract(z.flat, d.flat, out=d.flat)
+    dual = state.beta * _largest_norm(d)
+    _lay_out(state, d)
+    d.flat -= z.flat
+    return _largest_norm(d), dual
 
 
 def _admm(
     state: SolverState,
     opts: SolverOptions,
     fit_step: Callable[[SolverState], None],
-    done: Callable[[int, float, float], bool],
-    loss: Callable[[SolverState], float] | None = None,
+    done: Callable[[int], bool],
     accelerate: Callable[[np.ndarray], None] | None = None,
-) -> CompletionResult:
-    """The over-relaxed ADMM iteration: data-fit step, SVT step, dual step.
+) -> tuple[int, bool]:
+    """The over-relaxed ADMM iteration on ``(s, z)``.
 
-    ``fit_step`` updates ``state.M`` and ``state.components``, the piece
-    that differs between completion and norm evaluation.  The SVT and dual
-    steps read the over-relaxed point ``RELAXATION * primal + (1 -
-    RELAXATION) * auxiliary`` in place of the fresh primal (Boyd et al.
-    2011, section 3.4.3).  The primal residual is the largest gap between a
-    primal block and its auxiliary, the dual residual the beta-scaled change
-    of every auxiliary, the matrix block's included.  The loop stops after
-    the first iteration ``it`` at which ``done(it, primal, dual)`` holds, or
-    at ``opts.max_iters``; ``converged`` records which.  The objective trace,
-    when recorded, is ``loss`` at the primal plus the regularizer at the
-    auxiliaries.  ``accelerate`` is handed to :func:`update_auxiliaries`.
+    Each iteration writes the fit point ``2 z - s`` into ``state.scratch``
+    (an array that lives as long as the loop), where ``fit_step``, the piece
+    that differs between completion and norm evaluation, reads it to set
+    ``state.M`` and ``state.components``; then :func:`update_auxiliaries`
+    (handed ``accelerate``) steps ``s`` and ``z``.  Stops after the first
+    iteration ``it`` at which ``done(it)`` holds, or at ``opts.max_iters``;
+    returns the iteration count and whether ``done`` stopped it.
     """
-    terms = state.terms
-    obj_trace: list[float] = []
-    primal_trace: list[float] = []
-    dual_trace: list[float] = []
-    converged = False
-    primal = dual = np.inf
-    it = 0
-
-    for it in range(1, opts.max_iters + 1):
+    state.scratch = state.views(np.empty_like(state.s.flat))
+    it, stopped = 0, False
+    while not stopped and it < opts.max_iters:
+        it += 1
+        u = state.scratch.flat
+        np.subtract(state.z.flat, state.s.flat, out=u)
+        u += state.z.flat
         fit_step(state)
-        newX, newY, reg_value = update_auxiliaries(state, opts, accelerate)
-
-        dual = opts.beta * _max_gap([(newY[m], state.Y[m]) for m in newY] + [(newX, state.X)])
-        state.X, state.Y = newX, newY
-        update_duals(state, opts)
-        primal = _max_gap(
-            [(state.M, state.X)] + [(state.components[c], state.Y[m]) for m, _, c in terms]
-        )
-
-        if loss is not None and opts.record_objective:
-            obj_trace.append(loss(state) + opts.lam * reg_value)
-        primal_trace.append(primal)
-        dual_trace.append(dual)
-
-        if done(it, primal, dual):
-            converged = True
-            break
-
-    return CompletionResult(
-        tensor=sum(state.components),
-        matrix=state.M,
-        components=state.components,
-        objective_trace=np.array(obj_trace),
-        primal_residual_trace=np.array(primal_trace),
-        dual_residual_trace=np.array(dual_trace),
-        final_primal_residual=float(primal),
-        final_dual_residual=float(dual),
-        iterations=it,
-        converged=converged,
-        lam=opts.lam,
-        state=state,
-    )
+        update_auxiliaries(state, opts, accelerate)
+        stopped = done(it)
+    state.scratch = None
+    return it, stopped
 
 
 class _Anderson:
@@ -515,14 +492,14 @@ class _Anderson:
 
 
 def _warm_state(
-    start: CompletionResult, problem: CoupledProblem, lay: ComponentLayout, lam: float
+    start: CompletionResult, problem: CoupledProblem, lay: ComponentLayout, opts: SolverOptions
 ) -> SolverState:
-    """``start``'s final state, its multipliers rescaled from its lambda to ``lam``.
+    """``start``'s final ``(s, z)`` in a new state at ``opts``, its multipliers rescaled.
 
-    At the fixed point each multiplier is lambda times a point of the dual
-    norm ball; from lambda 0 only the primal point is carried.  The primal
-    and auxiliary arrays are shared, which is safe because the ADMM steps
-    never write into them; the multipliers go into the new state's own arrays.
+    At the fixed point each multiplier ``W = beta (s - z)`` is lambda times a
+    point of the dual norm ball, so ``s - z`` is scaled by ``(lam_new /
+    lam_old) (beta_old / beta_new)``; from lambda 0 only ``z`` is carried.
+    ``start`` is left as it is.
     """
     prev = start.state
     if prev.layout.dims != lay.dims or prev.M.shape != problem.matrix.shape:
@@ -532,10 +509,13 @@ def _warm_state(
         )
     if prev.layout != lay:
         raise ValueError("start is from a descriptor of another component layout")
-    ratio = lam / start.lam if start.lam else 0.0
-    state = SolverState(lay, prev.components, prev.M)
-    state.X, state.Y = prev.X, dict(prev.Y)
-    np.multiply(prev.flat, ratio, out=state.flat)
+    ratio = opts.lam / start.lam * (prev.beta / opts.beta) if start.lam else 0.0
+    state = SolverState(lay, prev.components, prev.M, opts.beta)
+    s, z = state.s.flat, prev.z.flat
+    np.copyto(state.z.flat, z)
+    np.subtract(prev.s.flat, z, out=s)
+    s *= ratio
+    s += z
     return state
 
 
@@ -551,10 +531,14 @@ def solve(
     ``start``, an earlier result of a problem of the same shapes under a
     descriptor of the same layout, with its multipliers scaled by
     ``opts.lam / start.lam``.  The problem is convex, so only the iteration
-    count depends on the start.  Residuals are judged relative to max(1,
-    ||observed data||_F).  Raises :class:`InvalidDescriptorError` when the
-    descriptor's coupled mode is not the problem's, and ``ValueError`` when
-    ``start`` does not fit the problem or the descriptor.
+    count depends on the start.  Stops once both residuals of
+    :func:`_residuals` are within their tolerances relative to max(1,
+    ||observed data||_F).  The objective trace, when recorded, is the loss
+    at the primal point plus the regularizer at the auxiliaries, ``beta <s -
+    z, z>`` by the prox identity ``<s_k - z_k, z_k> = tau_k ||z_k||_tr``.
+    Raises :class:`InvalidDescriptorError` when the descriptor's coupled
+    mode is not the problem's, and ``ValueError`` when ``start`` does not
+    fit the problem or the descriptor.
     """
     if d.coupled_mode != problem.coupled_mode:
         raise InvalidDescriptorError(
@@ -568,42 +552,53 @@ def solve(
 
     def fit_step(state: SolverState) -> None:
         state.M = update_matrix(state, problem, opts)
-        state.components = update_tensors(state, problem, opts)
+        update_tensors(state, problem, opts)
 
     if start is None:
         state = SolverState(
             lay, [np.zeros(problem.dims) for _ in range(lay.n_components)],
-            np.zeros_like(problem.matrix),
+            np.zeros_like(problem.matrix), opts.beta,
         )
     else:
-        state = _warm_state(start, problem, lay, opts.lam)
+        state = _warm_state(start, problem, lay, opts)
     scale = max(1.0, float(data_norm))
+    traces: tuple[list[float], list[float], list[float]] = ([], [], [])  # objective, primal, dual
 
-    def done(it: int, primal: float, dual: float) -> bool:
+    def done(it: int) -> bool:
+        primal, dual = _residuals(state)
+        traces[1].append(primal)
+        traces[2].append(dual)
+        if opts.record_objective:
+            s, z = state.s.flat, state.z.flat
+            reg = opts.beta * float(np.vdot(s, z) - np.vdot(z, z))
+            traces[0].append(_loss(problem, sum(state.components), state.M) + reg)
         return primal <= opts.tol_primal * scale and dual <= opts.tol_dual * scale
 
-    return _admm(
-        state, opts, fit_step, done,
-        loss=lambda state: _loss(problem, sum(state.components), state.M),
+    iterations, converged = _admm(state, opts, fit_step, done)
+    return CompletionResult(
+        sum(state.components), state.M, state.components, *map(np.array, traces),
+        traces[1][-1], traces[2][-1], iterations, converged, opts.lam, state,
     )
 
 
 def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
     """Hoelder lower bound ``(<G, T> + <WM, M>) / D`` on the norm :func:`decompose` minimizes.
 
-    ``G`` is the mean over components of ``G_c``, the sum of component c's
-    multipliers.  The split ``G_k = W[k] + (G - G_c) / g_c`` sums to ``G``
-    over every component's terms, so ``D``, its
-    :func:`norms.split_dual_bound`, bounds the dual norm of ``(G, WM)`` and
-    the bound holds whatever the multipliers are.
+    The multipliers ``W = beta (s - z)`` are formed here.  ``G`` is the mean
+    over components of ``G_c``, the sum of component c's multipliers.  The
+    split ``G_k = W[k] + (G - G_c) / g_c`` sums to ``G`` over every
+    component's terms, so ``D``, its :func:`norms.split_dual_bound`, bounds
+    the dual norm of ``(G, WM)`` and the bound holds whatever the
+    multipliers are.
     """
+    W = state.views(state.beta * (state.s.flat - state.z.flat))
     Gc = [np.zeros(state.layout.dims) for _ in state.g]
     for m, _, c in state.terms:
-        Gc[c] = Gc[c] + state.W[m]
+        Gc[c] = Gc[c] + W.tensors[m]
     G = sum(Gc) / len(Gc)
-    split = {m: state.W[m] + (G - Gc[c]) / state.g[c] for m, _, c in state.terms}
-    D = norms.split_dual_bound(state.layout, split, state.WM)
-    return float(np.vdot(G, T) + np.vdot(state.WM, M)) / D if D > 0 else 0.0
+    split = {m: W.tensors[m] + (G - Gc[c]) / state.g[c] for m, _, c in state.terms}
+    D = norms.split_dual_bound(state.layout, split, W.matrix)
+    return float(np.vdot(G, T) + np.vdot(W.matrix, M)) / D if D > 0 else 0.0
 
 
 def decompose(
@@ -615,32 +610,29 @@ def decompose(
     concatenated block keeps its own dual, so the joint SVT is the correct
     partial prox.  The data-fit step projects the components onto the sum
     constraint by an exact entrywise equality-constrained solve.  Starts
-    from the even split ``T / C``.  The SVT inputs are extrapolated by
+    from the even split ``T / C``.  The SVT inputs ``s`` are extrapolated by
     :class:`_Anderson` of memory ``DECOMPOSE_MEMORY``, whose history is
     freed on return.  Every ``DECOMPOSE_CHECK_EVERY`` iterations, and at
     the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
     infimum: ``upper`` is the norm-term sum of the current (feasible)
     components, ``lower`` the Hoelder bound of :func:`_lower_bound` from
-    the current multipliers.  Stops once ``upper - lower <= tol * upper``.
-    Returns the components and the last ``lower`` and ``upper``; zero input
-    gives ``0, 0``.
+    the current multipliers.  Stops once ``upper - lower <= tol * upper``;
+    no residual is computed.  Returns the components and the last
+    ``lower`` and ``upper``; zero input gives ``0, 0``.
     """
     C = lay.n_components
-    state = SolverState(lay, [T / C for _ in range(C)], M)
+    state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA)
     bracket = [-np.inf, np.inf]
 
     def project(state: SolverState) -> None:
-        state.components = _fit_entries(state, DECOMPOSE_BETA, 0.0, lambda s: T - s)
+        _fit_entries(state, DECOMPOSE_BETA, 0.0, lambda S: np.subtract(T, S, out=S))
 
-    def done(it: int, primal: float, dual: float) -> bool:
+    def done(it: int) -> bool:
         if it % DECOMPOSE_CHECK_EVERY and it < DECOMPOSE_MAX_ITERS:
             return False
         bracket[:] = _lower_bound(state, T, M), norms.decomposition_value(state.components, lay, M)
         return bracket[1] - bracket[0] <= tol * bracket[1]
 
-    opts = SolverOptions(
-        lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS, record_objective=False
-    )
-    accelerate = _Anderson(state.flat.size, DECOMPOSE_MEMORY)
-    components = _admm(state, opts, project, done, accelerate=accelerate).components
-    return components, bracket[0], bracket[1]
+    opts = SolverOptions(lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS)
+    _admm(state, opts, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))
+    return state.components, bracket[0], bracket[1]

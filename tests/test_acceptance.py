@@ -23,6 +23,7 @@ from coupled_completion.tensor_ops import (
     tucker_synthesize,
     unfold,
 )
+from test_solver import state_at
 
 
 def report(num, name, ok, detail=""):
@@ -223,37 +224,35 @@ def test_criterion_4_solver_convergence():
     )
     opts = SolverOptions(lam=1.0, beta=1.0, tol_primal=1e-6, tol_dual=1e-6, max_iters=2000)
     not_converged = []
-    results = {}
     for d in ALL_DESCRIPTORS:
         res = solver.solve(problem, d, opts)
-        results[d.tags] = res
         if not res.converged:
             not_converged.append((norms.format_descriptor(d), res.iterations))
 
-    # finite-difference block-gradient checks at a converged state
+    # finite-difference block-gradient checks at a random state
     # (block objectives are quadratic, so a large step is exact)
     h = 0.05
     worst_grad = 0.0
     for tags in (("O", "O", "O"), ("S", "O", "O"), ("L", "L", "L")):
         d = NormDescriptor(1, tags)
         lay = norms.layout(d, dims)
-        state = solver.SolverState(lay, [np.zeros(dims) for _ in lay.components], M)
-        res = results[tags]
-        state.components = [c.copy() for c in res.components]
-        state.M = res.matrix.copy()
         srng = np.random.default_rng(5)
-        state.X = srng.standard_normal(M.shape)
-        state.WM[...] = srng.standard_normal(M.shape)
-        for mode in state.Y:
-            state.Y[mode] = srng.standard_normal(dims)
-            state.W[mode][...] = srng.standard_normal(dims)
+        # random auxiliaries z = (Y, X) and multipliers W = beta (s - z)
+        X = srng.standard_normal(M.shape)
+        WM = srng.standard_normal(M.shape)
+        Y, W = {}, {}
+        for mode, _, _ in lay.regularized_modes():
+            Y[mode] = srng.standard_normal(dims)
+            W[mode] = srng.standard_normal(dims)
+        inputs = ({m: Y[m] + W[m] / opts.beta for m in Y}, X + WM / opts.beta)
+        state = state_at(lay, opts.beta, inputs, (Y, X))
 
-        def m_obj(W):
+        def m_obj(Mt):
             val = 0.5 * np.linalg.norm(
-                mask_apply(W - problem.matrix, problem.matrix_mask)
+                mask_apply(Mt - problem.matrix, problem.matrix_mask)
             ) ** 2
-            val += float(np.sum(state.WM * W))
-            val += 0.5 * opts.beta * np.linalg.norm(W - state.X) ** 2
+            val += float(np.sum(WM * Mt))
+            val += 0.5 * opts.beta * np.linalg.norm(Mt - X) ** 2
             return float(val)
 
         M_new = solver.update_matrix(state, problem, opts)
@@ -272,8 +271,8 @@ def test_criterion_4_solver_convergence():
                 mask_apply(sum(comps) - problem.tensor, problem.tensor_mask)
             ) ** 2
             for mode, _, c in lay.regularized_modes():
-                total += float(np.sum(state.W[mode] * comps[c]))
-                total += 0.5 * opts.beta * np.linalg.norm(comps[c] - state.Y[mode]) ** 2
+                total += float(np.sum(W[mode] * comps[c]))
+                total += 0.5 * opts.beta * np.linalg.norm(comps[c] - Y[mode]) ** 2
             return float(total)
 
         comps = solver.update_tensors(state, problem, opts)

@@ -20,6 +20,7 @@ from coupled_completion.norms import (
 )
 from coupled_completion.prox import trace_norm
 from coupled_completion.tensor_ops import fold, unfold
+from test_solver import state_at
 
 
 def rank1_mode2_tensor(dims, seed=0):
@@ -282,14 +283,17 @@ class TestBracket:
         lay = layout(d, T.shape)
         _, upper = bracket(T, M, d, 1e-8)
         rng = np.random.default_rng(13)
+        modes = [m for m, _, _ in lay.regularized_modes()]
+        zero = ({m: np.zeros(T.shape) for m in modes}, np.zeros(M.shape))
         for _ in range(20):
-            state = solver.SolverState(lay, [T for _ in lay.components], M)
-            # near (T, M), so that the bound is positive and not slack, and
-            # unequal across components, so that the split matters
-            state.WM[...] = rng.uniform(0.5, 2.0) * M
-            for m in state.W:
-                state.W[m][...] = rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
-            lower = solver._lower_bound(state, T, M)
+            # multipliers W = s - z (beta = 1) near (T, M), so that the bound
+            # is positive and not slack, and unequal across components, so
+            # that the split matters
+            WM = rng.uniform(0.5, 2.0) * M
+            W = {}
+            for m in modes:
+                W[m] = rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
+            lower = solver._lower_bound(state_at(lay, 1.0, (W, WM), zero), T, M)
             assert 0.0 < lower <= upper
 
 

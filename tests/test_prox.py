@@ -236,6 +236,24 @@ class TestSvtGramRoute:
         # keep a sliver of size eps * smax
         assert np.linalg.norm(Z - ref) <= 1e-10 * max(np.linalg.norm(ref), tau)
 
+    # odd and even sides; n and n // 2 + 1 kept values apply one n x n
+    # operator to X, n // 2 and 1 apply the kept eigenvectors in two products
+    @pytest.mark.parametrize("n", [20, 21])
+    @pytest.mark.parametrize("kept", ["n", "n//2", "n//2+1", "1"])
+    def test_kept_rank_matches_lapack(self, n, kept):
+        k = {"n": n, "n//2": n // 2, "n//2+1": n // 2 + 1, "1": 1}[kept]
+        rng = np.random.default_rng(25 + n)
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((4 * n, n)))[0]
+        S = np.geomspace(10.0, 1.0, n)
+        X = (U * S) @ V.T
+        # halfway between the k-th and the next singular value
+        tau = 0.5 * (S[k - 1] + (S[k] if k < n else 0.0))
+        Z = prox._svt_gram(X, tau)
+        ref = lapack_svt(X, tau)
+        assert np.linalg.matrix_rank(ref) == k
+        assert np.linalg.norm(Z - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_gram_route_skips_lapack(self, monkeypatch):
         def no_svd(X):
             raise AssertionError("LAPACK SVD called on the Gram route")

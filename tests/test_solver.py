@@ -1,6 +1,7 @@
 """Tests for the coupled-completion ADMM solver."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from coupled_completion.solver import (
     objective,
     solve,
     update_auxiliaries,
-    update_duals,
     update_matrix,
     update_tensors,
 )
-from coupled_completion.tensor_ops import ObservationMask, mask_apply, unfold
+from coupled_completion.prox import svt
+from coupled_completion.tensor_ops import ObservationMask, fold, mask_apply, unfold
 from test_prox import assert_svt_optimal
 
 
@@ -45,41 +46,71 @@ def random_problem(dims=(6, 6, 6), cols=4, density=0.6, seed=0):
     )
 
 
-def random_state(problem, d, seed=0):
-    """Solver state after a few iterations, for exercising block updates.
+def state_at(lay, beta, s, z):
+    """A solver state at SVT inputs ``s`` and outputs ``z``, each ``(tensors, matrix)``.
 
-    The multipliers are written into the state's own arrays, as the steps do.
+    ``tensors`` maps every norm term's mode to a tensor.  The state's scratch
+    array holds the fit point ``2 z - s``, as :func:`solver._admm` leaves it
+    for the data-fit step.
+    """
+    (s_tensors, s_matrix), (z_tensors, z_matrix) = s, z
+    state = SolverState(
+        lay, [np.zeros(lay.dims) for _ in lay.components], np.zeros_like(z_matrix), beta
+    )
+    for arrays, tensors, matrix in ((state.s, s_tensors, s_matrix), (state.z, z_tensors, z_matrix)):
+        for mode, _, _ in lay.regularized_modes():
+            arrays.tensors[mode][...] = tensors[mode]
+        arrays.matrix[...] = matrix
+    state.scratch = state.views(state.z.flat - state.s.flat)
+    state.scratch.flat += state.z.flat
+    return state
+
+
+def textbook(state):
+    """``(W, WM, Y, X)`` of the textbook ADMM form: ``W = beta (s - z)``, ``Y`` and ``X`` from ``z``."""
+    W = state.views(state.beta * (state.s.flat - state.z.flat))
+    return W.tensors, W.matrix, state.z.tensors, state.z.matrix
+
+
+def random_state(problem, d, seed=0, beta=1.0, zero_WM=False):
+    """Solver state at random auxiliaries ``Y``, ``X`` and multipliers ``W``, ``WM``.
+
+    Built through :func:`state_at` from ``z = (Y, X)`` and ``s = z + W / beta``;
+    the primal blocks ``components`` and ``M`` are random too.
     """
     lay = norms.layout(d, problem.dims)
-    state = SolverState(lay, [np.zeros(problem.dims) for _ in lay.components], problem.matrix)
     rng = np.random.default_rng(seed)
+    X = rng.standard_normal(problem.matrix.shape)
+    WM = np.zeros_like(X) if zero_WM else rng.standard_normal(X.shape)
+    modes = [m for m, _, _ in lay.regularized_modes()]
+    Y = {m: rng.standard_normal(problem.dims) for m in modes}
+    W = {m: rng.standard_normal(problem.dims) for m in modes}
+    s = ({m: Y[m] + W[m] / beta for m in modes}, X + WM / beta)
+    state = state_at(lay, beta, s, (Y, X))
     state.M = rng.standard_normal(problem.matrix.shape)
-    state.X = rng.standard_normal(problem.matrix.shape)
-    state.WM[...] = rng.standard_normal(problem.matrix.shape)
-    state.components = [rng.standard_normal(problem.dims) for _ in state.components]
-    for mode in state.Y:
-        state.Y[mode] = rng.standard_normal(problem.dims)
-        state.W[mode][...] = rng.standard_normal(problem.dims)
+    state.components = [rng.standard_normal(problem.dims) for _ in lay.components]
     return state, lay
 
 
 def matrix_block_objective(state, problem, opts, M):
     """Augmented-Lagrangian terms that depend on the matrix primal block."""
+    _, WM, _, X = textbook(state)
     val = 0.5 * np.linalg.norm(mask_apply(M - problem.matrix, problem.matrix_mask)) ** 2
-    val += float(np.sum(state.WM * M))
-    val += 0.5 * opts.beta * np.linalg.norm(M - state.X) ** 2
+    val += float(np.sum(WM * M))
+    val += 0.5 * opts.beta * np.linalg.norm(M - X) ** 2
     return float(val)
 
 
 def tensor_block_objective(state, problem, opts, components):
     """Augmented-Lagrangian terms depending on the latent tensor block."""
+    W, _, Y, _ = textbook(state)
     T_sum = sum(components)
     val = 0.5 * np.linalg.norm(
         mask_apply(T_sum - problem.tensor, problem.tensor_mask)
     ) ** 2
     for mode, _, c in state.layout.regularized_modes():
-        val += float(np.sum(state.W[mode] * components[c]))
-        val += 0.5 * opts.beta * np.linalg.norm(components[c] - state.Y[mode]) ** 2
+        val += float(np.sum(W[mode] * components[c]))
+        val += 0.5 * opts.beta * np.linalg.norm(components[c] - Y[mode]) ** 2
     return float(val)
 
 
@@ -139,10 +170,10 @@ class TestUpdateMatrix:
     def test_large_beta_tracks_auxiliary(self):
         problem = random_problem(seed=1)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=1)
+        state, _ = random_state(problem, d, seed=1, beta=1e6)
         opts = SolverOptions(lam=0.1, beta=1e6)
         M = update_matrix(state, problem, opts)
-        assert np.max(np.abs(M - state.X)) < 1e-4
+        assert np.max(np.abs(M - state.z.matrix)) < 1e-4
 
     def test_empty_mask_returns_auxiliary(self):
         problem = random_problem(seed=2)
@@ -154,15 +185,14 @@ class TestUpdateMatrix:
             coupled_mode=1,
         )
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=2)
-        state.WM[...] = 0.0
+        state, _ = random_state(problem, d, seed=2, zero_WM=True)
         M = update_matrix(state, problem, SolverOptions(beta=1.0))
-        assert np.allclose(M, state.X, atol=1e-14)
+        assert np.allclose(M, state.z.matrix, atol=1e-14)
 
     def test_block_gradient_vanishes(self):
         problem = random_problem(dims=(4, 3, 3), cols=3, seed=3)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=3)
+        state, _ = random_state(problem, d, seed=3, beta=0.7)
         opts = SolverOptions(lam=0.1, beta=0.7)
         M = update_matrix(state, problem, opts)
         grad = central_difference_gradient(
@@ -182,29 +212,30 @@ class TestUpdateTensors:
             coupled_mode=1,
         )
         d = NormDescriptor(1, ("S", "O", "O"))
-        state, lay = random_state(problem, d, seed=4)
         opts = SolverOptions(beta=0.9)
+        state, lay = random_state(problem, d, seed=4, beta=opts.beta)
+        W, _, Y, _ = textbook(state)
         comps = update_tensors(state, problem, opts)
         for ci, terms in enumerate(lay.components):
             acc = np.zeros(problem.dims)
             for mode, _ in terms:
-                acc += opts.beta * state.Y[mode] - state.W[mode]
+                acc += opts.beta * Y[mode] - W[mode]
             expected = acc / (opts.beta * len(terms))
             assert np.allclose(comps[ci], expected, atol=1e-12)
 
     def test_large_beta_averages_auxiliaries(self):
         problem = random_problem(seed=5)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, lay = random_state(problem, d, seed=5)
+        state, lay = random_state(problem, d, seed=5, beta=1e6)
         comps = update_tensors(state, problem, SolverOptions(beta=1e6))
-        avg = sum(state.Y[m] for m in state.Y) / 3.0
+        avg = sum(state.z.tensors.values()) / 3.0
         assert np.max(np.abs(comps[0] - avg)) < 1e-4
 
     def test_block_gradient_vanishes_mixed(self):
         problem = random_problem(dims=(6, 6, 6), seed=6)
         d = NormDescriptor(1, ("S", "O", "O"))
-        state, lay = random_state(problem, d, seed=6)
         opts = SolverOptions(beta=1.3)
+        state, lay = random_state(problem, d, seed=6, beta=opts.beta)
         comps = update_tensors(state, problem, opts)
         for c in range(lay.n_components):
             def f(X, c=c):
@@ -217,8 +248,8 @@ class TestUpdateTensors:
     def test_block_gradient_vanishes_three_components(self):
         problem = random_problem(dims=(4, 4, 4), cols=3, seed=7)
         d = NormDescriptor(1, ("L", "L", "L"))
-        state, lay = random_state(problem, d, seed=7)
         opts = SolverOptions(beta=0.5)
+        state, lay = random_state(problem, d, seed=7, beta=opts.beta)
         comps = update_tensors(state, problem, opts)
         for c in range(3):
             def f(X, c=c):
@@ -229,14 +260,14 @@ class TestUpdateTensors:
             assert np.linalg.norm(grad) < 1e-10
 
 
-def relaxed_inputs(state, beta):
-    """Each term's SVT input at the over-relaxed point, summed in the solver's order."""
+def relaxed_inputs(state):
+    """Each term's next SVT input ``s + a (t - z)``, unfolded, in the solver's order of operations."""
     a = RELAXATION
     lay = state.layout
     out = {}
     for mode, _, c in lay.regularized_modes():
-        H = state.W[mode] / beta + (1 - a) * state.Y[mode] + a * state.components[c]
-        HM = state.WM / beta + (1 - a) * state.X + a * state.M
+        H = state.s.tensors[mode] + (state.components[c] - state.z.tensors[mode]) * a
+        HM = state.s.matrix + (state.M - state.z.matrix) * a
         out[mode] = unfold(H, mode, HM if mode == lay.coupled_mode else None)
     return out
 
@@ -247,23 +278,23 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("S", "O", "O"))
         state, lay = random_state(problem, d, seed=8)
         opts = SolverOptions(lam=0.0, beta=1.0)
-        expected = relaxed_inputs(state, opts.beta)
-        newX, newY, reg = update_auxiliaries(state, opts)
+        expected = relaxed_inputs(state)
+        assert update_auxiliaries(state, opts) is None
         for mode, _, _ in lay.regularized_modes():
-            assert np.array_equal(state.multipliers[mode], expected[mode])
-            nt = expected[mode].shape[1] - (problem.matrix.shape[1] if mode == 1 else 0)
-            assert np.array_equal(unfold(newY[mode], mode), expected[mode][:, :nt])
-        assert np.array_equal(newX, expected[1][:, -problem.matrix.shape[1]:])
+            assert np.array_equal(state.s.blocks[mode], expected[mode])
+            assert np.array_equal(state.z.blocks[mode], expected[mode])
+        assert np.array_equal(state.z.matrix, expected[1][:, -problem.matrix.shape[1]:])
 
     def test_huge_threshold_zeroes_auxiliaries(self):
         problem = random_problem(seed=9)
         d = NormDescriptor(1, ("O", "O", "O"))
         state, _ = random_state(problem, d, seed=9)
         opts = SolverOptions(lam=1e9, beta=1.0)
-        newX, newY, reg = update_auxiliaries(state, opts)
-        assert all(np.max(np.abs(Y)) < 1e-10 for Y in newY.values())
-        assert np.max(np.abs(newX)) < 1e-10
-        assert reg == 0.0
+        update_auxiliaries(state, opts)
+        assert all(np.max(np.abs(Y)) < 1e-10 for Y in state.z.tensors.values())
+        assert np.max(np.abs(state.z.matrix)) < 1e-10
+        # the objective trace's regularizer beta <s - z, z> (see solve)
+        assert float(np.vdot(state.s.flat - state.z.flat, state.z.flat)) == 0.0
 
     # n = 12 puts every unfolding, the coupled block too, on the Gram route of svt
     @pytest.mark.parametrize("n", [6, 12])
@@ -272,70 +303,82 @@ class TestUpdateAuxiliaries:
         d = NormDescriptor(1, ("O", "S", "O"))
         state, lay = random_state(problem, d, seed=10)
         opts = SolverOptions(lam=0.8, beta=1.0)
-        args = relaxed_inputs(state, opts.beta)
-        newX, newY, _ = update_auxiliaries(state, opts)
+        args = relaxed_inputs(state)
+        update_auxiliaries(state, opts)
         for mode, scale, _ in lay.regularized_modes():
-            Z = unfold(newY[mode], mode, newX if mode == lay.coupled_mode else None)
-            assert_svt_optimal(args[mode], Z, opts.lam * scale / opts.beta)
+            assert_svt_optimal(args[mode], state.z.blocks[mode], opts.lam * scale / opts.beta)
 
     def test_builds_inputs_in_the_states_own_arrays(self):
         problem = random_problem(seed=14)
-        state, lay = random_state(problem, NormDescriptor(1, ("O", "O", "O")), seed=14)
+        state, lay = random_state(problem, NormDescriptor(1, ("O", "O", "O")), seed=14, beta=0.5)
         opts = SolverOptions(lam=0.4, beta=0.5)
-        expected = relaxed_inputs(state, opts.beta)
-        arrays, W, WM = dict(state.multipliers), dict(state.W), state.WM
-        newX, newY, _ = update_auxiliaries(state, opts)
-        assert state.WM is WM and not np.shares_memory(newX, arrays[1])
-        for mode in arrays:
-            assert state.multipliers[mode] is arrays[mode] and state.W[mode] is W[mode]
-            assert np.array_equal(arrays[mode], expected[mode])
-            # the dual step writes into the arrays, so no output may share them
-            assert not np.shares_memory(newY[mode], arrays[mode])
+        expected = relaxed_inputs(state)
+        s, z, scratch = state.s, state.z, state.scratch
+        old_z = z.flat.copy()
+        update_auxiliaries(state, opts)
+        # s is stepped in place; the outputs go into the scratch array, which
+        # becomes z, and the previous z becomes the scratch array
+        assert state.s is s and state.z is scratch and state.scratch is z
+        assert np.array_equal(state.scratch.flat, old_z)
+        for mode in expected:
+            assert state.s.blocks[mode].base is s.flat
+            assert np.array_equal(state.s.blocks[mode], expected[mode])
+            assert not np.shares_memory(state.z.blocks[mode], s.flat)
 
 
 class TestUpdateDuals:
-    def test_fixed_point_leaves_multipliers_unchanged(self):
+    """The dual update is part of the input and SVT step: the multipliers
+    ``W = beta (s - z)`` read off the state after a step are the textbook
+    dual update ``W + beta (h - Y_new)``."""
+
+    def test_fixed_point_leaves_multipliers_unchanged(self, monkeypatch):
         # integer data and beta = 2: every step below is exact in floating point
         problem = random_problem(seed=11)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, lay = random_state(problem, d, seed=11)
+        lay = norms.layout(d, problem.dims)
         rng = np.random.default_rng(11)
-        WM = rng.integers(-9, 9, state.WM.shape).astype(float)
-        state.X = rng.integers(-9, 9, state.X.shape).astype(float)
-        W = {}
-        for mode in state.W:
-            W[mode] = rng.integers(-9, 9, problem.dims).astype(float)
-            state.Y[mode] = rng.integers(-9, 9, problem.dims).astype(float)
         beta = 2.0
-        # the SVT output equals its input minus W / beta
-        for mode, _, _ in lay.regularized_modes():
-            state.multipliers[mode][...] = unfold(
-                W[mode] / beta + state.Y[mode], mode, WM / beta + state.X if mode == 1 else None
-            )
-        assert update_duals(state, SolverOptions(beta=beta)) is None
-        assert np.array_equal(state.WM, WM)
+        X = rng.integers(-9, 9, problem.matrix.shape).astype(float)
+        WM = rng.integers(-9, 9, X.shape).astype(float)
+        # (O,O,O) has one component, so a fixed point has one auxiliary tensor
+        Y0 = rng.integers(-9, 9, problem.dims).astype(float)
+        Y = {m: Y0 for m in (1, 2, 3)}
+        W = {m: rng.integers(-9, 9, problem.dims).astype(float) for m in (1, 2, 3)}
+        state = state_at(lay, beta, ({m: Y[m] + W[m] / beta for m in Y}, X + WM / beta), (Y, X))
+        # primal blocks equal to their auxiliaries, and an SVT whose output
+        # is its input minus W / beta: a fixed point of the iteration
+        state.components, state.M = [Y0], X
+        shift = state.views(state.s.flat - state.z.flat)
+        offsets = {id(state.s.blocks[m]): shift.blocks[m].copy() for m in Y}
+        monkeypatch.setattr(solver, "svt", lambda A, tau: A - offsets[id(A)])
+        update_auxiliaries(state, SolverOptions(beta=beta))
+        W_new, WM_new, Y_new, X_new = textbook(state)
+        assert np.array_equal(WM_new, WM) and np.array_equal(X_new, X)
         for mode in W:
-            assert np.array_equal(state.W[mode], W[mode])
+            assert np.array_equal(W_new[mode], W[mode])
+            assert np.array_equal(Y_new[mode], Y[mode])
 
     def test_single_step_from_zero(self):
         problem = random_problem(seed=12)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, lay = random_state(problem, d, seed=12)
-        for buf in state.multipliers.values():
-            buf[...] = 0.0
         opts = SolverOptions(lam=0.3, beta=1.7)
+        state, lay = random_state(problem, d, seed=12, beta=opts.beta)
+        state = state_at(lay, opts.beta, (state.z.tensors, state.z.matrix),
+                         (state.z.tensors, state.z.matrix))
+        rng = np.random.default_rng(12)
+        state.M = rng.standard_normal(problem.matrix.shape)
+        state.components = [rng.standard_normal(problem.dims)]
         a = RELAXATION
-        relaxed_M = (1 - a) * state.X + a * state.M
+        relaxed_M = (1 - a) * state.z.matrix + a * state.M
         relaxed = {
-            m: (1 - a) * state.Y[m] + a * state.components[c] for m, _, c in lay.regularized_modes()
+            m: (1 - a) * state.z.tensors[m] + a * state.components[c]
+            for m, _, c in lay.regularized_modes()
         }
-        state.X, state.Y, _ = update_auxiliaries(state, opts)
-        assert update_duals(state, opts) is None
-        assert np.allclose(state.WM, opts.beta * (relaxed_M - state.X), atol=1e-14)
-        for mode in state.W:
-            assert np.allclose(
-                state.W[mode], opts.beta * (relaxed[mode] - state.Y[mode]), atol=1e-14
-            )
+        update_auxiliaries(state, opts)
+        W, WM, Y, X = textbook(state)
+        assert np.allclose(WM, opts.beta * (relaxed_M - X), atol=1e-14)
+        for mode in W:
+            assert np.allclose(W[mode], opts.beta * (relaxed[mode] - Y[mode]), atol=1e-14)
 
     def test_dual_step_small_after_convergence(self):
         problem = random_problem(seed=13)
@@ -678,11 +721,9 @@ class TestWarmStart:
         opts = SolverOptions(lam=0.3, max_iters=80)
         cold = solve(problem, self.D, opts)
         start = solve(problem, self.D, SolverOptions(lam=0.6, max_iters=40))
-        kept = [a.copy() for a in (start.tensor, start.matrix, start.state.X, start.state.WM)]
-        kept += [a.copy() for a in (*start.state.Y.values(), *start.state.W.values())]
+        kept = [a.copy() for a in (start.tensor, start.matrix, start.state.s.flat, start.state.z.flat)]
         solve(problem, self.D, opts, start=start)
-        now = [start.tensor, start.matrix, start.state.X, start.state.WM]
-        now += [*start.state.Y.values(), *start.state.W.values()]
+        now = [start.tensor, start.matrix, start.state.s.flat, start.state.z.flat]
         assert all(np.array_equal(a, b) for a, b in zip(kept, now))
         again = solve(problem, self.D, opts, start=None)
         assert again.iterations == cold.iterations
@@ -692,25 +733,32 @@ class TestWarmStart:
 
 
 class TestMultiplierArrays:
-    """``W[mode]`` and ``WM`` are made once, as views of the state's own arrays,
-    which are in turn views of its one flat array."""
+    """The arrays the multipliers are read from, a state's ``s`` and ``z``,
+    the loop's scratch array, and their term views, are made once; every
+    step works in them, ``z`` and scratch trading places.  The scratch array
+    is dropped when the loop ends."""
 
     @staticmethod
     def snapshot(state):
-        return dict(state.W), state.WM, dict(state.multipliers), state.flat
+        return {
+            id(a): (a, a.flat, dict(a.blocks), dict(a.tensors), a.matrix)
+            for a in (state.s, state.z, state.scratch)
+        }, state.s
 
     @staticmethod
-    def assert_owned(state, snap):
-        W, WM, arrays, flat = snap
-        assert state.multipliers.keys() == arrays.keys() == state.W.keys()
-        assert state.flat is flat and flat.ndim == 1
-        assert flat.size == sum(buf.size for buf in arrays.values())
-        assert state.WM is WM
-        assert np.shares_memory(WM, arrays[state.layout.coupled_mode])
-        for mode, buf in arrays.items():
-            assert state.multipliers[mode] is buf and buf.flags.c_contiguous
-            assert buf.base is flat
-            assert state.W[mode] is W[mode] and np.shares_memory(W[mode], buf)
+    def assert_same(first, later, coupled):
+        (arrays, s), (now, s_now) = first, later
+        assert s_now is s and now.keys() == arrays.keys()
+        for key, (a, flat, blocks, tensors, matrix) in arrays.items():
+            assert now[key][0] is a
+            assert a.flat is flat and flat.ndim == 1
+            assert flat.size == sum(b.size for b in blocks.values())
+            assert a.matrix is matrix and np.shares_memory(matrix, blocks[coupled])
+            for mode, buf in blocks.items():
+                assert a.blocks[mode] is buf and buf.flags.c_contiguous
+                assert buf.base is flat
+                assert a.tensors[mode] is tensors[mode]
+                assert np.shares_memory(tensors[mode], buf)
 
     @pytest.mark.parametrize("text", ["1:(O,O,O)", "1:(S,O,O)", "1:(L,L,L)"])
     def test_cold_and_warm_solves_keep_them_at_every_iteration(self, text, monkeypatch):
@@ -719,14 +767,14 @@ class TestMultiplierArrays:
         class RecordedState(SolverState):
             def __post_init__(self):
                 super().__post_init__()
-                built.append((self, TestMultiplierArrays.snapshot(self)))
+                built.append((self, self.s, self.z, self.components))
 
-        def recorded_update_duals(state, opts):
+        def recorded_update_auxiliaries(state, opts, accelerate=None):
             steps.append((state, TestMultiplierArrays.snapshot(state)))
-            return update_duals(state, opts)
+            return update_auxiliaries(state, opts, accelerate)
 
         monkeypatch.setattr(solver, "SolverState", RecordedState)
-        monkeypatch.setattr(solver, "update_duals", recorded_update_duals)
+        monkeypatch.setattr(solver, "update_auxiliaries", recorded_update_auxiliaries)
         problem = random_problem(seed=34)
         d = norms.parse_descriptor(text)
         # tolerances no iterate meets, so each solve runs all its iterations
@@ -734,17 +782,128 @@ class TestMultiplierArrays:
         cold = solve(problem, d, SolverOptions(lam=0.6, max_iters=7, **tight))
         warm = solve(problem, d, SolverOptions(lam=0.2, max_iters=4, **tight), start=cold)
         assert len(built) == 2
-        for res, (state, snap) in zip((cold, warm), built):
-            assert state is res.state
-            self.assert_owned(state, snap)
+        for res, (state, s, z, components) in zip((cold, warm), built):
+            assert state is res.state and state.scratch is None
+            assert res.components is components
             seen = [taken for owner, taken in steps if owner is state]
             assert len(seen) == res.iterations
+            first = seen[0]
+            assert first[1] is s and id(z) in first[0]
             for later in seen:
-                self.assert_owned(state, later)
-        assert not any(
-            np.shares_memory(cold.state.multipliers[m], warm.state.multipliers[m])
-            for m in cold.state.multipliers
-        )
+                self.assert_same(first, later, state.layout.coupled_mode)
+            assert state.s is s and id(state.z) in first[0]
+        cold_arrays = [cold.state.s.flat, cold.state.z.flat, *cold.components]
+        warm_arrays = [warm.state.s.flat, warm.state.z.flat, *warm.components]
+        assert not any(np.shares_memory(a, b) for a in cold_arrays for b in warm_arrays)
+
+
+class TextbookADMM:
+    """Over-relaxed ADMM for completion in its textbook variables (Boyd et al.
+    2011, section 3.4.3): primal ``t`` (one tensor per component) and ``M``,
+    auxiliaries ``Y[mode]`` and ``X``, multipliers ``W[mode]`` and ``WM``,
+    each updated by its own formula."""
+
+    def __init__(self, problem, d):
+        self.problem, self.lay = problem, norms.layout(d, problem.dims)
+        self.terms = self.lay.regularized_modes()
+        self.Y = {m: np.zeros(problem.dims) for m, _, _ in self.terms}
+        self.W = {m: np.zeros(problem.dims) for m, _, _ in self.terms}
+        self.X = np.zeros(problem.matrix.shape)
+        self.WM = np.zeros(problem.matrix.shape)
+
+    def warm(self, ratio):
+        """Rescale the multipliers by ``lam_new / lam_old``, keeping the auxiliaries."""
+        self.W = {m: ratio * W for m, W in self.W.items()}
+        self.WM = ratio * self.WM
+
+    def step(self, lam, beta):
+        p, a, C = self.problem, RELAXATION, self.lay.n_components
+        omega, obs = p.tensor_indicator, p.tensor_observed
+        self.M = (p.matrix_observed - self.WM + beta * self.X) / (p.matrix_indicator + beta)
+        # per entry: (omega * ones + beta * diag(g)) t = omega * obs + sum_k (beta Y_k - W_k)
+        g = np.zeros(C)
+        rhs = np.zeros((C, *p.dims))
+        for m, _, c in self.terms:
+            g[c] += 1
+            rhs[c] += beta * self.Y[m] - self.W[m]
+        rhs += omega * obs
+        A = omega[..., None, None] * np.ones((C, C)) + beta * np.diag(g)
+        t = np.linalg.solve(A, np.moveaxis(rhs, 0, -1)[..., None])[..., 0]
+        self.t = [np.ascontiguousarray(t[..., c]) for c in range(C)]
+        hM = a * self.M + (1 - a) * self.X
+        for m, scale, c in self.terms:
+            h = a * self.t[c] + (1 - a) * self.Y[m]
+            coupled = m == self.lay.coupled_mode
+            arg = unfold(h + self.W[m] / beta, m, hM + self.WM / beta if coupled else None)
+            Z = svt(arg, lam * scale / beta)
+            nt = arg.shape[1] - self.X.shape[1] * coupled
+            self.Y[m] = fold(Z[:, :nt], m, p.dims)
+            self.W[m] = self.W[m] + beta * (h - self.Y[m])
+            if coupled:
+                self.X = Z[:, nt:]
+                self.WM = self.WM + beta * (hM - self.X)
+
+
+def _empty_tensor_problem(seed):
+    """An MTN-shaped problem: an (n, 0, 0) tensor beside a partly observed matrix."""
+    matrix = random_problem(dims=(6, 6, 6), cols=5, seed=seed)
+    empty = np.zeros((6, 0, 0))
+    return CoupledProblem(empty, ObservationMask.empty(empty.shape),
+                          matrix.matrix, matrix.matrix_mask)
+
+
+def _empty_matrix_problem(seed):
+    """A tensor-only problem: an (n, 0) matrix."""
+    tensor = random_problem(dims=(6, 5, 4), seed=seed)
+    empty = np.zeros((6, 0))
+    return CoupledProblem(tensor.tensor, tensor.tensor_mask, empty,
+                          ObservationMask.empty(empty.shape))
+
+
+class TestTextbookEquivalence:
+    """The ``(s, z)`` loop of :func:`solve` is the textbook relaxed ADMM:
+    primal, auxiliary and multiplier iterates agree to rounding."""
+
+    CASES = [
+        ("1:(O,O,O)", lambda: random_problem(seed=50)),
+        ("1:(S,O,O)", lambda: random_problem(dims=(5, 6, 7), seed=51)),
+        ("1:(L,L,L)", lambda: random_problem(dims=(12, 11, 10), cols=7, seed=52)),
+        ("1:(S,S,S)", lambda: _empty_matrix_problem(53)),
+        ("1:(O,O,O)", lambda: _empty_tensor_problem(54)),
+    ]
+    IDS = ["OOO", "SOO", "LLL-gram", "tensor-only", "mtn"]
+
+    @staticmethod
+    def assert_agree(res, ref):
+        state = res.state
+        W, WM, Y, X = textbook(state)
+        pairs = [(res.matrix, ref.M), (X, ref.X), (WM, ref.WM)]
+        pairs += list(zip(res.components, ref.t, strict=True))
+        pairs += [(Y[m], ref.Y[m]) for m in ref.Y] + [(W[m], ref.W[m]) for m in ref.W]
+        # relative to the iterate's size: a small block (a latent component
+        # near zero) carries the rounding of the larger ones it is formed from
+        size = max(np.linalg.norm(old) for _, old in pairs)
+        for new, old in pairs:
+            assert new.shape == old.shape
+            assert np.linalg.norm(new - old) <= 1e-12 * size
+
+    @pytest.mark.parametrize("text, make", CASES, ids=IDS)
+    def test_cold_and_warm_iterates_agree(self, text, make):
+        problem, d = make(), norms.parse_descriptor(text)
+        # tolerances no iterate meets, so each solve runs all its iterations
+        tight = dict(tol_primal=1e-300, tol_dual=1e-300)
+        ref = TextbookADMM(problem, d)
+        first = SolverOptions(lam=0.6, beta=1.0, max_iters=15, **tight)
+        for it in range(1, 16):
+            ref.step(first.lam, first.beta)
+            res = solve(problem, d, replace(first, max_iters=it))
+            self.assert_agree(res, ref)
+        # a warm start at a beta that does not track lambda
+        second = SolverOptions(lam=0.2, beta=0.35, max_iters=15, **tight)
+        ref.warm(second.lam / first.lam)
+        for _ in range(15):
+            ref.step(second.lam, second.beta)
+        self.assert_agree(solve(problem, d, second, start=res), ref)
 
 
 LATENT = [d for d in ALL_SUPPORTED if d.has_latent()]
@@ -835,6 +994,20 @@ class TestAcceleratedDecompose:
         assert len(made) == 1 and made[0].memory == solver.DECOMPOSE_MEMORY
         assert made[0].rejections >= 1
         assert 0.0 < lower and upper - lower <= tol * upper
+
+    def test_computes_no_residual_and_the_bracket_still_closes(self, monkeypatch):
+        def no_residuals(state):
+            raise AssertionError("residuals computed")
+
+        monkeypatch.setattr(solver, "_residuals", no_residuals)
+        T, M = decompose_instance((6, 5, 4), 3, seed=43)
+        tol = 1e-6
+        lay = norms.layout(NormDescriptor(1, ("S", "O", "O")), T.shape)
+        _, lower, upper = solver.decompose(T, M, lay, tol)
+        assert 0.0 < lower and upper - lower <= tol * upper
+        # solve's stopping rule is the one that reads them
+        with pytest.raises(AssertionError, match="residuals computed"):
+            solve(random_problem(seed=43), NormDescriptor(1, ("S", "O", "O")), SolverOptions())
 
     @pytest.mark.parametrize("text", ["1:(S,S,S)", "1:(O,L,O)"])
     def test_memory_zero_is_the_unaccelerated_loop_bit_for_bit(self, text, monkeypatch):
