@@ -11,13 +11,13 @@ geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import SyntheticSpec, check_integers, gen_coupled_matrix, gen_tensor
+from .datagen import SyntheticSpec, gen_coupled_matrix, gen_tensor
 from .prox import numerical_rank
-from .tensor_ops import unfold
+from .tensor_ops import check_integers, unfold
 
 __all__ = ["NORM_IDS", "BoundParams", "bound", "rank_geometry"]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import ObservationMask, tucker_synthesize, unfold
+from .tensor_ops import ObservationMask, check_integers, tucker_synthesize, unfold
 
 __all__ = [
     "SyntheticSpec",
@@ -24,14 +24,6 @@ __all__ = [
     "add_noise",
     "gen_masks",
 ]
-
-
-def check_integers(obj, **least: int) -> None:
-    """Raise ``ValueError`` unless each named field of ``obj`` holds integers >= its bound."""
-    for name, low in least.items():
-        value = getattr(obj, name)
-        if not all(isinstance(v, (int, np.integer)) and v >= low for v in np.ravel(value)):
-            raise ValueError(f"{name} must be integer and >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)

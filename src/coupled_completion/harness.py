@@ -22,7 +22,7 @@ import numpy as np
 
 from . import baselines, datagen, norms, solver
 from .solver import CoupledProblem, SolverOptions
-from .tensor_ops import ObservationMask
+from .tensor_ops import ObservationMask, check_integers
 
 __all__ = [
     "ExperimentConfig",
@@ -53,8 +53,7 @@ class LambdaGrid:
     def __post_init__(self):
         if not 0 < self.lo <= self.hi < math.inf:
             raise ValueError(f"lambda grid needs 0 < lo <= hi < inf, got {self.lo!r}, {self.hi!r}")
-        if not isinstance(self.count, (int, np.integer)) or self.count < 1:
-            raise ValueError(f"lambda grid count must be an integer >= 1, got {self.count!r}")
+        check_integers(self, count=1)
         if self.scale not in ("linear", "log"):
             raise ValueError("lambda grid scale must be 'linear' or 'log'")
 
@@ -85,10 +84,7 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for name, low in (("repetitions", 1), ("cp_rank", 1), ("cp_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        check_integers(self, repetitions=1, cp_rank=1, cp_iters=1, seed=0)
         if not self.norms:
             raise ValueError("at least one norm is required")
         for n in self.norms:

@@ -27,7 +27,12 @@ next SVT input ``W / beta + (1 - a) Y + a t`` at the over-relaxed point is
 Douglas-Rachford map ``F(s) = s + a (t(2 prox(s) - s) - prox(s))``, and
 every step but the data fit and the SVTs is one operation on flat arrays.
 The multipliers are formed only where read: in the lower bound of
-:func:`decompose` and the warm start of :func:`solve`.
+:func:`decompose` and the warm start of :func:`solve`.  The state also owns
+the loop's constants, beta, lam and each term's SVT threshold ``lam *
+scale / beta``; the step functions (:func:`update_matrix`,
+:func:`update_tensors`, :func:`update_auxiliaries`) read them there and
+write the state in place, and only :func:`solve` reads a
+:class:`SolverOptions`.
 
 :func:`decompose` accelerates ``F`` by :class:`_Anderson` (type-II
 Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
@@ -52,7 +57,7 @@ from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
 # svd and unfold are not called here; bench/test_bench.py patches and checks them
 from .prox import svd  # noqa: F401
 from .prox import svt
-from .tensor_ops import ObservationMask, fold, mask_apply
+from .tensor_ops import ObservationMask, check_integers, fold, mask_apply
 from .tensor_ops import unfold  # noqa: F401
 
 __all__ = [
@@ -160,8 +165,7 @@ class SolverOptions:
         for name in ("beta", "tol_primal", "tol_dual"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        check_integers(self, max_iters=1)
 
 
 @dataclass
@@ -189,27 +193,32 @@ class SolverState:
     ``Y[mode]``, its matrix columns the auxiliary ``X``, and the multipliers
     ``W = beta (s - z)`` are formed only where read.  While :func:`_admm`
     runs, ``scratch`` holds a third such array.  Built from the start point
-    ``(components, M)``: ``z`` takes the components and a zero ``X``, and
-    ``s = z``.  The data-fit step then sets ``M`` and writes the (copied)
+    ``(components, M)``, both copied: ``z`` takes the components and a zero
+    ``X``, and ``s = z``.  The data-fit step then writes ``M`` and the
     components in place.  ``terms`` (the layout's ``(mode, scale,
     component)`` norm terms), ``g`` (terms per component) and ``widths``
-    (block widths) come from ``layout``.
+    (block widths) come from ``layout``; ``tau[mode]`` is the SVT threshold
+    ``lam * scale / beta`` of the term on ``mode``.
     """
 
     layout: ComponentLayout
     components: list[np.ndarray]
     M: np.ndarray
     beta: float
+    lam: float
     s: TermArrays = field(init=False, repr=False)
     z: TermArrays = field(init=False, repr=False)
     scratch: TermArrays | None = field(init=False, repr=False, default=None)
     terms: list[tuple[int, float, int]] = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
     widths: dict[int, int] = field(init=False, repr=False)
+    tau: dict[int, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.components = [np.array(c, dtype=float) for c in self.components]
+        self.M = np.array(self.M, dtype=float, order="C")
         self.terms = self.layout.regularized_modes()
+        self.tau = {m: self.lam * scale / self.beta for m, scale, _ in self.terms}
         dims, coupled = self.layout.dims, self.layout.coupled_mode
         self.widths = {
             m: math.prod(dims[: m - 1] + dims[m:]) + self.M.shape[1] * (m == coupled)
@@ -252,24 +261,20 @@ class CompletionResult:
     state: SolverState = field(repr=False)
 
 
-def update_matrix(
-    state: SolverState, problem: CoupledProblem, opts: SolverOptions
-) -> np.ndarray:
-    """Closed-form minimizer of the matrix block of the Lagrangian.
+def update_matrix(state: SolverState, problem: CoupledProblem) -> None:
+    """Closed-form minimizer of the matrix block of the Lagrangian, written into ``state.M``.
 
     Reads the fit point ``X - WM / beta``, the matrix columns of ``2 z - s``
     in ``state.scratch``.  The observation operator is entrywise, so
     (Omega^T Omega + beta I) is diagonal and the solve is elementwise.
     """
-    rhs = problem.matrix_observed + opts.beta * state.scratch.matrix
-    return rhs / (problem.matrix_indicator + opts.beta)
+    M = np.multiply(state.beta, state.scratch.matrix, out=state.M)
+    M += problem.matrix_observed
+    M /= problem.matrix_indicator + state.beta
 
 
 def _fit_entries(
-    state: SolverState,
-    beta: float,
-    rho: float,
-    residual: Callable[[np.ndarray], np.ndarray],
+    state: SolverState, rho: float, residual: Callable[[np.ndarray], np.ndarray]
 ) -> None:
     """The latent components' entrywise data-fit step, in place.
 
@@ -280,7 +285,7 @@ def _fit_entries(
     rho = 1 and ``r`` is the observed data minus the masked sum; for the
     exact constraint sum_c t_c = T, rho = 0 and ``r = T - sum``.
     """
-    t = state.components
+    t, beta = state.components, state.beta
     for tc in t:
         tc.fill(0.0)
     for m, _, c in state.terms:
@@ -300,22 +305,17 @@ def _fit_entries(
         tc += r
 
 
-def update_tensors(
-    state: SolverState, problem: CoupledProblem, opts: SolverOptions
-) -> list[np.ndarray]:
+def update_tensors(state: SolverState, problem: CoupledProblem) -> None:
     """Joint closed-form minimizer of the latent tensor block.
 
     Per entry the normal equations are (omega * ones + beta * diag(g)) t =
     rhs, with omega the 0/1 mask indicator and g_c the number of auxiliary
     constraints attached to component c; :func:`_fit_entries` with rho = 1
     is their Sherman-Morrison solution.  Writes ``state.components`` in
-    place and returns it.
+    place.
     """
     omega, observed = problem.tensor_indicator, problem.tensor_observed
-    _fit_entries(
-        state, opts.beta, 1.0, lambda S: np.subtract(observed, np.multiply(omega, S, out=S), out=S)
-    )
-    return state.components
+    _fit_entries(state, 1.0, lambda S: np.subtract(observed, np.multiply(omega, S, out=S), out=S))
 
 
 def _lay_out(state: SolverState, out: TermArrays) -> None:
@@ -326,16 +326,14 @@ def _lay_out(state: SolverState, out: TermArrays) -> None:
 
 
 def update_auxiliaries(
-    state: SolverState,
-    opts: SolverOptions,
-    accelerate: Callable[[np.ndarray], None] | None = None,
+    state: SolverState, accelerate: Callable[[np.ndarray], None] | None = None
 ) -> None:
     """Input and SVT step: ``s += a (t - z)``, ``a = RELAXATION``, then ``z = prox(s)``.
 
     ``t`` is each term's component, and ``M`` on the matrix columns.
     ``accelerate``, when given, may then rewrite ``s.flat`` in place.  Each
-    term is thresholded into ``state.scratch``, which then trades places
-    with ``state.z``.
+    term is thresholded at its ``state.tau`` into ``state.scratch``, which
+    then trades places with ``state.z``.
     """
     s, z, out = state.s, state.z, state.scratch
     _lay_out(state, out)
@@ -344,8 +342,8 @@ def update_auxiliaries(
     s.flat += out.flat
     if accelerate is not None:
         accelerate(s.flat)
-    for mode, scale, _ in state.terms:
-        out.blocks[mode][...] = svt(s.blocks[mode], opts.lam * scale / opts.beta)
+    for mode, tau in state.tau.items():
+        out.blocks[mode][...] = svt(s.blocks[mode], tau)
     state.z, state.scratch = out, z
 
 
@@ -393,7 +391,7 @@ def _residuals(state: SolverState) -> tuple[float, float]:
 
 def _admm(
     state: SolverState,
-    opts: SolverOptions,
+    max_iters: int,
     fit_step: Callable[[SolverState], None],
     done: Callable[[int], bool],
     accelerate: Callable[[np.ndarray], None] | None = None,
@@ -402,21 +400,21 @@ def _admm(
 
     Each iteration writes the fit point ``2 z - s`` into ``state.scratch``
     (an array that lives as long as the loop), where ``fit_step``, the piece
-    that differs between completion and norm evaluation, reads it to set
+    that differs between completion and norm evaluation, reads it to write
     ``state.M`` and ``state.components``; then :func:`update_auxiliaries`
     (handed ``accelerate``) steps ``s`` and ``z``.  Stops after the first
-    iteration ``it`` at which ``done(it)`` holds, or at ``opts.max_iters``;
+    iteration ``it`` at which ``done(it)`` holds, or at ``max_iters``;
     returns the iteration count and whether ``done`` stopped it.
     """
     state.scratch = state.views(np.empty_like(state.s.flat))
     it, stopped = 0, False
-    while not stopped and it < opts.max_iters:
+    while not stopped and it < max_iters:
         it += 1
         u = state.scratch.flat
         np.subtract(state.z.flat, state.s.flat, out=u)
         u += state.z.flat
         fit_step(state)
-        update_auxiliaries(state, opts, accelerate)
+        update_auxiliaries(state, accelerate)
         stopped = done(it)
     state.scratch = None
     return it, stopped
@@ -494,7 +492,7 @@ class _Anderson:
 def _warm_state(
     start: CompletionResult, problem: CoupledProblem, lay: ComponentLayout, opts: SolverOptions
 ) -> SolverState:
-    """``start``'s final ``(s, z)`` in a new state at ``opts``, its multipliers rescaled.
+    """``start``'s final ``(s, z)`` in a new state at ``opts``'s beta and lam, its multipliers rescaled.
 
     At the fixed point each multiplier ``W = beta (s - z)`` is lambda times a
     point of the dual norm ball, so ``s - z`` is scaled by ``(lam_new /
@@ -509,8 +507,8 @@ def _warm_state(
         )
     if prev.layout != lay:
         raise ValueError("start is from a descriptor of another component layout")
-    ratio = opts.lam / start.lam * (prev.beta / opts.beta) if start.lam else 0.0
-    state = SolverState(lay, prev.components, prev.M, opts.beta)
+    ratio = opts.lam / prev.lam * (prev.beta / opts.beta) if prev.lam else 0.0
+    state = SolverState(lay, prev.components, prev.M, opts.beta, opts.lam)
     s, z = state.s.flat, prev.z.flat
     np.copyto(state.z.flat, z)
     np.subtract(prev.s.flat, z, out=s)
@@ -551,13 +549,13 @@ def solve(
     )
 
     def fit_step(state: SolverState) -> None:
-        state.M = update_matrix(state, problem, opts)
-        update_tensors(state, problem, opts)
+        update_matrix(state, problem)
+        update_tensors(state, problem)
 
     if start is None:
         state = SolverState(
             lay, [np.zeros(problem.dims) for _ in range(lay.n_components)],
-            np.zeros_like(problem.matrix), opts.beta,
+            np.zeros_like(problem.matrix), opts.beta, opts.lam,
         )
     else:
         state = _warm_state(start, problem, lay, opts)
@@ -570,11 +568,11 @@ def solve(
         traces[2].append(dual)
         if opts.record_objective:
             s, z = state.s.flat, state.z.flat
-            reg = opts.beta * float(np.vdot(s, z) - np.vdot(z, z))
+            reg = state.beta * float(np.vdot(s, z) - np.vdot(z, z))
             traces[0].append(_loss(problem, sum(state.components), state.M) + reg)
         return primal <= opts.tol_primal * scale and dual <= opts.tol_dual * scale
 
-    iterations, converged = _admm(state, opts, fit_step, done)
+    iterations, converged = _admm(state, opts.max_iters, fit_step, done)
     return CompletionResult(
         sum(state.components), state.M, state.components, *map(np.array, traces),
         traces[1][-1], traces[2][-1], iterations, converged, opts.lam, state,
@@ -621,11 +619,11 @@ def decompose(
     ``lower`` and ``upper``; zero input gives ``0, 0``.
     """
     C = lay.n_components
-    state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA)
+    state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA, 1.0)
     bracket = [-np.inf, np.inf]
 
     def project(state: SolverState) -> None:
-        _fit_entries(state, DECOMPOSE_BETA, 0.0, lambda S: np.subtract(T, S, out=S))
+        _fit_entries(state, 0.0, lambda S: np.subtract(T, S, out=S))
 
     def done(it: int) -> bool:
         if it % DECOMPOSE_CHECK_EVERY and it < DECOMPOSE_MAX_ITERS:
@@ -633,6 +631,5 @@ def decompose(
         bracket[:] = _lower_bound(state, T, M), norms.decomposition_value(state.components, lay, M)
         return bracket[1] - bracket[0] <= tol * bracket[1]
 
-    opts = SolverOptions(lam=1.0, beta=DECOMPOSE_BETA, max_iters=DECOMPOSE_MAX_ITERS)
-    _admm(state, opts, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))
+    _admm(state, DECOMPOSE_MAX_ITERS, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))
     return state.components, bracket[0], bracket[1]

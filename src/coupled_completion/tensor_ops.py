@@ -35,6 +35,19 @@ _AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 _INVERSE = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
 
 
+def check_integers(obj, **least: int) -> None:
+    """Raise ``ValueError`` unless each named field of ``obj`` holds integers >= its bound.
+
+    A field holds one integer or an array of them; a boolean is not an
+    integer here, alone or inside an array.
+    """
+    for name, low in least.items():
+        value = getattr(obj, name)
+        items = np.ravel(np.asarray(value, dtype=object))
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= low for v in items):
+            raise ValueError(f"{name} must be integer and >= {low}, got {value!r}")
+
+
 def _check_mode(k: int) -> int:
     if k not in (1, 2, 3):
         raise ValueError(f"mode index must be 1, 2 or 3, got {k!r}")

@@ -245,7 +245,7 @@ def test_criterion_4_solver_convergence():
             Y[mode] = srng.standard_normal(dims)
             W[mode] = srng.standard_normal(dims)
         inputs = ({m: Y[m] + W[m] / opts.beta for m in Y}, X + WM / opts.beta)
-        state = state_at(lay, opts.beta, inputs, (Y, X))
+        state = state_at(lay, opts.beta, opts.lam, inputs, (Y, X))
 
         def m_obj(Mt):
             val = 0.5 * np.linalg.norm(
@@ -255,7 +255,8 @@ def test_criterion_4_solver_convergence():
             val += 0.5 * opts.beta * np.linalg.norm(Mt - X) ** 2
             return float(val)
 
-        M_new = solver.update_matrix(state, problem, opts)
+        solver.update_matrix(state, problem)
+        M_new = state.M
         for _ in range(20):
             ix = tuple(srng.integers(0, s) for s in M_new.shape)
             orig = M_new[ix]
@@ -275,7 +276,8 @@ def test_criterion_4_solver_convergence():
                 total += 0.5 * opts.beta * np.linalg.norm(comps[c] - Y[mode]) ** 2
             return float(total)
 
-        comps = solver.update_tensors(state, problem, opts)
+        solver.update_tensors(state, problem)
+        comps = state.components
         for c in range(lay.n_components):
             for _ in range(20):
                 ix = tuple(srng.integers(0, s) for s in dims)

@@ -64,7 +64,8 @@ class TestLambdaGrid:
         "kwargs, message",
         [({"lo": np.nan}, "0 < lo <= hi < inf, got nan"),
          ({"hi": np.inf}, "0 < lo <= hi < inf, got 0.01, inf"),
-         ({"count": 2.5}, "count must be an integer >= 1, got 2.5")],
+         ({"count": 2.5}, "count must be integer and >= 1, got 2.5"),
+         ({"count": True}, "count must be integer and >= 1, got True")],
     )
     def test_rejects_non_finite_bound_and_fractional_count(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -86,12 +87,12 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("name", ["repetitions", "cp_rank", "cp_iters"])
     def test_rejects_fractional_count(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got 1.5"):
+        with pytest.raises(ValueError, match=f"{name} must be integer and >= 1, got 1.5"):
             tiny_config(**{name: 1.5})
 
     @pytest.mark.parametrize("seed", [1.5, -1])
     def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
-        with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+        with pytest.raises(ValueError, match=f"seed must be integer and >= 0, got {seed}"):
             tiny_config(seed=seed)
 
     def test_rejects_no_validation_entries_for_a_non_cp_norm(self):
@@ -227,6 +228,31 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{re.escape(key)} must be a JSON object, got"):
+            load_config(path)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "key", ["repetitions", "cp_rank", "cp_iters", "seed", "lambda_grid.count",
+                "solver.max_iters", "data.synthetic.seed"],
+    )
+    def test_load_config_rejects_a_boolean_for_an_integer(self, tmp_path, key, flag):
+        # JSON true and false are Python bools, which isinstance counts as ints
+        doc = {"norms": ["MTN"], "data": {"synthetic": {}}, "lambda_grid": {}, "solver": {}}
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = flag
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{name} must be integer and >= [01], got {flag}$"):
+            load_config(path)
+
+    def test_load_config_rejects_a_boolean_inside_an_integer_array(self, tmp_path):
+        doc = {"norms": ["MTN"], "data": {"synthetic": {"dims": [True, 5, 5]}}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape("dims must be integer and >= 1, got (True, 5, 5)")):
             load_config(path)
 
     def test_load_config_rejects_a_config_that_is_not_an_object(self, tmp_path):

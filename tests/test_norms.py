@@ -293,7 +293,7 @@ class TestBracket:
             W = {}
             for m in modes:
                 W[m] = rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
-            lower = solver._lower_bound(state_at(lay, 1.0, (W, WM), zero), T, M)
+            lower = solver._lower_bound(state_at(lay, 1.0, 1.0, (W, WM), zero), T, M)
             assert 0.0 < lower <= upper
 
 

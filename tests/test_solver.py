@@ -1,5 +1,6 @@
 """Tests for the coupled-completion ADMM solver."""
 
+import inspect
 import re
 from dataclasses import replace
 
@@ -46,8 +47,8 @@ def random_problem(dims=(6, 6, 6), cols=4, density=0.6, seed=0):
     )
 
 
-def state_at(lay, beta, s, z):
-    """A solver state at SVT inputs ``s`` and outputs ``z``, each ``(tensors, matrix)``.
+def state_at(lay, beta, lam, s, z):
+    """A solver state at ``(beta, lam)``, SVT inputs ``s`` and outputs ``z``, each ``(tensors, matrix)``.
 
     ``tensors`` maps every norm term's mode to a tensor.  The state's scratch
     array holds the fit point ``2 z - s``, as :func:`solver._admm` leaves it
@@ -55,7 +56,7 @@ def state_at(lay, beta, s, z):
     """
     (s_tensors, s_matrix), (z_tensors, z_matrix) = s, z
     state = SolverState(
-        lay, [np.zeros(lay.dims) for _ in lay.components], np.zeros_like(z_matrix), beta
+        lay, [np.zeros(lay.dims) for _ in lay.components], np.zeros_like(z_matrix), beta, lam
     )
     for arrays, tensors, matrix in ((state.s, s_tensors, s_matrix), (state.z, z_tensors, z_matrix)):
         for mode, _, _ in lay.regularized_modes():
@@ -72,8 +73,8 @@ def textbook(state):
     return W.tensors, W.matrix, state.z.tensors, state.z.matrix
 
 
-def random_state(problem, d, seed=0, beta=1.0, zero_WM=False):
-    """Solver state at random auxiliaries ``Y``, ``X`` and multipliers ``W``, ``WM``.
+def random_state(problem, d, seed=0, beta=1.0, lam=0.0, zero_WM=False):
+    """Solver state at ``(beta, lam)``, random auxiliaries ``Y``, ``X`` and multipliers ``W``, ``WM``.
 
     Built through :func:`state_at` from ``z = (Y, X)`` and ``s = z + W / beta``;
     the primal blocks ``components`` and ``M`` are random too.
@@ -86,22 +87,22 @@ def random_state(problem, d, seed=0, beta=1.0, zero_WM=False):
     Y = {m: rng.standard_normal(problem.dims) for m in modes}
     W = {m: rng.standard_normal(problem.dims) for m in modes}
     s = ({m: Y[m] + W[m] / beta for m in modes}, X + WM / beta)
-    state = state_at(lay, beta, s, (Y, X))
+    state = state_at(lay, beta, lam, s, (Y, X))
     state.M = rng.standard_normal(problem.matrix.shape)
     state.components = [rng.standard_normal(problem.dims) for _ in lay.components]
     return state, lay
 
 
-def matrix_block_objective(state, problem, opts, M):
+def matrix_block_objective(state, problem, M):
     """Augmented-Lagrangian terms that depend on the matrix primal block."""
     _, WM, _, X = textbook(state)
     val = 0.5 * np.linalg.norm(mask_apply(M - problem.matrix, problem.matrix_mask)) ** 2
     val += float(np.sum(WM * M))
-    val += 0.5 * opts.beta * np.linalg.norm(M - X) ** 2
+    val += 0.5 * state.beta * np.linalg.norm(M - X) ** 2
     return float(val)
 
 
-def tensor_block_objective(state, problem, opts, components):
+def tensor_block_objective(state, problem, components):
     """Augmented-Lagrangian terms depending on the latent tensor block."""
     W, _, Y, _ = textbook(state)
     T_sum = sum(components)
@@ -110,7 +111,7 @@ def tensor_block_objective(state, problem, opts, components):
     ) ** 2
     for mode, _, c in state.layout.regularized_modes():
         val += float(np.sum(W[mode] * components[c]))
-        val += 0.5 * opts.beta * np.linalg.norm(components[c] - Y[mode]) ** 2
+        val += 0.5 * state.beta * np.linalg.norm(components[c] - Y[mode]) ** 2
     return float(val)
 
 
@@ -170,10 +171,18 @@ class TestUpdateMatrix:
     def test_large_beta_tracks_auxiliary(self):
         problem = random_problem(seed=1)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=1, beta=1e6)
-        opts = SolverOptions(lam=0.1, beta=1e6)
-        M = update_matrix(state, problem, opts)
-        assert np.max(np.abs(M - state.z.matrix)) < 1e-4
+        state, _ = random_state(problem, d, seed=1, beta=1e6, lam=0.1)
+        update_matrix(state, problem)
+        assert np.max(np.abs(state.M - state.z.matrix)) < 1e-4
+
+    def test_writes_the_states_own_matrix(self):
+        problem = random_problem(seed=1)
+        state, _ = random_state(problem, NormDescriptor(1, ("O", "O", "O")), seed=1, beta=0.7)
+        M, X = state.M, state.scratch.matrix
+        expected = (problem.matrix_observed + 0.7 * X) / (problem.matrix_indicator + 0.7)
+        assert update_matrix(state, problem) is None
+        assert state.M is M
+        assert np.array_equal(M, expected)
 
     def test_empty_mask_returns_auxiliary(self):
         problem = random_problem(seed=2)
@@ -185,18 +194,17 @@ class TestUpdateMatrix:
             coupled_mode=1,
         )
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=2, zero_WM=True)
-        M = update_matrix(state, problem, SolverOptions(beta=1.0))
-        assert np.allclose(M, state.z.matrix, atol=1e-14)
+        state, _ = random_state(problem, d, seed=2, beta=1.0, zero_WM=True)
+        update_matrix(state, problem)
+        assert np.allclose(state.M, state.z.matrix, atol=1e-14)
 
     def test_block_gradient_vanishes(self):
         problem = random_problem(dims=(4, 3, 3), cols=3, seed=3)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=3, beta=0.7)
-        opts = SolverOptions(lam=0.1, beta=0.7)
-        M = update_matrix(state, problem, opts)
+        state, _ = random_state(problem, d, seed=3, beta=0.7, lam=0.1)
+        update_matrix(state, problem)
         grad = central_difference_gradient(
-            lambda W: matrix_block_objective(state, problem, opts, W), M.copy()
+            lambda W: matrix_block_objective(state, problem, W), state.M.copy()
         )
         assert np.linalg.norm(grad) < 1e-10
 
@@ -212,35 +220,35 @@ class TestUpdateTensors:
             coupled_mode=1,
         )
         d = NormDescriptor(1, ("S", "O", "O"))
-        opts = SolverOptions(beta=0.9)
-        state, lay = random_state(problem, d, seed=4, beta=opts.beta)
+        beta = 0.9
+        state, lay = random_state(problem, d, seed=4, beta=beta)
         W, _, Y, _ = textbook(state)
-        comps = update_tensors(state, problem, opts)
+        assert update_tensors(state, problem) is None
         for ci, terms in enumerate(lay.components):
             acc = np.zeros(problem.dims)
             for mode, _ in terms:
-                acc += opts.beta * Y[mode] - W[mode]
-            expected = acc / (opts.beta * len(terms))
-            assert np.allclose(comps[ci], expected, atol=1e-12)
+                acc += beta * Y[mode] - W[mode]
+            expected = acc / (beta * len(terms))
+            assert np.allclose(state.components[ci], expected, atol=1e-12)
 
     def test_large_beta_averages_auxiliaries(self):
         problem = random_problem(seed=5)
         d = NormDescriptor(1, ("O", "O", "O"))
         state, lay = random_state(problem, d, seed=5, beta=1e6)
-        comps = update_tensors(state, problem, SolverOptions(beta=1e6))
+        update_tensors(state, problem)
         avg = sum(state.z.tensors.values()) / 3.0
-        assert np.max(np.abs(comps[0] - avg)) < 1e-4
+        assert np.max(np.abs(state.components[0] - avg)) < 1e-4
 
     def test_block_gradient_vanishes_mixed(self):
         problem = random_problem(dims=(6, 6, 6), seed=6)
         d = NormDescriptor(1, ("S", "O", "O"))
-        opts = SolverOptions(beta=1.3)
-        state, lay = random_state(problem, d, seed=6, beta=opts.beta)
-        comps = update_tensors(state, problem, opts)
+        state, lay = random_state(problem, d, seed=6, beta=1.3)
+        update_tensors(state, problem)
+        comps = state.components
         for c in range(lay.n_components):
             def f(X, c=c):
                 trial = [X if i == c else comps[i] for i in range(lay.n_components)]
-                return tensor_block_objective(state, problem, opts, trial)
+                return tensor_block_objective(state, problem, trial)
 
             grad = central_difference_gradient(f, comps[c].copy())
             assert np.linalg.norm(grad) < 1e-10
@@ -248,13 +256,13 @@ class TestUpdateTensors:
     def test_block_gradient_vanishes_three_components(self):
         problem = random_problem(dims=(4, 4, 4), cols=3, seed=7)
         d = NormDescriptor(1, ("L", "L", "L"))
-        opts = SolverOptions(beta=0.5)
-        state, lay = random_state(problem, d, seed=7, beta=opts.beta)
-        comps = update_tensors(state, problem, opts)
+        state, lay = random_state(problem, d, seed=7, beta=0.5)
+        update_tensors(state, problem)
+        comps = state.components
         for c in range(3):
             def f(X, c=c):
                 trial = [X if i == c else comps[i] for i in range(3)]
-                return tensor_block_objective(state, problem, opts, trial)
+                return tensor_block_objective(state, problem, trial)
 
             grad = central_difference_gradient(f, comps[c].copy())
             assert np.linalg.norm(grad) < 1e-10
@@ -276,10 +284,9 @@ class TestUpdateAuxiliaries:
     def test_lambda_zero_identity(self):
         problem = random_problem(seed=8)
         d = NormDescriptor(1, ("S", "O", "O"))
-        state, lay = random_state(problem, d, seed=8)
-        opts = SolverOptions(lam=0.0, beta=1.0)
+        state, lay = random_state(problem, d, seed=8, beta=1.0, lam=0.0)
         expected = relaxed_inputs(state)
-        assert update_auxiliaries(state, opts) is None
+        assert update_auxiliaries(state) is None
         for mode, _, _ in lay.regularized_modes():
             assert np.array_equal(state.s.blocks[mode], expected[mode])
             assert np.array_equal(state.z.blocks[mode], expected[mode])
@@ -288,9 +295,8 @@ class TestUpdateAuxiliaries:
     def test_huge_threshold_zeroes_auxiliaries(self):
         problem = random_problem(seed=9)
         d = NormDescriptor(1, ("O", "O", "O"))
-        state, _ = random_state(problem, d, seed=9)
-        opts = SolverOptions(lam=1e9, beta=1.0)
-        update_auxiliaries(state, opts)
+        state, _ = random_state(problem, d, seed=9, beta=1.0, lam=1e9)
+        update_auxiliaries(state)
         assert all(np.max(np.abs(Y)) < 1e-10 for Y in state.z.tensors.values())
         assert np.max(np.abs(state.z.matrix)) < 1e-10
         # the objective trace's regularizer beta <s - z, z> (see solve)
@@ -301,21 +307,41 @@ class TestUpdateAuxiliaries:
     def test_svt_optimality_per_mode(self, n):
         problem = random_problem(dims=(n, n, n), seed=10)
         d = NormDescriptor(1, ("O", "S", "O"))
-        state, lay = random_state(problem, d, seed=10)
-        opts = SolverOptions(lam=0.8, beta=1.0)
+        lam, beta = 0.8, 1.0
+        state, lay = random_state(problem, d, seed=10, beta=beta, lam=lam)
         args = relaxed_inputs(state)
-        update_auxiliaries(state, opts)
+        update_auxiliaries(state)
         for mode, scale, _ in lay.regularized_modes():
-            assert_svt_optimal(args[mode], state.z.blocks[mode], opts.lam * scale / opts.beta)
+            assert_svt_optimal(args[mode], state.z.blocks[mode], lam * scale / beta)
+
+    @pytest.mark.parametrize("text", ["1:(S,O,O)", "1:(S,S,S)", "1:(O,L,O)"])
+    def test_thresholds_each_term_at_the_states_lam_scale_over_beta(self, text, monkeypatch):
+        problem = random_problem(dims=(6, 5, 4), seed=15)
+        lam, beta = 0.7, 0.3
+        state, lay = random_state(problem, norms.parse_descriptor(text), seed=15, beta=beta, lam=lam)
+        seen = []
+
+        def recorded_svt(A, tau):
+            seen.append(tau)
+            return A.copy()
+
+        monkeypatch.setattr(solver, "svt", recorded_svt)
+        update_auxiliaries(state)
+        expected = [lam * scale / beta for _, scale, _ in lay.regularized_modes()]
+        assert seen == expected and list(state.tau.values()) == expected
+        # no step function takes an options object
+        for step in (update_auxiliaries, update_matrix, update_tensors):
+            assert "opts" not in inspect.signature(step).parameters
 
     def test_builds_inputs_in_the_states_own_arrays(self):
         problem = random_problem(seed=14)
-        state, lay = random_state(problem, NormDescriptor(1, ("O", "O", "O")), seed=14, beta=0.5)
-        opts = SolverOptions(lam=0.4, beta=0.5)
+        state, lay = random_state(
+            problem, NormDescriptor(1, ("O", "O", "O")), seed=14, beta=0.5, lam=0.4
+        )
         expected = relaxed_inputs(state)
         s, z, scratch = state.s, state.z, state.scratch
         old_z = z.flat.copy()
-        update_auxiliaries(state, opts)
+        update_auxiliaries(state)
         # s is stepped in place; the outputs go into the scratch array, which
         # becomes z, and the previous z becomes the scratch array
         assert state.s is s and state.z is scratch and state.scratch is z
@@ -326,7 +352,7 @@ class TestUpdateAuxiliaries:
             assert not np.shares_memory(state.z.blocks[mode], s.flat)
 
 
-class TestUpdateDuals:
+class TestMultiplierStep:
     """The dual update is part of the input and SVT step: the multipliers
     ``W = beta (s - z)`` read off the state after a step are the textbook
     dual update ``W + beta (h - Y_new)``."""
@@ -344,14 +370,14 @@ class TestUpdateDuals:
         Y0 = rng.integers(-9, 9, problem.dims).astype(float)
         Y = {m: Y0 for m in (1, 2, 3)}
         W = {m: rng.integers(-9, 9, problem.dims).astype(float) for m in (1, 2, 3)}
-        state = state_at(lay, beta, ({m: Y[m] + W[m] / beta for m in Y}, X + WM / beta), (Y, X))
+        state = state_at(lay, beta, 0.0, ({m: Y[m] + W[m] / beta for m in Y}, X + WM / beta), (Y, X))
         # primal blocks equal to their auxiliaries, and an SVT whose output
         # is its input minus W / beta: a fixed point of the iteration
         state.components, state.M = [Y0], X
         shift = state.views(state.s.flat - state.z.flat)
         offsets = {id(state.s.blocks[m]): shift.blocks[m].copy() for m in Y}
         monkeypatch.setattr(solver, "svt", lambda A, tau: A - offsets[id(A)])
-        update_auxiliaries(state, SolverOptions(beta=beta))
+        update_auxiliaries(state)
         W_new, WM_new, Y_new, X_new = textbook(state)
         assert np.array_equal(WM_new, WM) and np.array_equal(X_new, X)
         for mode in W:
@@ -361,9 +387,9 @@ class TestUpdateDuals:
     def test_single_step_from_zero(self):
         problem = random_problem(seed=12)
         d = NormDescriptor(1, ("O", "O", "O"))
-        opts = SolverOptions(lam=0.3, beta=1.7)
-        state, lay = random_state(problem, d, seed=12, beta=opts.beta)
-        state = state_at(lay, opts.beta, (state.z.tensors, state.z.matrix),
+        lam, beta = 0.3, 1.7
+        state, lay = random_state(problem, d, seed=12, beta=beta, lam=lam)
+        state = state_at(lay, beta, lam, (state.z.tensors, state.z.matrix),
                          (state.z.tensors, state.z.matrix))
         rng = np.random.default_rng(12)
         state.M = rng.standard_normal(problem.matrix.shape)
@@ -374,11 +400,11 @@ class TestUpdateDuals:
             m: (1 - a) * state.z.tensors[m] + a * state.components[c]
             for m, _, c in lay.regularized_modes()
         }
-        update_auxiliaries(state, opts)
+        update_auxiliaries(state)
         W, WM, Y, X = textbook(state)
-        assert np.allclose(WM, opts.beta * (relaxed_M - X), atol=1e-14)
+        assert np.allclose(WM, beta * (relaxed_M - X), atol=1e-14)
         for mode in W:
-            assert np.allclose(W[mode], opts.beta * (relaxed[mode] - Y[mode]), atol=1e-14)
+            assert np.allclose(W[mode], beta * (relaxed[mode] - Y[mode]), atol=1e-14)
 
     def test_dual_step_small_after_convergence(self):
         problem = random_problem(seed=13)
@@ -599,10 +625,11 @@ class TestSolve:
     @pytest.mark.parametrize(
         "name, value",
         [("lam", np.nan), ("lam", np.inf), ("beta", np.nan), ("beta", np.inf),
-         ("tol_primal", np.nan), ("tol_dual", np.inf), ("max_iters", 100.0)],
+         ("tol_primal", np.nan), ("tol_dual", np.inf), ("max_iters", 100.0),
+         ("max_iters", True)],
     )
     def test_rejects_non_finite_or_fractional_setting(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be (finite|an integer)"):
+        with pytest.raises(ValueError, match=f"{name} must be (finite|integer)"):
             SolverOptions(**{name: value})
 
     @pytest.mark.parametrize("part, bad", [("tensor", np.inf), ("matrix", np.nan)])
@@ -721,10 +748,12 @@ class TestWarmStart:
         opts = SolverOptions(lam=0.3, max_iters=80)
         cold = solve(problem, self.D, opts)
         start = solve(problem, self.D, SolverOptions(lam=0.6, max_iters=40))
-        kept = [a.copy() for a in (start.tensor, start.matrix, start.state.s.flat, start.state.z.flat)]
+        def held(res):
+            return [res.tensor, res.matrix, *res.components, res.state.M, res.state.s.flat, res.state.z.flat]
+
+        kept = [a.copy() for a in held(start)]
         solve(problem, self.D, opts, start=start)
-        now = [start.tensor, start.matrix, start.state.s.flat, start.state.z.flat]
-        assert all(np.array_equal(a, b) for a, b in zip(kept, now))
+        assert all(np.array_equal(a, b) for a, b in zip(kept, held(start), strict=True))
         again = solve(problem, self.D, opts, start=None)
         assert again.iterations == cold.iterations
         assert np.array_equal(again.tensor, cold.tensor)
@@ -769,9 +798,9 @@ class TestMultiplierArrays:
                 super().__post_init__()
                 built.append((self, self.s, self.z, self.components))
 
-        def recorded_update_auxiliaries(state, opts, accelerate=None):
+        def recorded_update_auxiliaries(state, accelerate=None):
             steps.append((state, TestMultiplierArrays.snapshot(state)))
-            return update_auxiliaries(state, opts, accelerate)
+            return update_auxiliaries(state, accelerate)
 
         monkeypatch.setattr(solver, "SolverState", RecordedState)
         monkeypatch.setattr(solver, "update_auxiliaries", recorded_update_auxiliaries)
@@ -995,6 +1024,18 @@ class TestAcceleratedDecompose:
         assert made[0].rejections >= 1
         assert 0.0 < lower and upper - lower <= tol * upper
 
+    def test_leaves_its_matrix_as_it_is_and_builds_no_options(self, monkeypatch):
+        def no_options(*args, **kwargs):
+            raise AssertionError("options built")
+
+        monkeypatch.setattr(solver, "SolverOptions", no_options)
+        T, M = decompose_instance((6, 5, 4), 3, seed=44)
+        kept = M.copy()
+        lay = norms.layout(NormDescriptor(1, ("O", "S", "O")), T.shape)
+        _, lower, upper = solver.decompose(T, M, lay, 1e-6)
+        assert np.array_equal(M, kept)
+        assert 0.0 < lower and upper - lower <= 1e-6 * upper
+
     def test_computes_no_residual_and_the_bracket_still_closes(self, monkeypatch):
         def no_residuals(state):
             raise AssertionError("residuals computed")
@@ -1018,8 +1059,8 @@ class TestAcceleratedDecompose:
         monkeypatch.undo()
         admm = solver._admm
 
-        def unaccelerated(state, opts, fit_step, done, accelerate=None):
-            return admm(state, opts, fit_step, done)
+        def unaccelerated(state, max_iters, fit_step, done, accelerate=None):
+            return admm(state, max_iters, fit_step, done)
 
         monkeypatch.setattr(solver, "_admm", unaccelerated)
         plain = solver.decompose(T, M, lay, 1e-6)

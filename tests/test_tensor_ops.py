@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coupled_completion.tensor_ops import (
     ObservationMask,
+    check_integers,
     fold,
     inner,
     mask_apply,
@@ -37,6 +38,29 @@ def brute_force_unfold(T, k):
                 col = others[0] + rest[0] * others[1]
                 out[row, col] = T[i, j, l]
     return out
+
+
+class TestCheckIntegers:
+    class Fields:
+        def __init__(self, value):
+            self.value = value
+
+    @pytest.mark.parametrize(
+        "value", [3, np.int64(3), (1, 2, 3), [np.int32(1), 2], np.arange(1, 4)],
+        ids=["int", "np.int64", "tuple", "mixed list", "int array"],
+    )
+    def test_accepts_integers_alone_or_in_arrays(self, value):
+        check_integers(self.Fields(value), value=1)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, np.True_, (True, 5, 5), np.array([1, 0], dtype=bool), 2.0, (1, 2.5), 0, (3, -1)],
+        ids=["True", "False", "np.True_", "bool in tuple", "bool array", "float", "float in tuple",
+             "below", "below in tuple"],
+    )
+    def test_rejects_booleans_non_integers_and_values_below_the_bound(self, value):
+        with pytest.raises(ValueError, match="^value must be integer and >= 1, got "):
+            check_integers(self.Fields(value), value=1)
 
 
 class TestUnfold:
