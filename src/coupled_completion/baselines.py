@@ -15,7 +15,7 @@ from .norms import NormDescriptor
 # svt is not called here; bench/test_bench.py patches and checks baselines.svt
 from .prox import svt  # noqa: F401
 from .solver import CompletionResult, CoupledProblem, SolverOptions, solve
-from .tensor_ops import ObservationMask, unfold
+from .tensor_ops import ObservationMask, check_settings, unfold
 
 __all__ = [
     "CpFactors",
@@ -137,8 +137,7 @@ def coupled_cp_als(
     Each sweep minimizes the blocks A, B, C, V exactly (with a tiny ridge),
     so the objective is non-increasing.  Deterministic given ``seed``.
     """
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    check_settings(locals(), rank=1, iters=1, seed=0)
     problem = CoupledProblem(T_obs, tensor_mask, M_obs, matrix_mask)
     rng = np.random.default_rng(seed)
     dims = (*problem.dims, problem.matrix.shape[1])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datagen import SyntheticSpec, gen_coupled_matrix, gen_tensor
 from .prox import numerical_rank
-from .tensor_ops import check_integers, unfold
+from .tensor_ops import NON_NEGATIVE, POSITIVE, check_settings, unfold
 
 __all__ = ["NORM_IDS", "BoundParams", "bound", "rank_geometry"]
 
@@ -38,18 +38,13 @@ class BoundParams:
     C2: float = 1.0
 
     def __post_init__(self):
-        check_integers(self, dims=1, matrix_cols=1, ranks=0, coupled_rank=0, samples=1)
+        check_settings(vars(self), dims=1, matrix_cols=1, ranks=0, coupled_rank=0, samples=1,
+                       B_tensor=NON_NEGATIVE, B_matrix=NON_NEGATIVE, Lipschitz=POSITIVE, C1=POSITIVE, C2=POSITIVE)
         for name in ("dims", "ranks"):
             if np.shape(getattr(self, name)) != (3,):
                 raise ValueError(f"{name} needs three entries, got {getattr(self, name)!r}")
         if any(r > n for r, n in zip(self.ranks, self.dims)):
             raise ValueError("ranks exceed dimensions")
-        for name in ("B_tensor", "B_matrix"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        for name in ("Lipschitz", "C1", "C2"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 def _coupled_dim_sqrt(p: BoundParams) -> float:

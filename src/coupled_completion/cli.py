@@ -4,6 +4,10 @@ Subcommands:
   run <config.json>     fit every configured norm and emit the report CSVs
   bounds <config.json>  emit the excess-risk bound comparison table
   gen <config.json>     write the synthetic instance to data files only
+
+Exit codes: 0 on success, 1 when a cell failed, and 2, as for argparse's
+usage errors, when the config or a file it names cannot be read or holds a
+bad setting, or ``bounds`` or ``gen`` finds no synthetic data spec.
 """
 
 from __future__ import annotations
@@ -36,13 +40,18 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_bounds(args) -> int:
+def _synthetic_config(args) -> tuple[harness.ExperimentConfig, Path]:
+    """The config of a subcommand that needs a synthetic data spec, and its output directory, created."""
     cfg = harness.load_config(args.config)
     if cfg.synthetic is None:
-        print("bounds require a synthetic data spec", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.command} requires a synthetic data spec")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    return cfg, out
+
+
+def _cmd_bounds(args) -> int:
+    cfg, out = _synthetic_config(args)
     base = bounds_mod.rank_geometry(cfg.synthetic)
     path = harness._write_csv(
         out / "bounds.csv", "norm," + ",".join(bounds_mod.NORM_IDS),
@@ -53,13 +62,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = harness.load_config(args.config)
-    if cfg.synthetic is None:
-        print("gen requires a synthetic data spec", file=sys.stderr)
-        return 1
+    cfg, out = _synthetic_config(args)
     T, M = datagen.gen_instance(cfg.synthetic)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     harness.save_sparse_tensor(out / "tensor.txt", T, ObservationMask.full(T.shape))
     harness.save_matrix_csv(out / "matrix.csv", M, ObservationMask.full(M.shape))
     print(f"wrote {out / 'tensor.txt'} and {out / 'matrix.csv'}")
@@ -77,7 +81,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", help="path to the JSON experiment config")
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

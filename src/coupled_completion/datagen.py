@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import ObservationMask, check_integers, tucker_synthesize, unfold
+from .tensor_ops import NON_NEGATIVE, POSITIVE, REAL, ObservationMask, check_settings, tucker_synthesize, unfold
 
 __all__ = [
     "SyntheticSpec",
@@ -46,7 +46,8 @@ class SyntheticSpec:
         return SyntheticSpec(**kwargs)
 
     def __post_init__(self):
-        check_integers(self, dims=1, multilinear_rank=0, matrix_cols=1, matrix_rank=0, shared=0, seed=0)
+        check_settings(vars(self), dims=1, multilinear_rank=0, matrix_cols=1, matrix_rank=0, shared=0,
+                       noise_mean=REAL, noise_std=NON_NEGATIVE, seed=0)
         if len(self.dims) != 3 or len(self.multilinear_rank) != 3:
             raise ValueError(f"dims and multilinear_rank need three entries, got {self!r}")
         if any(c > n for c, n in zip(self.multilinear_rank, self.dims)):
@@ -55,10 +56,6 @@ class SyntheticSpec:
             raise ValueError("matrix rank exceeds dimensions")
         if self.shared > min(self.matrix_rank, self.multilinear_rank[0]):
             raise ValueError("shared components exceed available rank")
-        if not np.isfinite(self.noise_mean):
-            raise ValueError(f"noise_mean must be finite, got {self.noise_mean!r}")
-        if not 0 <= self.noise_std < np.inf:
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +65,7 @@ class MaskSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train fraction must be in (0, 1)")
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation fraction must be in [0, 1)")
+        check_settings(vars(self), train_fraction=POSITIVE, validation_fraction=NON_NEGATIVE, seed=0)
         if self.train_fraction + self.validation_fraction >= 1.0:
             raise ValueError("train + validation fractions must sum below 1")
 
@@ -126,8 +120,7 @@ def add_noise(
     X: np.ndarray, mean: float, std: float, seed: int
 ) -> np.ndarray:
     """Elementwise additive Gaussian noise, deterministic given ``seed``."""
-    if not (np.isfinite(mean) and 0 <= std < np.inf):
-        raise ValueError(f"mean must be finite and std finite and >= 0, got {mean!r}, {std!r}")
+    check_settings(locals(), mean=REAL, std=NON_NEGATIVE)
     rng = np.random.default_rng(seed)
     return np.asarray(X, dtype=float) + mean + std * rng.standard_normal(np.shape(X))
 

@@ -17,12 +17,13 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from . import baselines, datagen, norms, solver
 from .solver import CoupledProblem, SolverOptions
-from .tensor_ops import ObservationMask, check_integers
+from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_settings
 
 __all__ = [
     "ExperimentConfig",
@@ -51,11 +52,11 @@ class LambdaGrid:
     scale: str = "log"  # "linear" or "log"
 
     def __post_init__(self):
-        if not 0 < self.lo <= self.hi < math.inf:
-            raise ValueError(f"lambda grid needs 0 < lo <= hi < inf, got {self.lo!r}, {self.hi!r}")
-        check_integers(self, count=1)
+        check_settings(vars(self), lo=POSITIVE, hi=POSITIVE, count=1)
+        if self.lo > self.hi:
+            raise ValueError(f"lambda grid needs lo <= hi, got {self.lo!r}, {self.hi!r}")
         if self.scale not in ("linear", "log"):
-            raise ValueError("lambda grid scale must be 'linear' or 'log'")
+            raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
 
     def values(self) -> np.ndarray:
         if self.scale == "linear":
@@ -78,15 +79,17 @@ class ExperimentConfig:
     cp_rank: int = 5
     cp_iters: int = 100
     solver: SolverOptions = SolverOptions()
-    # scale the ADMM proximity parameter with lambda (keeps the iteration
-    # count flat across a wide regularization grid)
-    beta_tracks_lambda: bool = True
     output_dir: str = "results"
+    # not a setting: beta always tracks lambda (see _cell_opts).  Only bench/
+    # reads it, and it goes with ROADMAP item 5, like the svd/svt import shims.
+    beta_tracks_lambda: ClassVar[bool] = True
 
     def __post_init__(self):
-        check_integers(self, repetitions=1, cp_rank=1, cp_iters=1, seed=0)
-        if not self.norms:
-            raise ValueError("at least one norm is required")
+        check_settings(vars(self), validation_fraction=NON_NEGATIVE, repetitions=1, cp_rank=1, cp_iters=1, seed=0,
+                       matrix_fully_observed=bool, output_dir=str, tensor_file=(str, type(None)),
+                       matrix_file=(str, type(None)))
+        if not self.norms or not self.train_fractions:
+            raise ValueError("at least one norm and one train fraction are required")
         for n in self.norms:
             if n not in BASELINE_IDS:
                 norms.parse_descriptor(n)  # raises on malformed ids
@@ -153,8 +156,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
     fields |= _fields(data, "data", "tensor_file", "matrix_file", "matrix_fully_observed")
     fields |= _fields(masks, "masks", "train_fractions", "validation_fraction")
-    if "beta_tracks_lambda" in sdoc:
-        fields["beta_tracks_lambda"] = sdoc.pop("beta_tracks_lambda")
     if synthetic is not None:
         noise = synthetic.pop("noise", "default")
         spec = _fields(
@@ -260,11 +261,10 @@ def cross_validate(fits: list[tuple[float, object, float]]) -> tuple[float, obje
 
 
 def _cell_opts(cfg: ExperimentConfig, lam: float) -> SolverOptions:
-    beta = cfg.solver.beta
-    if cfg.beta_tracks_lambda:
-        beta = max(lam, 1e-3) * cfg.solver.beta
-    # objective traces cost time per iteration and no report reads them
-    return replace(cfg.solver, lam=lam, beta=beta, record_objective=False)
+    # the ADMM proximity parameter scales with lambda, which keeps the
+    # iteration count flat across a wide grid; objective traces cost time
+    # per iteration and no report reads them
+    return replace(cfg.solver, lam=lam, beta=max(lam, 1e-3) * cfg.solver.beta, record_objective=False)
 
 
 def _fit_cell(

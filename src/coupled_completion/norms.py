@@ -26,7 +26,7 @@ import numpy as np
 from .prox import spectral_norm, trace_norm
 # svt is not called here; bench/test_bench.py patches and checks norms.svt
 from .prox import svt  # noqa: F401
-from .tensor_ops import unfold
+from .tensor_ops import POSITIVE, check_mode, check_settings, unfold
 
 __all__ = [
     "TAGS",
@@ -63,10 +63,7 @@ class NormDescriptor:
     tags: tuple[str, str, str]
 
     def __post_init__(self):
-        if self.coupled_mode not in (1, 2, 3):
-            raise InvalidDescriptorError(
-                f"coupled mode must be 1, 2 or 3, got {self.coupled_mode!r}"
-            )
+        check_mode(self.coupled_mode, "coupled_mode", InvalidDescriptorError)
         if len(self.tags) != 3 or any(t not in TAGS for t in self.tags):
             raise InvalidDescriptorError(
                 f"tags must be a triple over {TAGS}, got {self.tags!r}"
@@ -136,7 +133,7 @@ _DESC_RE = re.compile(
 
 def parse_descriptor(text: str) -> NormDescriptor:
     """Parse the text form, e.g. ``"1:(O,S,O)"``."""
-    m = _DESC_RE.match(text)
+    m = _DESC_RE.match(text) if isinstance(text, str) else None
     if not m:
         raise InvalidDescriptorError(
             f"cannot parse norm descriptor {text!r}; expected e.g. '1:(O,S,O)'"
@@ -207,8 +204,9 @@ def bracket(
     lower <= tol * upper``: ``upper`` is the value of a feasible
     decomposition, ``lower`` a Hoelder bound from the ADMM multipliers.
     Inputs are copied to C order first, so the values do not depend on their
-    memory layout.
+    memory layout.  ``tol`` must be finite and > 0.
     """
+    check_settings(locals(), tol=POSITIVE)
     # function-local: solver imports this module at load time, so a
     # module-level import of solver would be circular
     from .solver import decompose
@@ -267,8 +265,7 @@ def dual_norm_overlapped_upper(
     on mode ``k`` gives ``||[T_(k) | M]||_2`` for the coupled mode and
     ``max(||T_(k)||_2, ||M||_2)`` for the others; this is the least of the three.
     """
-    if coupled_mode not in (1, 2, 3):
-        raise ValueError(f"coupled_mode must be 1, 2 or 3, got {coupled_mode!r}")
+    check_mode(coupled_mode, "coupled_mode")
     m = spectral_norm(M)
     return min(
         spectral_norm(unfold(T, k, M)) if k == coupled_mode

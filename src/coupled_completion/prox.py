@@ -113,8 +113,8 @@ def svt(X: np.ndarray, tau: float) -> np.ndarray:
     :func:`_svt_gram`); the LAPACK SVD serves smaller matrices and the
     spectra the Gram route cannot resolve.
     """
-    if tau < 0:
-        raise ValueError(f"threshold must be non-negative, got {tau}")
+    if not 0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau!r}")
     # shape only: finiteness is left to the SVD, off this hot path
     X = _as_matrix(X)
     if min(X.shape, default=0) == 0:

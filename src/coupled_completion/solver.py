@@ -57,7 +57,7 @@ from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
 # svd and unfold are not called here; bench/test_bench.py patches and checks them
 from .prox import svd  # noqa: F401
 from .prox import svt
-from .tensor_ops import ObservationMask, check_integers, fold, mask_apply
+from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_mode, check_settings, fold, mask_apply
 from .tensor_ops import unfold  # noqa: F401
 
 __all__ = [
@@ -109,8 +109,7 @@ class CoupledProblem:
             raise ValueError("tensor must be 3-way")
         if M.ndim != 2:
             raise ValueError("matrix must be 2-d")
-        if self.coupled_mode not in (1, 2, 3):
-            raise ValueError("coupled mode must be 1, 2 or 3")
+        check_mode(self.coupled_mode, "coupled_mode")
         if M.shape[0] != T.shape[self.coupled_mode - 1]:
             raise ValueError(
                 f"matrix rows ({M.shape[0]}) must match tensor mode-"
@@ -160,12 +159,8 @@ class SolverOptions:
     record_objective: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        for name in ("beta", "tol_primal", "tol_dual"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        check_integers(self, max_iters=1)
+        check_settings(vars(self), lam=NON_NEGATIVE, beta=POSITIVE, max_iters=1, tol_primal=POSITIVE,
+                       tol_dual=POSITIVE, record_objective=bool)
 
 
 @dataclass
@@ -616,8 +611,10 @@ def decompose(
     components, ``lower`` the Hoelder bound of :func:`_lower_bound` from
     the current multipliers.  Stops once ``upper - lower <= tol * upper``;
     no residual is computed.  Returns the components and the last
-    ``lower`` and ``upper``; zero input gives ``0, 0``.
+    ``lower`` and ``upper``; zero input gives ``0, 0``.  ``tol`` must be
+    finite and > 0.
     """
+    check_settings(locals(), tol=POSITIVE)
     C = lay.n_components
     state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA, 1.0)
     bracket = [-np.inf, np.inf]

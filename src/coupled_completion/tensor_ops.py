@@ -13,6 +13,7 @@ exact inverse of ``unfold`` (pure reindexing, no arithmetic).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,22 +36,50 @@ _AXES = ((0, 1, 2), (1, 0, 2), (2, 0, 1))
 _INVERSE = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
 
 
-def check_integers(obj, **least: int) -> None:
-    """Raise ``ValueError`` unless each named field of ``obj`` holds integers >= its bound.
+# Rules of :func:`check_settings` for a finite real number, each its own
+# wording in the error message; NaN fails every comparison
+REAL, NON_NEGATIVE, POSITIVE = "finite", "finite and >= 0", "finite and > 0"
+_REAL_RULES = {REAL: lambda v: -math.inf < v < math.inf, NON_NEGATIVE: lambda v: 0 <= v < math.inf,
+               POSITIVE: lambda v: 0 < v < math.inf}
 
-    A field holds one integer or an array of them; a boolean is not an
-    integer here, alone or inside an array.
+
+def _is(v, kinds: tuple[type, ...]) -> bool:
+    """Whether ``v`` is an instance of ``kinds`` other than a boolean."""
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
+def check_settings(values: dict, **rules) -> None:
+    """Raise ``ValueError`` unless each named entry of ``values`` keeps its rule.
+
+    A rule is an int ``k`` for integers >= k, one integer or an array of
+    them; ``REAL``, ``NON_NEGATIVE`` or ``POSITIVE`` for a finite real
+    number; or a type, or a tuple of types, for a flag or a text.  Python
+    and numpy ints and floats are numbers; a boolean never is, alone or
+    inside an array.  The message reads ``{name} must be ..., got {value!r}``.
     """
-    for name, low in least.items():
-        value = getattr(obj, name)
-        items = np.ravel(np.asarray(value, dtype=object))
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= low for v in items):
-            raise ValueError(f"{name} must be integer and >= {low}, got {value!r}")
+    for name, rule in rules.items():
+        value = values[name]
+        if isinstance(rule, str):
+            must = rule
+            ok = _is(value, (int, float, np.integer, np.floating)) and _REAL_RULES[rule](value)
+        elif isinstance(rule, int):
+            must = f"integer and >= {rule}"
+            ok = all(_is(v, (int, np.integer)) and v >= rule for v in np.ravel(np.asarray(value, dtype=object)))
+        else:
+            kinds = rule if isinstance(rule, tuple) else (rule,)
+            must = " or ".join(t.__name__ for t in kinds).replace("NoneType", "None")
+            ok = isinstance(value, kinds)
+        if not ok:
+            raise ValueError(f"{name} must be {must}, got {value!r}")
 
 
-def _check_mode(k: int) -> int:
-    if k not in (1, 2, 3):
-        raise ValueError(f"mode index must be 1, 2 or 3, got {k!r}")
+def check_mode(k, name: str = "mode", error: type[ValueError] = ValueError) -> int:
+    """The 0-based axis of mode ``k``, which must be the integer 1, 2 or 3.
+
+    Raises ``error`` naming ``name`` otherwise; a boolean is not a mode.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= 3:
+        raise error(f"{name} must be 1, 2 or 3, got {k!r}")
     return k - 1
 
 
@@ -60,7 +89,7 @@ def unfold(T: np.ndarray, k: int, M: np.ndarray | None = None) -> np.ndarray:
     With a matrix ``M`` of ``n_k`` rows, the coupled unfolding ``[T_(k) | M]``:
     the term by which every coupled norm shares the common mode.
     """
-    axis = _check_mode(k)
+    axis = check_mode(k)
     T = np.asarray(T)
     if T.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got ndim={T.ndim}")
@@ -74,7 +103,7 @@ def unfold(T: np.ndarray, k: int, M: np.ndarray | None = None) -> np.ndarray:
 
 def fold(Mk: np.ndarray, k: int, dims: tuple[int, int, int]) -> np.ndarray:
     """Inverse of :func:`unfold`: rebuild the tensor from its mode-``k`` unfolding."""
-    axis = _check_mode(k)
+    axis = check_mode(k)
     if len(dims) != 3:
         raise ValueError(f"dims must have three entries, got {dims!r}")
     Mk = np.asarray(Mk)

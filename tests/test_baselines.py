@@ -1,5 +1,7 @@
 """Tests for the reference completion methods."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,21 @@ class TestCoupledCpAls:
             coupled_cp_als(
                 T, M, ObservationMask.full(T.shape), ObservationMask.full(M.shape), rank=0
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"rank": 2.5}, "rank must be integer and >= 1, got 2.5"),
+         ({"rank": True}, "rank must be integer and >= 1, got True"),
+         ({"iters": 0}, "iters must be integer and >= 1, got 0"),
+         ({"iters": -3}, "iters must be integer and >= 1, got -3"),
+         ({"seed": -1}, "seed must be integer and >= 0, got -1")],
+    )
+    def test_rejects_a_bad_rank_sweep_count_or_seed(self, kwargs, message):
+        # iters=0 once returned the random initial factors as a fit
+        T, M = np.zeros((2, 2, 2)), np.zeros((2, 2))
+        masks = ObservationMask.full(T.shape), ObservationMask.full(M.shape)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            coupled_cp_als(T, M, *masks, **{"rank": 1, **kwargs})
 
     def test_rank_one_recovery_up_to_scale(self):
         T, M = planted_cp((8, 8, 8), 5, rank=1, seed=10)

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from coupled_completion import datagen, harness
 from coupled_completion.cli import main
@@ -58,3 +59,37 @@ def test_gen_then_run_on_the_files(tmp_path):
     # a descriptor id holds commas, so split off the 8 columns after the fraction
     assert rows[0].startswith("norm,fraction,repetition,")
     assert [row.rsplit(",", 8)[0] for row in rows[1:]] == ["1:(O,O,O),0.5", "MTN,0.5"]
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [({"solver": {"tolerance": 1e-4}}, "unknown config key(s): solver.tolerance"),
+     ({"solver": {"beta": 0}}, "beta must be finite and > 0, got 0")],
+    ids=["unknown key", "bad value"],
+)
+def test_a_config_error_is_one_line_and_exit_2(tmp_path, capsys, doc, named):
+    config = write_config(tmp_path / "c.json", norms=["1:(O,O,O)"], data={"synthetic": SYNTHETIC},
+                          output_dir=str(tmp_path / "out"), **doc)
+    for command in ("run", "bounds", "gen"):
+        assert main([command, config]) == 2
+        err = capsys.readouterr().err
+        assert err == f"coupled-completion: error: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_missing_config_file_is_one_line_and_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["run", missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("coupled-completion: error: ") and err.count("\n") == 1
+    assert missing in err
+
+
+def test_bounds_and_gen_without_a_synthetic_spec_exit_2(tmp_path, capsys):
+    config = write_config(
+        tmp_path / "c.json", norms=["1:(O,O,O)"], output_dir=str(tmp_path / "out"),
+        data={"tensor_file": "t.txt", "matrix_file": "m.csv"},
+    )
+    for command in ("bounds", "gen"):
+        assert main([command, config]) == 2
+        assert capsys.readouterr().err == f"coupled-completion: error: {command} requires a synthetic data spec\n"

@@ -166,9 +166,15 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(3), 0.0, -1.0, 0)
 
-    @pytest.mark.parametrize("mean, std", [(0.0, np.nan), (0.0, np.inf), (np.nan, 1.0)])
-    def test_rejects_non_finite_mean_or_std(self, mean, std):
-        with pytest.raises(ValueError, match="mean must be finite and std finite and >= 0"):
+    @pytest.mark.parametrize(
+        "mean, std, message",
+        [(0.0, np.nan, "std must be finite and >= 0, got nan"),
+         (0.0, np.inf, "std must be finite and >= 0, got inf"),
+         (np.nan, 1.0, "mean must be finite, got nan")],
+        ids=["0.0-nan", "0.0-inf", "nan-1.0"],
+    )
+    def test_rejects_non_finite_mean_or_std(self, mean, std, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             add_noise(np.zeros(3), mean, std, 0)
 
 
@@ -225,6 +231,20 @@ class TestGenMasks:
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
             MaskSpec(0.8, 0.3, 0)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [((0.0, 0.1, 0), "train_fraction must be finite and > 0, got 0.0"),
+         ((np.nan, 0.1, 0), "train_fraction must be finite and > 0, got nan"),
+         ((0.5, -0.1, 0), "validation_fraction must be finite and >= 0, got -0.1"),
+         ((0.5, True, 0), "validation_fraction must be finite and >= 0, got True"),
+         ((1.5, 0.0, 0), "train + validation fractions must sum below 1"),
+         ((0.5, 0.1, -1), "seed must be integer and >= 0, got -1"),
+         ((0.5, 0.1, 1.5), "seed must be integer and >= 0, got 1.5")],
+    )
+    def test_rejects_a_bad_fraction_or_seed(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            MaskSpec(*args)
 
     def test_deterministic(self):
         a = gen_masks((5, 5, 5), MaskSpec(0.4, 0.1, 3))

@@ -62,13 +62,23 @@ class TestLambdaGrid:
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"lo": np.nan}, "0 < lo <= hi < inf, got nan"),
-         ({"hi": np.inf}, "0 < lo <= hi < inf, got 0.01, inf"),
+        [({"lo": np.nan}, "lo must be finite and > 0, got nan"),
+         ({"hi": np.inf}, "hi must be finite and > 0, got inf"),
          ({"count": 2.5}, "count must be integer and >= 1, got 2.5"),
          ({"count": True}, "count must be integer and >= 1, got True")],
     )
     def test_rejects_non_finite_bound_and_fractional_count(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
+            LambdaGrid(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"lo": 2.0, "hi": 1.0}, "lambda grid needs lo <= hi, got 2.0, 1.0"),
+         ({"lo": True}, "lo must be finite and > 0, got True"),
+         ({"scale": "exp"}, "scale must be 'linear' or 'log', got 'exp'")],
+    )
+    def test_rejects_reversed_bounds_a_boolean_bound_and_an_unknown_scale(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LambdaGrid(**kwargs)
 
 
@@ -107,6 +117,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="matrix_fully_observed leaves MTN"):
             tiny_config(norms=("1:(O,O,O)", "MTN"), matrix_fully_observed=True)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"norms": ()}, "at least one norm and one train fraction are required"),
+         ({"train_fractions": ()}, "at least one norm and one train fraction are required"),
+         ({"train_fractions": (), "validation_fraction": -5.0}, "validation_fraction must be finite and >= 0")],
+    )
+    def test_rejects_a_config_with_no_cell(self, kwargs, message):
+        # with no train fraction a run fitted nothing, and validation_fraction went unchecked
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kwargs)
+
     def test_rejects_train_fraction_leaving_no_test_split(self):
         # 0.95 + 0.1 validation leaves no test entries; caught before any fit
         with pytest.raises(ValueError, match="sum below 1"):
@@ -140,6 +161,8 @@ class TestExperimentConfig:
             "data.synthetic.noise.sd",
             "lambda_grid.num",
             "masks.test_fraction",
+            # beta always tracks lambda; the option that could stop it is gone
+            "solver.beta_tracks_lambda",
         ],
     )
     def test_load_config_rejects_unknown_keys(self, tmp_path, key):
@@ -181,9 +204,10 @@ class TestExperimentConfig:
             solver=SolverOptions(
                 lam=0.1, beta=1.0, max_iters=2000, tol_primal=1e-6, tol_dual=1e-6,
             ),
-            beta_tracks_lambda=True,
             output_dir="results",
         )
+        # bench/ still reads it; it is a class constant, not a setting
+        assert load_config(path).beta_tracks_lambda is True
         # the instance seed falls back to the top-level seed
         path.write_text(json.dumps({"norms": ["MTN"], "data": {"synthetic": {}}, "seed": 7}))
         assert load_config(path).synthetic.seed == 7
@@ -246,6 +270,27 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{name} must be integer and >= [01], got {flag}$"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("data.matrix_fully_observed", "false", "matrix_fully_observed must be bool, got 'false'"),
+         ("output_dir", 7, "output_dir must be str, got 7"),
+         ("data.tensor_file", 7, "tensor_file must be str or None, got 7"),
+         ("data.matrix_file", 7, "matrix_file must be str or None, got 7"),
+         ("norms", [1], "cannot parse norm descriptor 1")],
+    )
+    def test_load_config_rejects_a_flag_or_text_of_another_type(self, tmp_path, key, value, message):
+        # the string "false" is truthy, and an integer output_dir failed only after every fit
+        doc = {"norms": ["MTN"], "data": {"synthetic": {}}}
+        *sections, name = key.split(".")
+        section = doc
+        for part in sections:
+            section = section[part]
+        section[name] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             load_config(path)
 
     def test_load_config_rejects_a_boolean_inside_an_integer_array(self, tmp_path):

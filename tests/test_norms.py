@@ -1,5 +1,7 @@
 """Tests for the coupled norm descriptors, layouts and evaluators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,12 @@ class TestValidate:
         with pytest.raises(InvalidDescriptorError):
             NormDescriptor(4, ("O", "O", "O"))
 
+    @pytest.mark.parametrize("mode", [True, 1.0, "1"])
+    def test_rejects_a_coupled_mode_that_is_not_an_integer(self, mode):
+        # True == 1, so a membership test in (1, 2, 3) would take it as mode 1
+        with pytest.raises(InvalidDescriptorError, match="coupled_mode must be 1, 2 or 3, got"):
+            NormDescriptor(mode, ("O", "O", "O"))
+
 
 def coupled_owner(lay):
     """The component whose coupled-mode unfolding carries the matrix."""
@@ -129,6 +137,11 @@ class TestParseFormat:
     @pytest.mark.parametrize("text", ["", "O,O,O", "4:(O,O,O)", "1:(O,O)", "1:(L,L,O)"])
     def test_rejects_malformed(self, text):
         with pytest.raises(InvalidDescriptorError):
+            parse_descriptor(text)
+
+    @pytest.mark.parametrize("text", [1, None, ["1:(O,O,O)"], b"1:(O,O,O)"])
+    def test_rejects_a_descriptor_that_is_not_a_string(self, text):
+        with pytest.raises(InvalidDescriptorError, match="cannot parse norm descriptor"):
             parse_descriptor(text)
 
 
@@ -261,6 +274,16 @@ def bracket_instance(kind):
 
 
 class TestBracket:
+    @pytest.mark.parametrize("text", ["1:(O,O,O)", "1:(S,S,S)"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf, True, "1e-6"])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, text, tol):
+        # tol 0 or NaN would run decompose to its iteration cap, with no signal
+        T, M = np.ones((4, 4, 4)), np.ones((4, 2))
+        d = parse_descriptor(text)
+        for fn in (bracket, evaluate):
+            with pytest.raises(ValueError, match=f"^tol must be finite and > 0, got {re.escape(repr(tol))}$"):
+                fn(T, M, d, tol)
+
     @pytest.mark.parametrize("kind", ["random", "low-rank"])
     @pytest.mark.parametrize("text", NINE)
     def test_certified_width_on_return(self, text, kind):
@@ -344,7 +367,7 @@ class TestDualNorms:
     def test_overlapped_upper_zero(self):
         assert dual_norm_overlapped_upper(np.zeros((2, 2, 2)), np.zeros((2, 1))) == 0.0
 
-    @pytest.mark.parametrize("coupled_mode", [0, 4])
+    @pytest.mark.parametrize("coupled_mode", [0, 4, True])
     def test_overlapped_upper_rejects_bad_coupled_mode(self, coupled_mode):
         with pytest.raises(ValueError, match=f"coupled_mode must be 1, 2 or 3, got {coupled_mode}"):
             dual_norm_overlapped_upper(np.ones((2, 2, 2)), np.ones((2, 1)), coupled_mode)

@@ -159,6 +159,14 @@ class TestSvt:
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (12, 20)], ids=["lapack", "gram"])
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tau_rejected(self, shape, tau):
+        # NaN once gave all zeros on the Gram route and all NaN on LAPACK's
+        X = np.random.default_rng(7).standard_normal(shape)
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            svt(X, tau)
+
     # (10, 10, 10) once reached the Gram route and failed there; (12,) indexed a
     # missing second dimension
     @pytest.mark.parametrize("shape", [(10, 10, 10), (12,)])

@@ -441,6 +441,16 @@ class TestObjective:
         )
         assert val == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("tol", [0.0, np.nan, -1.0])
+    def test_rejects_a_norm_tolerance_that_is_not_finite_and_positive(self, tol):
+        # such a tol once ran decompose to its iteration cap, with no signal
+        problem = random_problem(seed=15)
+        d = NormDescriptor(1, ("S", "S", "S"))
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            objective(problem, d, 0.1, problem.tensor, problem.matrix, tol)
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            solver.decompose(problem.tensor, problem.matrix, norms.layout(d, problem.dims), tol)
+
     def test_solution_beats_random_perturbations(self):
         problem = random_problem(dims=(5, 5, 5), cols=3, seed=16)
         d = NormDescriptor(1, ("O", "O", "O"))
@@ -523,6 +533,12 @@ class TestSolve:
         problem = random_problem(seed=19)
         with pytest.raises(norms.InvalidDescriptorError):
             solve(problem, NormDescriptor(1, ("L", "L", "O")), SolverOptions())
+
+    @pytest.mark.parametrize("mode", [True, 0, 1.0])
+    def test_problem_rejects_a_coupled_mode_that_is_not_1_2_or_3(self, mode):
+        problem = random_problem(seed=20)
+        with pytest.raises(ValueError, match="coupled_mode must be 1, 2 or 3, got"):
+            replace(problem, coupled_mode=mode)
 
     def test_rejects_coupled_mode_mismatch(self):
         problem = random_problem(seed=20)  # coupled_mode=1
@@ -626,7 +642,7 @@ class TestSolve:
         "name, value",
         [("lam", np.nan), ("lam", np.inf), ("beta", np.nan), ("beta", np.inf),
          ("tol_primal", np.nan), ("tol_dual", np.inf), ("max_iters", 100.0),
-         ("max_iters", True)],
+         ("max_iters", True), ("lam", True), ("beta", "1"), ("tol_dual", 0.0)],
     )
     def test_rejects_non_finite_or_fractional_setting(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be (finite|integer)"):

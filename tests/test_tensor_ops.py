@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_completion.tensor_ops import (
+    NON_NEGATIVE,
+    POSITIVE,
+    REAL,
     ObservationMask,
-    check_integers,
+    check_mode,
+    check_settings,
     fold,
     inner,
     mask_apply,
@@ -40,27 +44,74 @@ def brute_force_unfold(T, k):
     return out
 
 
-class TestCheckIntegers:
-    class Fields:
-        def __init__(self, value):
-            self.value = value
-
+class TestCheckSettings:
     @pytest.mark.parametrize(
         "value", [3, np.int64(3), (1, 2, 3), [np.int32(1), 2], np.arange(1, 4)],
         ids=["int", "np.int64", "tuple", "mixed list", "int array"],
     )
     def test_accepts_integers_alone_or_in_arrays(self, value):
-        check_integers(self.Fields(value), value=1)
+        check_settings({"value": value}, value=1)
 
     @pytest.mark.parametrize(
         "value",
-        [True, False, np.True_, (True, 5, 5), np.array([1, 0], dtype=bool), 2.0, (1, 2.5), 0, (3, -1)],
+        [True, False, np.True_, (True, 5, 5), np.array([1, 0], dtype=bool), 2.0, (1, 2.5), 0, (3, -1),
+         "1"],
         ids=["True", "False", "np.True_", "bool in tuple", "bool array", "float", "float in tuple",
-             "below", "below in tuple"],
+             "below", "below in tuple", "string"],
     )
     def test_rejects_booleans_non_integers_and_values_below_the_bound(self, value):
         with pytest.raises(ValueError, match="^value must be integer and >= 1, got "):
-            check_integers(self.Fields(value), value=1)
+            check_settings({"value": value}, value=1)
+
+    @pytest.mark.parametrize("rule", [REAL, NON_NEGATIVE, POSITIVE])
+    @pytest.mark.parametrize("value", [1, 0.5, np.float64(2.0), np.int64(3), np.float32(0.25), 10**400])
+    def test_accepts_python_and_numpy_reals(self, rule, value):
+        check_settings({"x": value}, x=rule)
+
+    @pytest.mark.parametrize(
+        "value, rule",
+        [(np.nan, REAL), (np.inf, REAL), (-np.inf, NON_NEGATIVE), (True, REAL), (np.True_, REAL),
+         ("1", REAL), (None, REAL), ([1.0], REAL), (-1e-300, NON_NEGATIVE), (0.0, POSITIVE),
+         (0, POSITIVE), (np.float64(np.nan), POSITIVE)],
+    )
+    def test_rejects_non_finite_non_real_and_out_of_range_reals(self, value, rule):
+        with pytest.raises(ValueError, match=f"^x must be {rule}, got "):
+            check_settings({"x": value}, x=rule)
+
+    def test_accepts_zero_unless_positive_and_negatives_when_unbounded(self):
+        check_settings({"a": 0.0, "b": -2.5}, a=NON_NEGATIVE, b=REAL)
+
+    @pytest.mark.parametrize(
+        "value, rule, message",
+        [("false", bool, "flag must be bool, got 'false'"), (1, bool, "flag must be bool, got 1"),
+         (7, str, "flag must be str, got 7"), (7, (str, type(None)), "flag must be str or None, got 7")],
+    )
+    def test_type_rules_name_the_type(self, value, rule, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_settings({"flag": value}, flag=rule)
+        check_settings({"flag": rule() if rule in (bool, str) else None}, flag=rule)
+
+    def test_checks_in_rule_order(self):
+        with pytest.raises(ValueError, match="^b must"):
+            check_settings({"a": 1, "b": True, "c": np.nan}, a=1, b=REAL, c=REAL)
+
+
+class TestCheckMode:
+    @pytest.mark.parametrize("k", [1, 2, 3, np.int64(2)])
+    def test_returns_the_axis(self, k):
+        assert check_mode(k) == k - 1
+
+    @pytest.mark.parametrize("k", [0, 4, True, np.True_, 1.0, "1", None])
+    def test_rejects_anything_but_the_integers_1_to_3(self, k):
+        with pytest.raises(ValueError, match=f"^mode must be 1, 2 or 3, got {re.escape(repr(k))}$"):
+            check_mode(k)
+
+    def test_names_the_setting_and_raises_the_given_error(self):
+        class Custom(ValueError):
+            pass
+
+        with pytest.raises(Custom, match="^coupled_mode must be 1, 2 or 3, got True$"):
+            check_mode(True, "coupled_mode", Custom)
 
 
 class TestUnfold:
@@ -93,6 +144,13 @@ class TestUnfold:
             unfold(np.zeros((2, 2, 2)), 0)
         with pytest.raises(ValueError):
             unfold(np.zeros((2, 2, 2)), 4)
+
+    def test_a_boolean_is_not_a_mode(self):
+        # True == 1, so a membership test in (1, 2, 3) would take it as mode 1
+        with pytest.raises(ValueError, match="mode must be 1, 2 or 3, got True"):
+            unfold(np.zeros((2, 2, 2)), True)
+        with pytest.raises(ValueError, match="mode must be 1, 2 or 3, got True"):
+            fold(np.zeros((2, 4)), True, (2, 2, 2))
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
