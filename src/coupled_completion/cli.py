@@ -16,8 +16,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import datagen, harness
 from .tensor_ops import ObservationMask

@@ -81,7 +81,7 @@ class ExperimentConfig:
     solver: SolverOptions = SolverOptions()
     output_dir: str = "results"
     # not a setting: beta always tracks lambda (see _cell_opts).  Only bench/
-    # reads it, and it goes with ROADMAP item 5, like the svd/svt import shims.
+    # reads it, and it goes with ROADMAP item 8, like the svd/svt import shims.
     beta_tracks_lambda: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -90,11 +90,11 @@ class ExperimentConfig:
                        matrix_file=(str, type(None)))
         if not self.norms or not self.train_fractions:
             raise ValueError("at least one norm and one train fraction are required")
-        for n in self.norms:
-            if n not in BASELINE_IDS:
-                norms.parse_descriptor(n)  # raises on malformed ids
         if (self.synthetic is None) == (self.tensor_file is None):
             raise ValueError("configure exactly one of synthetic data or files")
+        # the synthetic matrix has a row per tensor mode-1 index; file data is checked once read, in run
+        dims = self.synthetic.dims if self.synthetic else None
+        _check_norms(self.norms, dims, dims and dims[0])
         for f in self.train_fractions:
             datagen.MaskSpec(f, self.validation_fraction)  # raises on a bad split
         # every norm but CP selects its lambda on the validation entries it fits
@@ -102,6 +102,19 @@ class ExperimentConfig:
             raise ValueError("validation_fraction must be > 0 to select lambda for a non-CP norm")
         if self.matrix_fully_observed and "MTN" in self.norms:
             raise ValueError("matrix_fully_observed leaves MTN no matrix entries to validate on")
+
+
+def _check_norms(norm_ids: tuple[str, ...], dims: tuple[int, ...] | None, rows: int | None) -> None:
+    """Raise ``ValueError`` on a malformed descriptor id among ``norm_ids``.
+
+    Given the tensor's ``dims`` and the matrix's ``rows``, also on the first
+    descriptor whose coupled tensor mode has not ``rows`` indices.
+    """
+    for n in norm_ids:
+        if n not in BASELINE_IDS:
+            k = norms.parse_descriptor(n).coupled_mode
+            if dims and dims[k - 1] != rows:
+                raise ValueError(f"norm {n} couples tensor mode {k} ({dims[k - 1]} indices) to {rows} matrix rows")
 
 
 def _section(doc: dict, key: str, path: str) -> dict:
@@ -352,6 +365,7 @@ def _subset_mask(base: ObservationMask | None, mask: ObservationMask) -> Observa
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the full (norm x fraction x repetition) grid."""
     T, M, t_obs, m_obs = _load_data(cfg)
+    _check_norms(cfg.norms, T.shape, M.shape[0])
     report = ExperimentReport(config=cfg)
     for fraction in cfg.train_fractions:
         for rep in range(cfg.repetitions):

@@ -38,7 +38,7 @@ write the state in place, and only :func:`solve` reads a
 Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
 input step and the SVTs and drops any extrapolated point whose residual
 ``||F(s) - s||`` exceeds the last accepted point's, restarting from the
-plain step; its history, ``2 * DECOMPOSE_MEMORY + 2`` vectors the size of
+plain step; its history, ``2 * DECOMPOSE_MEMORY + 3`` vectors the size of
 ``s``, lives as long as the call.  :func:`solve` runs the plain iteration
 and alone computes the residuals its stopping rule reads.
 """
@@ -251,7 +251,6 @@ class CompletionResult:
     final_dual_residual: float
     iterations: int
     converged: bool
-    lam: float
     # the final iterate, from which a later solve may start (``solve(start=)``)
     state: SolverState = field(repr=False)
 
@@ -430,58 +429,52 @@ class _Anderson:
     Safeguard: an extrapolated point whose residual norm exceeds the last
     accepted point's is dropped, the history is cleared, and the next point
     is the plain step ``F`` of the accepted point, which is accepted.  Holds
-    ``2 * memory + 2`` vectors of the size of ``s``; memory 0 leaves every
+    ``2 * memory + 3`` vectors of the size of ``s``; memory 0 leaves every
     ``s`` as it is.  ``rejections`` counts dropped points.
     """
 
     def __init__(self, size: int, memory: int):
         self.memory = memory
         # differences of f and g in rows ``:count``, written cyclically from
-        # row 0 after each reset; row ``head`` is written next, and until
-        # then holds the point handed out last
+        # row 0 after each reset; row ``head`` is written next
         self.dF = np.zeros((memory, size))
         self.dG = np.zeros((memory, size))
         self.gram = np.zeros((memory, memory))
         self.count = self.head = 0
+        self.x: np.ndarray | None = None  # the point handed out last
         self.f = np.zeros(size)  # f and g at the accepted point
         self.g = np.zeros(size)
-        self.best = math.inf  # ||f|| at the accepted point
-        self.calls = 0
-        self.extrapolated = False
+        self.best = math.inf  # ||f|| at the accepted point; inf before the first
         self.rejections = 0
 
     def __call__(self, s: np.ndarray) -> None:
         if not self.memory:
             return
-        m, x = self.memory, self.dF[self.head]
-        self.calls += 1
-        if self.calls > 1:
-            f = np.subtract(s, x, out=x)
-            norm = math.sqrt(float(f @ f))
-            if self.extrapolated and norm > self.best:
-                self.rejections += 1
-                self.count = self.head = 0
-                self.extrapolated = False
-                np.copyto(s, self.g)
-                np.copyto(x, s)
-                return
-            if self.calls > 2:
-                f -= self.f  # row head becomes the difference, self.f the new f
-                self.f += f
-                np.subtract(s, self.g, out=self.dG[self.head])
-                self.gram[self.head] = self.gram[:, self.head] = self.dF @ f
-                self.count = min(self.count + 1, m)
-                self.head = (self.head + 1) % m
-            else:
-                np.copyto(self.f, f)
+        if self.x is None:
+            self.x = s.copy()
+            return
+        f = np.subtract(s, self.x, out=self.x)  # x's array holds f until the next point
+        norm = math.sqrt(float(f @ f))
+        if self.count and norm > self.best:  # an extrapolated point, worse than the accepted one
+            self.rejections += 1
+            self.count = self.head = 0
+            np.copyto(s, self.g)
+        else:
+            if self.best < math.inf:  # the differences from the previous accepted point
+                h = self.head
+                np.subtract(f, self.f, out=self.dF[h])
+                np.subtract(s, self.g, out=self.dG[h])
+                self.gram[h] = self.gram[:, h] = self.dF @ self.dF[h]
+                self.count = min(self.count + 1, self.memory)
+                self.head = (h + 1) % self.memory
+            np.copyto(self.f, f)
             np.copyto(self.g, s)
             self.best = norm
-            self.extrapolated = self.count > 0
-            if self.extrapolated:
+            if self.count:
                 k = self.count
-                b = self.dF[:k] @ self.f
-                s -= np.linalg.lstsq(self.gram[:k, :k], b, rcond=None)[0] @ self.dG[:k]
-        np.copyto(self.dF[self.head], s)
+                gamma = np.linalg.lstsq(self.gram[:k, :k], self.dF[:k] @ self.f, rcond=None)[0]
+                s -= gamma @ self.dG[:k]
+        np.copyto(self.x, s)
 
 
 def _warm_state(
@@ -523,12 +516,13 @@ def solve(
     Deterministic: every variable starts at zero, or at the final state of
     ``start``, an earlier result of a problem of the same shapes under a
     descriptor of the same layout, with its multipliers scaled by
-    ``opts.lam / start.lam``.  The problem is convex, so only the iteration
-    count depends on the start.  Stops once both residuals of
-    :func:`_residuals` are within their tolerances relative to max(1,
-    ||observed data||_F).  The objective trace, when recorded, is the loss
-    at the primal point plus the regularizer at the auxiliaries, ``beta <s -
-    z, z>`` by the prox identity ``<s_k - z_k, z_k> = tau_k ||z_k||_tr``.
+    ``opts.lam / start.state.lam``, the lambda it was fitted at.  The
+    problem is convex, so only the iteration count depends on the start.
+    Stops once both residuals of :func:`_residuals` are within their
+    tolerances relative to max(1, ||observed data||_F).  The objective
+    trace, when recorded, is the loss at the primal point plus the
+    regularizer at the auxiliaries, ``beta <s - z, z>`` by the prox identity
+    ``<s_k - z_k, z_k> = tau_k ||z_k||_tr``.
     Raises :class:`InvalidDescriptorError` when the descriptor's coupled
     mode is not the problem's, and ``ValueError`` when ``start`` does not
     fit the problem or the descriptor.
@@ -570,7 +564,7 @@ def solve(
     iterations, converged = _admm(state, opts.max_iters, fit_step, done)
     return CompletionResult(
         sum(state.components), state.M, state.components, *map(np.array, traces),
-        traces[1][-1], traces[2][-1], iterations, converged, opts.lam, state,
+        traces[1][-1], traces[2][-1], iterations, converged, state,
     )
 
 

@@ -93,3 +93,32 @@ def test_bounds_and_gen_without_a_synthetic_spec_exit_2(tmp_path, capsys):
     for command in ("bounds", "gen"):
         assert main([command, config]) == 2
         assert capsys.readouterr().err == f"coupled-completion: error: {command} requires a synthetic data spec\n"
+
+
+UNEVEN = {**SYNTHETIC, "dims": [6, 7, 8]}
+MISFIT = "coupled-completion: error: norm 2:(O,O,O) couples tensor mode 2 (7 indices) to 6 matrix rows\n"
+
+
+def test_a_descriptor_coupling_a_mode_the_synthetic_matrix_does_not_fit_exits_2(tmp_path, capsys):
+    # the synthetic matrix has a row per tensor mode-1 index
+    config = write_config(tmp_path / "c.json", norms=["1:(O,O,O)", "2:(O,O,O)"], data={"synthetic": UNEVEN},
+                          output_dir=str(tmp_path / "out"))
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == MISFIT
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_descriptor_coupling_a_mode_the_matrix_file_does_not_fit_exits_2(tmp_path, capsys):
+    gen = write_config(tmp_path / "gen.json", norms=["1:(O,O,O)"], data={"synthetic": UNEVEN},
+                       output_dir=str(tmp_path / "data"))
+    assert main(["gen", gen]) == 0
+    capsys.readouterr()
+    config = write_config(
+        tmp_path / "run.json", norms=["1:(O,O,O)", "2:(O,O,O)"],
+        data={"tensor_file": str(tmp_path / "data" / "tensor.txt"),
+              "matrix_file": str(tmp_path / "data" / "matrix.csv")},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == MISFIT
+    assert not (tmp_path / "out").exists()

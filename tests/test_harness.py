@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from coupled_completion.harness import (
     save_matrix_csv,
     save_sparse_tensor,
 )
-from coupled_completion.solver import SolverOptions
+from coupled_completion.solver import SolverOptions, solve
 from coupled_completion.tensor_ops import ObservationMask
 
 
@@ -495,23 +496,19 @@ class TestRun:
             b.test_mse_tensor,
         )
 
-    def test_per_cell_failure_recorded(self):
-        # a mode-2 coupling needs matrix rows == n2; non-cubic dims make
-        # this cell fail, and the failure must be recorded, not raised
-        cfg = tiny_config(
-            norms=("2:(O,O,O)",),
-            synthetic=datagen.SyntheticSpec.low_noise(
-                dims=(8, 7, 6),
-                multilinear_rank=(2, 2, 2),
-                matrix_cols=6,
-                matrix_rank=2,
-                shared=2,
-                seed=5,
-            ),
-        )
-        report = run(cfg)
+    def test_per_cell_failure_recorded(self, monkeypatch):
+        # a fit that raises fails its cell; the failure must be recorded,
+        # not raised, and the other cells still run
+        def fails_on_latent(problem, d, opts, start=None):
+            if d.has_latent():
+                raise ValueError("no fit")
+            return solve(problem, d, opts, start)
+
+        monkeypatch.setattr(harness.solver, "solve", fails_on_latent)
+        report = run(tiny_config(norms=("1:(O,O,O)", "1:(S,O,O)")))
         assert len(report.failures()) == 1
-        assert report.failures()[0].error
+        assert report.failures()[0].error == "no fit"
+        assert report.failures()[0].norm == "1:(S,O,O)"
 
     def test_cp_cell_reports_als_convergence(self, tmp_path):
         report = run(tiny_config(norms=("CP",), cp_iters=1))
@@ -637,3 +634,19 @@ class TestEmitReport:
         b1 = emit_report(run(cfg), tmp_path / "a")["results"].read_bytes()
         b2 = emit_report(run(cfg), tmp_path / "b")["results"].read_bytes()
         assert b1 == b2
+
+
+def test_the_readme_example_config_loads_as_documented(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S)
+    path = tmp_path / "config.json"
+    path.write_text(block.group(1))
+    cfg = load_config(path)
+    assert cfg.norms == ("1:(O,O,O)", "1:(S,O,O)", "OTN", "SLTN", "MTN", "CP")
+    assert cfg.lambda_grid == LambdaGrid(0.001, 5.0, 8, "log")
+    assert cfg.train_fractions == (0.3, 0.5, 0.7) and cfg.validation_fraction == 0.1
+    assert cfg.repetitions == 3 and cfg.seed == 1
+    assert cfg.solver == SolverOptions(tol_primal=1e-4, tol_dual=1e-4)
+    assert cfg.synthetic == datagen.SyntheticSpec.low_noise(
+        dims=(20, 20, 20), multilinear_rank=(5, 5, 5), matrix_cols=30, matrix_rank=5, shared=5, seed=1,
+    )

@@ -1,6 +1,7 @@
 """Tests for the coupled-completion ADMM solver."""
 
 import inspect
+import math
 import re
 from dataclasses import replace
 
@@ -959,7 +960,64 @@ def decompose_instance(dims, cols, seed):
     return rng.standard_normal(dims), rng.standard_normal((dims[0], cols))
 
 
+class TextbookAnderson:
+    """Safeguarded type-II Anderson acceleration (Walker & Ni 2011) from full
+    lists: ``fs`` and ``gs`` hold ``f = F(x) - x`` and ``g = F(x)`` at every
+    accepted point since the last rejection, and at the accepted point before
+    it, and the step solves the tall least-squares problem in the differences
+    of the last ``memory + 1`` of them.  ``rejected_at`` records, for each
+    rejection, the number of differences taken since the previous one modulo
+    ``memory``, the history row ``_Anderson`` would write next."""
+
+    def __init__(self, memory):
+        self.memory, self.fs, self.gs = memory, [], []
+        self.x, self.extrapolated, self.rejected_at = None, False, []
+
+    def step(self, Fx):
+        """The next point, given ``F`` at the point handed out last (the starting point first)."""
+        g = Fx.copy()
+        if self.x is None:
+            self.x = g
+            return g.copy()
+        f = g - self.x
+        if self.extrapolated and np.linalg.norm(f) > np.linalg.norm(self.fs[-1]):
+            self.rejected_at.append((len(self.fs) - 1) % self.memory)
+            self.fs, self.gs, self.extrapolated = self.fs[-1:], self.gs[-1:], False
+            self.x = self.gs[-1].copy()
+            return self.x.copy()
+        self.fs.append(f)
+        self.gs.append(g)
+        dF = np.diff(self.fs[-self.memory - 1 :], axis=0)
+        dG = np.diff(self.gs[-self.memory - 1 :], axis=0)
+        self.extrapolated = len(dF) > 0
+        self.x = g - dG.T @ np.linalg.lstsq(dF.T, f, rcond=None)[0] if self.extrapolated else g
+        return self.x.copy()
+
+
 class TestAnderson:
+    def test_agrees_with_the_textbook_accelerator_through_rejections(self):
+        # a nonlinear contraction whose safeguard drops points with history
+        # in rows other than the first, long before the fixed point is near
+        rng = np.random.default_rng(17)
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        b = rng.standard_normal(5)
+
+        def F(x):
+            return 0.99 * Q @ np.sin(x) + b
+
+        acc, ref = solver._Anderson(5, 4), TextbookAnderson(4)
+        x = np.zeros(5)
+        acc(x)
+        y = ref.step(np.zeros(5))
+        for _ in range(14):
+            x = F(x)
+            acc(x)
+            y = ref.step(F(y))
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+        assert sum(h != 0 for h in ref.rejected_at) >= 2
+        assert acc.rejections == len(ref.rejected_at)
+        assert np.linalg.norm(F(y) - y) > 1e-3
+
     def test_solves_an_affine_fixed_point_within_its_memory(self):
         # on an affine map of dimension <= memory, type-II Anderson is GMRES
         # and reaches the fixed point in a few steps
@@ -989,11 +1047,11 @@ class TestAnderson:
         acc(x)  # accepted, with no history yet: handed out as it is
         x = F(x)
         acc(x)  # accepted, and extrapolated from one difference
-        assert acc.extrapolated and acc.count == 1
+        assert acc.count == 1
         # F of a point with a residual far above the accepted one's
         x = x + 1e6
         acc(x)
-        assert acc.rejections == 1 and acc.count == 0 and not acc.extrapolated
+        assert acc.rejections == 1 and acc.count == 0
         # the next point is the plain step from the accepted point F(start)
         assert np.array_equal(x, F(F(start)))
 
@@ -1039,6 +1097,27 @@ class TestAcceleratedDecompose:
         assert len(made) == 1 and made[0].memory == solver.DECOMPOSE_MEMORY
         assert made[0].rejections >= 1
         assert 0.0 < lower and upper - lower <= tol * upper
+
+    def test_every_accepted_residual_is_measured_from_the_point_handed_out_last(self, monkeypatch):
+        wrong, rejected = [], []
+
+        class Checked(solver._Anderson):
+            def __call__(self, s):
+                last = getattr(self, "last", None)
+                true = None if last is None else float(np.linalg.norm(s - last))
+                before = self.rejections
+                super().__call__(s)
+                self.last = s.copy()
+                if self.rejections > before:
+                    rejected.append(True)
+                elif true is not None and not math.isclose(self.best, true, rel_tol=1e-12):
+                    wrong.append(self.best / true)
+
+        monkeypatch.setattr(solver, "_Anderson", Checked)
+        T, M = decompose_instance((6, 5, 4), 3, seed=0)
+        lay = norms.layout(NormDescriptor(1, ("S", "S", "S")), T.shape)
+        solver.decompose(T, M, lay, 1e-6)
+        assert rejected and not wrong
 
     def test_leaves_its_matrix_as_it_is_and_builds_no_options(self, monkeypatch):
         def no_options(*args, **kwargs):
