@@ -108,11 +108,12 @@ def _check_norms(norm_ids: tuple[str, ...], dims: tuple[int, ...] | None, rows: 
     """Raise ``ValueError`` on a malformed descriptor id among ``norm_ids``.
 
     Given the tensor's ``dims`` and the matrix's ``rows``, also on the first
-    descriptor whose coupled tensor mode has not ``rows`` indices.
+    descriptor, or ``CP`` (whose shared factor is the tensor's mode 1), whose
+    coupled tensor mode has not ``rows`` indices.
     """
     for n in norm_ids:
-        if n not in BASELINE_IDS:
-            k = norms.parse_descriptor(n).coupled_mode
+        if n == "CP" or n not in BASELINE_IDS:
+            k = 1 if n == "CP" else norms.parse_descriptor(n).coupled_mode
             if dims and dims[k - 1] != rows:
                 raise ValueError(f"norm {n} couples tensor mode {k} ({dims[k - 1]} indices) to {rows} matrix rows")
 
@@ -275,9 +276,8 @@ def cross_validate(fits: list[tuple[float, object, float]]) -> tuple[float, obje
 
 def _cell_opts(cfg: ExperimentConfig, lam: float) -> SolverOptions:
     # the ADMM proximity parameter scales with lambda, which keeps the
-    # iteration count flat across a wide grid; objective traces cost time
-    # per iteration and no report reads them
-    return replace(cfg.solver, lam=lam, beta=max(lam, 1e-3) * cfg.solver.beta, record_objective=False)
+    # iteration count flat across a wide grid
+    return replace(cfg.solver, lam=lam, beta=max(lam, 1e-3) * cfg.solver.beta)
 
 
 def _fit_cell(

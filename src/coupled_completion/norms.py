@@ -148,17 +148,36 @@ def format_descriptor(d: NormDescriptor) -> str:
     return f"{d.coupled_mode}:({d.tags[0]},{d.tags[1]},{d.tags[2]})"
 
 
+def _operands(T: np.ndarray, M: np.ndarray, coupled_mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """``T`` and ``M`` as C-ordered float arrays, checked for norm evaluation.
+
+    Raises ``ValueError`` naming ``T`` or ``M`` unless ``T`` is 3-way, ``M``
+    is 2-d with a row per index of ``T``'s mode ``coupled_mode``, and every
+    entry of both is finite.
+    """
+    T = np.ascontiguousarray(T, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
+    if T.ndim != 3:
+        raise ValueError(f"T must be 3-way, got shape {T.shape}")
+    if M.ndim != 2 or M.shape[0] != T.shape[coupled_mode - 1]:
+        raise ValueError(f"M must be 2-d with a row per index of T's mode {coupled_mode}, got shape {M.shape}")
+    for name, X in (("T", T), ("M", M)):
+        if not np.isfinite(X).all():
+            raise ValueError(f"{name} must be finite, got a non-finite entry")
+    return T, M
+
+
 def evaluate_overlapped(
     T: np.ndarray,
     M: np.ndarray,
     d: NormDescriptor,
 ) -> float:
-    """Closed-form value of an all-overlapped coupled norm."""
+    """Closed-form value of an all-overlapped coupled norm: both ends of its :func:`bracket`."""
     if d.has_latent():
         raise InvalidDescriptorError(
             f"closed-form evaluation needs (O,O,O), got {d.tags}"
         )
-    return decomposition_value([T], layout(d, T.shape), M)
+    return bracket(T, M, d)[0]
 
 
 def decomposition_value(
@@ -204,15 +223,16 @@ def bracket(
     lower <= tol * upper``: ``upper`` is the value of a feasible
     decomposition, ``lower`` a Hoelder bound from the ADMM multipliers.
     Inputs are copied to C order first, so the values do not depend on their
-    memory layout.  ``tol`` must be finite and > 0.
+    memory layout.  ``tol`` must be finite and > 0, and ``(T, M)`` must be
+    finite, with ``T`` 3-way and ``M`` 2-d with a row per index of ``T``'s
+    coupled mode.
     """
     check_settings(locals(), tol=POSITIVE)
     # function-local: solver imports this module at load time, so a
     # module-level import of solver would be circular
     from .solver import decompose
 
-    T = np.ascontiguousarray(T, dtype=float)
-    M = np.ascontiguousarray(M, dtype=float)
+    T, M = _operands(T, M, d.coupled_mode)
     lay = layout(d, T.shape)
     if not d.has_latent():
         value = decomposition_value([T], lay, M)
@@ -251,7 +271,7 @@ def dual_norm_latent_type(
         raise InvalidDescriptorError(
             f"closed-form dual available for (L,L,L) and (S,S,S) only, got {d.tags}"
         )
-    T = np.asarray(T, dtype=float)
+    T, M = _operands(T, M, d.coupled_mode)
     return split_dual_bound(layout(d, T.shape), {k: T for k in (1, 2, 3)}, M)
 
 

@@ -162,13 +162,15 @@ class ObservationMask:
 
     ``indices`` is an ``(n_obs, ndim)`` integer array of 0-based positions,
     kept sorted lexicographically and free of duplicates; ``shape`` is the
-    shape of the array being masked.
+    shape of the array being masked, integers >= 0, kept as a tuple of ints.
     """
 
     shape: tuple[int, ...]
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        check_settings(vars(self), shape=0)
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         idx = np.asarray(self.indices)
         if idx.size == 0 and idx.ndim < 2:  # ``[]``: no positions, of any width
             idx = np.empty((0, len(self.shape)), dtype=np.intp)

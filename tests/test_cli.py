@@ -7,6 +7,7 @@ import pytest
 
 from coupled_completion import datagen, harness
 from coupled_completion.cli import main
+from coupled_completion.tensor_ops import ObservationMask
 
 SYNTHETIC = {
     "dims": [8, 8, 8], "multilinear_rank": [2, 2, 2], "matrix_cols": 6,
@@ -121,4 +122,21 @@ def test_a_descriptor_coupling_a_mode_the_matrix_file_does_not_fit_exits_2(tmp_p
     )
     assert main(["run", config]) == 2
     assert capsys.readouterr().err == MISFIT
+    assert not (tmp_path / "out").exists()
+
+
+def test_cp_on_a_matrix_file_whose_rows_fit_another_tensor_mode_exits_2(tmp_path, capsys):
+    # coupled CP-ALS shares the tensor's mode-1 factor, so its matrix needs 6 rows
+    rng = np.random.default_rng(0)
+    T, M = rng.standard_normal((6, 7, 8)), rng.standard_normal((7, 3))
+    harness.save_sparse_tensor(tmp_path / "tensor.txt", T, ObservationMask.full(T.shape))
+    harness.save_matrix_csv(tmp_path / "matrix.csv", M, ObservationMask.full(M.shape))
+    config = write_config(
+        tmp_path / "run.json", norms=["2:(O,O,O)", "CP"],
+        data={"tensor_file": str(tmp_path / "tensor.txt"), "matrix_file": str(tmp_path / "matrix.csv")},
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", config]) == 2
+    err = capsys.readouterr().err
+    assert err == "coupled-completion: error: norm CP couples tensor mode 1 (6 indices) to 7 matrix rows\n"
     assert not (tmp_path / "out").exists()

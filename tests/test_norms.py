@@ -320,6 +320,30 @@ class TestBracket:
             assert 0.0 < lower <= upper
 
 
+class TestRejectsMalformedOperands:
+    """Each norm evaluation rejects a malformed ``(T, M)`` up front, naming
+    it, where it used to fail inside the solver state or an SVD."""
+
+    # coupling on mode 2 of a 3 x 4 x 5 tensor: M needs 4 rows, not 3
+    BAD = {
+        "2-d T": (np.ones((3, 4)), np.ones((4, 2)), "T must be 3-way"),
+        "1-d M": (np.ones((3, 4, 5)), np.ones(4), "M must be 2-d with a row per index of T's mode 2,"),
+        "M rows fit another mode": (np.ones((3, 4, 5)), np.ones((3, 2)), "M must be 2-d with a row per index of T's mode 2,"),
+        "nan in T": (np.full((3, 4, 5), np.nan), np.ones((4, 2)), "T must be finite"),
+        "inf in M": (np.ones((3, 4, 5)), np.full((4, 2), -np.inf), "M must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    @pytest.mark.parametrize(
+        "fn, text", [(bracket, "2:(S,O,O)"), (evaluate_overlapped, "2:(O,O,O)"),
+                     (dual_norm_latent_type, "2:(L,L,L)")], ids=["bracket", "overlapped", "dual"],
+    )
+    def test_raises_a_value_error_naming_the_operand(self, fn, text, case):
+        T, M, message = self.BAD[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            fn(T, M, parse_descriptor(text))
+
+
 class TestDualNorms:
     def test_latent_identity_matrix(self):
         d = NormDescriptor(1, ("L", "L", "L"))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_completion import norms, solver
-from coupled_completion.baselines import complete_tensor
+from coupled_completion.baselines import complete_matrix_mtn, complete_tensor
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
     RELAXATION,
@@ -300,7 +300,7 @@ class TestUpdateAuxiliaries:
         update_auxiliaries(state)
         assert all(np.max(np.abs(Y)) < 1e-10 for Y in state.z.tensors.values())
         assert np.max(np.abs(state.z.matrix)) < 1e-10
-        # the objective trace's regularizer beta <s - z, z> (see solve)
+        # <s - z, z> = tau ||z||_tr, the prox identity, is 0 at z = 0
         assert float(np.vdot(state.s.flat - state.z.flat, state.z.flat)) == 0.0
 
     # n = 12 puts every unfolding, the coupled block too, on the Gram route of svt
@@ -553,8 +553,9 @@ class TestSolve:
         r2 = solve(problem, NormDescriptor(1, ("S", "O", "O")), opts)
         assert np.array_equal(r1.tensor, r2.tensor)
         assert np.array_equal(r1.matrix, r2.matrix)
-        assert np.array_equal(r1.objective_trace, r2.objective_trace)
-        assert np.array_equal(r1.primal_residual_trace, r2.primal_residual_trace)
+        assert r1.iterations == r2.iterations
+        assert r1.final_primal_residual == r2.final_primal_residual
+        assert r1.final_dual_residual == r2.final_dual_residual
 
     def test_mode23_permutation_equivariance(self):
         problem = random_problem(dims=(5, 6, 7), cols=4, seed=22)
@@ -603,12 +604,15 @@ class TestSolve:
         value_perm = norms.evaluate(T_perm, problem.matrix, d_perm)
         assert value_perm == pytest.approx(value, rel=1e-9)
 
-    def test_traces_have_iteration_length(self):
+    def test_record_objective_leaves_the_fit_as_it_is(self):
         problem = random_problem(seed=23)
-        res = solve(problem, NormDescriptor(1, ("O", "O", "O")), SolverOptions(lam=0.5))
-        assert len(res.primal_residual_trace) == res.iterations
-        assert len(res.dual_residual_trace) == res.iterations
-        assert len(res.objective_trace) == res.iterations
+        d = NormDescriptor(1, ("S", "O", "O"))
+        on, off = (solve(problem, d, SolverOptions(lam=0.5, record_objective=r)) for r in (True, False))
+        assert np.array_equal(on.tensor, off.tensor)
+        assert np.array_equal(on.matrix, off.matrix)
+        assert on.iterations == off.iterations
+        assert on.final_primal_residual == off.final_primal_residual
+        assert on.final_dual_residual == off.final_dual_residual
 
     def test_iteration_cap_reports_not_converged(self):
         problem = random_problem(seed=24)
@@ -633,7 +637,8 @@ class TestSolve:
         assert res.iterations == ref.iterations
         assert np.array_equal(res.tensor, ref.tensor)
         assert np.array_equal(res.matrix, ref.matrix)
-        assert np.array_equal(res.objective_trace, ref.objective_trace)
+        assert res.final_primal_residual == ref.final_primal_residual
+        assert res.final_dual_residual == ref.final_dual_residual
 
     def test_rejects_iteration_cap_below_one(self):
         with pytest.raises(ValueError, match="max_iters"):
@@ -702,20 +707,27 @@ class TestMetamorphic:
     # tensors agree to rounding; the Gram route only adds exact zeros
     @pytest.mark.parametrize("dims, rtol", zip(DIMS, [1e-13, 0.0]))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_unobserved_matrix_gives_the_overlapped_tensor_fit(self, dims, rtol, seed):
-        """With no matrix entry observed, the matrix block of 1:(O,O,O) stays
-        zero and the tensor is the tensor-only overlapped (OTN) fit."""
+    @pytest.mark.parametrize("blind", ["matrix", "tensor"])
+    def test_an_unobserved_part_leaves_the_other_parts_own_fit(self, dims, rtol, seed, blind):
+        """With no entry of one part observed, 1:(O,O,O) keeps that part at
+        zero and fits the other alone: with no matrix entry, the tensor is the
+        tensor-only overlapped (OTN) fit; with no tensor entry, the matrix is
+        the matrix-only (MTN) fit.  The matrix fits agree only to rounding,
+        since MTN thresholds the matrix without the tensor's zero columns."""
         problem = random_problem(dims=dims, seed=seed)
-        blind = CoupledProblem(
-            problem.tensor, problem.tensor_mask, problem.matrix,
-            ObservationMask.empty(problem.matrix.shape),
-        )
+        blinded = replace(problem, **{f"{blind}_mask": ObservationMask.empty(getattr(problem, blind).shape)})
         opts = SolverOptions(lam=0.3, beta=1.0)
-        res = solve(blind, NormDescriptor(1, ("O", "O", "O")), opts)
-        otn = complete_tensor(problem.tensor, problem.tensor_mask, "overlapped", 0.3, opts)
-        assert res.iterations == otn.iterations
-        assert not res.matrix.any()
-        assert np.max(np.abs(res.tensor - otn.tensor)) <= rtol * np.max(np.abs(otn.tensor))
+        res = solve(blinded, NormDescriptor(1, ("O", "O", "O")), opts)
+        if blind == "matrix":
+            alone = complete_tensor(problem.tensor, problem.tensor_mask, "overlapped", 0.3, opts)
+            assert not res.matrix.any()
+            fit, ref, fit_rtol = res.tensor, alone.tensor, rtol
+        else:
+            alone = complete_matrix_mtn(problem.matrix, problem.matrix_mask, 0.3, opts)
+            assert np.max(np.abs(res.tensor)) <= rtol * np.max(np.abs(alone.matrix))
+            fit, ref, fit_rtol = res.matrix, alone.matrix, 1e-13
+        assert res.iterations == alone.iterations
+        assert np.max(np.abs(fit - ref)) <= fit_rtol * np.max(np.abs(ref))
 
 
 class TestWarmStart:
@@ -775,7 +787,8 @@ class TestWarmStart:
         assert again.iterations == cold.iterations
         assert np.array_equal(again.tensor, cold.tensor)
         assert np.array_equal(again.matrix, cold.matrix)
-        assert np.array_equal(again.primal_residual_trace, cold.primal_residual_trace)
+        assert again.final_primal_residual == cold.final_primal_residual
+        assert again.final_dual_residual == cold.final_dual_residual
 
 
 class TestMultiplierArrays:

@@ -346,6 +346,16 @@ class TestObservationMask:
         with pytest.raises(ValueError, match=re.escape(f"indices must be (n, 3), got {indices.shape}")):
             ObservationMask((3, 3, 3), indices)
 
+    def test_a_list_shape_is_kept_as_a_tuple_of_ints(self):
+        mask = ObservationMask([2, np.int64(2)], [[0, 1]])
+        assert mask.shape == (2, 2) and all(type(n) is int for n in mask.shape)
+        assert np.array_equal(mask_apply(np.ones((2, 2)), mask), [[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(2, -1), (2.0, 2)], ids=["negative", "float"])
+    def test_rejects_a_shape_entry_that_is_not_an_integer_at_least_zero(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape must be integer and >= 0, got {shape!r}")):
+            ObservationMask(shape, [])
+
     def test_indicator(self):
         mask = ObservationMask((2, 2), np.array([[0, 1]]))
         assert np.array_equal(mask.indicator(), [[0.0, 1.0], [0.0, 0.0]])
