@@ -448,6 +448,7 @@ def load_sparse_tensor(path: str | Path) -> tuple[np.ndarray, ObservationMask]:
 
 
 def save_sparse_tensor(path: str | Path, T: np.ndarray, mask: ObservationMask) -> None:
+    mask.check(T, "tensor")
     lines = [f"dims: {T.shape[0]} {T.shape[1]} {T.shape[2]}"]
     for i, j, k in mask.indices:
         lines.append(f"{i + 1} {j + 1} {k + 1} {float(T[i, j, k])!r}")
@@ -487,6 +488,7 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, ObservationMask]:
 
 
 def save_matrix_csv(path: str | Path, M: np.ndarray, mask: ObservationMask) -> None:
+    mask.check(M, "matrix")
     obs = {tuple(row) for row in mask.indices}
     lines = []
     for i in range(M.shape[0]):

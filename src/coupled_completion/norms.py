@@ -26,7 +26,7 @@ import numpy as np
 from .prox import spectral_norm, trace_norm
 # svt is not called here; bench/test_bench.py patches and checks norms.svt
 from .prox import svt  # noqa: F401
-from .tensor_ops import POSITIVE, check_mode, check_settings, unfold
+from .tensor_ops import POSITIVE, check_mode, check_pair, check_settings, unfold
 
 __all__ = [
     "TAGS",
@@ -151,16 +151,13 @@ def format_descriptor(d: NormDescriptor) -> str:
 def _operands(T: np.ndarray, M: np.ndarray, coupled_mode: int) -> tuple[np.ndarray, np.ndarray]:
     """``T`` and ``M`` as C-ordered float arrays, checked for norm evaluation.
 
-    Raises ``ValueError`` naming ``T`` or ``M`` unless ``T`` is 3-way, ``M``
-    is 2-d with a row per index of ``T``'s mode ``coupled_mode``, and every
-    entry of both is finite.
+    Raises ``ValueError`` naming ``coupled_mode``, ``T`` or ``M`` unless they
+    are a coupled pair (:func:`tensor_ops.check_pair`) and every entry of
+    both is finite.
     """
     T = np.ascontiguousarray(T, dtype=float)
     M = np.ascontiguousarray(M, dtype=float)
-    if T.ndim != 3:
-        raise ValueError(f"T must be 3-way, got shape {T.shape}")
-    if M.ndim != 2 or M.shape[0] != T.shape[coupled_mode - 1]:
-        raise ValueError(f"M must be 2-d with a row per index of T's mode {coupled_mode}, got shape {M.shape}")
+    check_pair(T, M, coupled_mode, "coupled_mode")
     for name, X in (("T", T), ("M", M)):
         if not np.isfinite(X).all():
             raise ValueError(f"{name} must be finite, got a non-finite entry")
@@ -284,8 +281,9 @@ def dual_norm_overlapped_upper(
     terms, and only the coupled term can take the matrix.  The whole tensor
     on mode ``k`` gives ``||[T_(k) | M]||_2`` for the coupled mode and
     ``max(||T_(k)||_2, ||M||_2)`` for the others; this is the least of the three.
+    ``(T, M)`` must be finite and coupled on ``coupled_mode``, as in :func:`bracket`.
     """
-    check_mode(coupled_mode, "coupled_mode")
+    T, M = _operands(T, M, coupled_mode)
     m = spectral_norm(M)
     return min(
         spectral_norm(unfold(T, k, M)) if k == coupled_mode

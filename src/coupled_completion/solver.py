@@ -57,7 +57,7 @@ from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
 # svd and unfold are not called here; bench/test_bench.py patches and checks them
 from .prox import svd  # noqa: F401
 from .prox import svt
-from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_mode, check_settings, fold, mask_apply
+from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_pair, check_settings, fold, mask_apply
 from .tensor_ops import unfold  # noqa: F401
 
 __all__ = [
@@ -90,8 +90,9 @@ DECOMPOSE_CHECK_EVERY = 10
 class CoupledProblem:
     """Observed tensor + observed matrix sharing mode ``coupled_mode``.
 
-    Observed entries must be finite; unobserved entries are arbitrary (NaN
-    included) and never read.
+    The two form a coupled pair (:func:`tensor_ops.check_pair`), each of its
+    mask's shape.  Observed entries must be finite; unobserved entries are
+    arbitrary (NaN included) and never read.
     """
 
     tensor: np.ndarray
@@ -105,21 +106,9 @@ class CoupledProblem:
         M = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "tensor", T)
         object.__setattr__(self, "matrix", M)
-        if T.ndim != 3:
-            raise ValueError("tensor must be 3-way")
-        if M.ndim != 2:
-            raise ValueError("matrix must be 2-d")
-        check_mode(self.coupled_mode, "coupled_mode")
-        if M.shape[0] != T.shape[self.coupled_mode - 1]:
-            raise ValueError(
-                f"matrix rows ({M.shape[0]}) must match tensor mode-"
-                f"{self.coupled_mode} dimension ({T.shape[self.coupled_mode - 1]})"
-            )
-        if self.tensor_mask.shape != T.shape:
-            raise ValueError("tensor mask shape mismatch")
-        if self.matrix_mask.shape != M.shape:
-            raise ValueError("matrix mask shape mismatch")
+        check_pair(T, M, self.coupled_mode, "coupled_mode")
         for name, X, mask in (("tensor", T, self.tensor_mask), ("matrix", M, self.matrix_mask)):
+            mask.check(X, name)
             bad = ~np.isfinite(X[mask.as_tuple()])
             if bad.any():
                 at = tuple(int(i) for i in mask.indices[np.argmax(bad)])
@@ -348,13 +337,20 @@ def objective(
     M: np.ndarray,
     tol: float = 1e-6,
 ) -> float:
-    """Value of the completion objective at ``(T, M)``."""
+    """Value of the completion objective at ``(T, M)``, which must have ``problem``'s shapes."""
+    _check_shapes(problem, T, M)
     reg = lam * norms.evaluate(T, M, d, tol=tol) if lam else 0.0
     loss = 0.5 * float(
         np.linalg.norm(problem.matrix_indicator * M - problem.matrix_observed) ** 2
         + np.linalg.norm(problem.tensor_indicator * T - problem.tensor_observed) ** 2
     )
     return loss + reg
+
+
+def _check_shapes(problem: CoupledProblem, T, M, of: str = "") -> None:
+    """Raise ``ValueError`` naming ``T`` or ``M`` unless they have ``problem``'s tensor and matrix shapes."""
+    problem.tensor_mask.check(T, of + "T")
+    problem.matrix_mask.check(M, of + "M")
 
 
 def _largest_norm(d: TermArrays) -> float:
@@ -484,11 +480,7 @@ def _warm_state(
     ``start`` is left as it is.
     """
     prev = start.state
-    if prev.layout.dims != lay.dims or prev.M.shape != problem.matrix.shape:
-        raise ValueError(
-            f"start is from a problem of shape {prev.layout.dims} + {prev.M.shape}, "
-            f"not {lay.dims} + {problem.matrix.shape}"
-        )
+    _check_shapes(problem, prev.components[0], prev.M, "start's ")
     if prev.layout != lay:
         raise ValueError("start is from a descriptor of another component layout")
     ratio = opts.lam / prev.lam * (prev.beta / opts.beta) if prev.lam else 0.0

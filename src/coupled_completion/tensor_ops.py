@@ -1,5 +1,7 @@
 """Dense 3-way tensor algebra: unfolding/folding, the coupled unfolding,
-Tucker synthesis and observation masks.
+Tucker synthesis and observation masks, and the one check of each kind of
+operand: a coupled pair (:func:`check_pair`) and an array against its mask
+(:meth:`ObservationMask.check`).
 
 Conventions
 -----------
@@ -24,7 +26,6 @@ __all__ = [
     "fold",
     "tucker_synthesize",
     "mask_apply",
-    "inner",
 ]
 
 _ORTHO_TOL = 1e-10
@@ -83,21 +84,35 @@ def check_mode(k, name: str = "mode", error: type[ValueError] = ValueError) -> i
     return k - 1
 
 
+def check_pair(T, M, k, name: str = "mode") -> int:
+    """The 0-based axis of mode ``k`` of the coupled pair ``(T, M)``.
+
+    Raises ``ValueError`` naming ``name``, ``T`` or ``M`` unless ``k`` is a
+    mode (:func:`check_mode`), ``T`` is 3-way and ``M`` is 2-d with a row
+    per index of ``T``'s mode ``k``.  Reads shapes only.
+    """
+    axis = check_mode(k, name)
+    if np.ndim(T) != 3:
+        raise ValueError(f"T must be 3-way, got shape {np.shape(T)}")
+    if np.ndim(M) != 2 or np.shape(M)[0] != np.shape(T)[axis]:
+        raise ValueError(f"M must be 2-d with a row per index of T's mode {k}, got shape {np.shape(M)}")
+    return axis
+
+
 def unfold(T: np.ndarray, k: int, M: np.ndarray | None = None) -> np.ndarray:
     """Mode-``k`` unfolding of a 3-way tensor into an ``n_k x (N/n_k)`` matrix.
 
-    With a matrix ``M`` of ``n_k`` rows, the coupled unfolding ``[T_(k) | M]``:
-    the term by which every coupled norm shares the common mode.
+    With a matrix ``M``, the coupled unfolding ``[T_(k) | M]`` of the pair
+    (:func:`check_pair`): the term by which every coupled norm shares the
+    common mode.
     """
-    axis = check_mode(k)
+    axis = check_mode(k) if M is None else check_pair(T, M, k)
     T = np.asarray(T)
     if T.ndim != 3:
         raise ValueError(f"expected a 3-way tensor, got ndim={T.ndim}")
     T = T.transpose(_AXES[axis])
     n, a, b = T.shape
     Tk = T.reshape((n, a * b), order="F")
-    if M is not None and np.shape(M)[0] != n:
-        raise ValueError(f"mode-{k} unfolding has {n} rows, the matrix {np.shape(M)[0]}")
     return Tk if M is None else np.concatenate([Tk, M], axis=1)
 
 
@@ -129,6 +144,8 @@ def tucker_synthesize(
     ``core.shape``.
     """
     core = np.asarray(core)
+    if core.ndim != 3:
+        raise ValueError(f"core must be 3-way, got shape {core.shape}")
     factors = (U1, U2, U3)
     for k, U in enumerate(factors, start=1):
         U = np.asarray(U)
@@ -147,15 +164,6 @@ def tucker_synthesize(
     return out
 
 
-def inner(A: np.ndarray, B: np.ndarray) -> float:
-    """Euclidean inner product of two same-shaped arrays."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return float(np.vdot(A, B))
-
-
 @dataclass(frozen=True)
 class ObservationMask:
     """Set of observed positions of a matrix or a 3-way tensor.
@@ -170,6 +178,8 @@ class ObservationMask:
 
     def __post_init__(self):
         check_settings(vars(self), shape=0)
+        if np.ndim(self.shape) != 1:
+            raise ValueError(f"shape must be a sequence of integers >= 0, got {self.shape!r}")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         idx = np.asarray(self.indices)
         if idx.size == 0 and idx.ndim < 2:  # ``[]``: no positions, of any width
@@ -205,6 +215,11 @@ class ObservationMask:
         """Index tuple usable for numpy fancy indexing."""
         return tuple(self.indices.T)
 
+    def check(self, X, name: str) -> None:
+        """Raise ``ValueError`` naming ``name`` unless ``X`` has the mask's shape."""
+        if np.shape(X) != self.shape:
+            raise ValueError(f"{name} must have the mask's shape {self.shape}, got {np.shape(X)}")
+
     def indicator(self) -> np.ndarray:
         """Dense 0/1 float array of the mask."""
         out = np.zeros(self.shape)
@@ -215,8 +230,7 @@ class ObservationMask:
 def mask_apply(X: np.ndarray, mask: ObservationMask) -> np.ndarray:
     """Keep observed entries of ``X`` and zero out the rest."""
     X = np.asarray(X)
-    if X.shape != mask.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs mask {mask.shape}")
+    mask.check(X, "X")
     out = np.zeros_like(X, dtype=float)
     ix = mask.as_tuple()
     out[ix] = X[ix]

@@ -18,7 +18,6 @@ from coupled_completion.solver import CoupledProblem, SolverOptions
 from coupled_completion.tensor_ops import (
     ObservationMask,
     fold,
-    inner,
     mask_apply,
     tucker_synthesize,
     unfold,
@@ -82,9 +81,9 @@ def test_criterion_2_algebra_suite():
     for _ in range(20):
         T = rng.standard_normal((4, 5, 6))
         S = rng.standard_normal((4, 5, 6))
-        base = inner(T, S)
+        base = np.vdot(T, S)
         for k in (1, 2, 3):
-            inner_dev = max(inner_dev, abs(inner(unfold(T, k), unfold(S, k)) - base))
+            inner_dev = max(inner_dev, abs(np.vdot(unfold(T, k), unfold(S, k)) - base))
 
     def kron_loops(A, B):
         out = np.zeros((A.shape[0] * B.shape[0], A.shape[1] * B.shape[1]))

@@ -251,14 +251,6 @@ class TestCoupledCpAls:
                 T, M, ObservationMask.full(T.shape), ObservationMask.full(M.shape), rank=2
             )
 
-    def test_rejects_matrix_rows_other_than_n1(self):
-        T, _ = planted_cp((4, 5, 3), 6, rank=2, seed=17)
-        M = np.zeros((5, 6))
-        with pytest.raises(ValueError, match="matrix rows"):
-            coupled_cp_als(
-                T, M, ObservationMask.full(T.shape), ObservationMask.full(M.shape), rank=2
-            )
-
 
 class TestMaskedLsRows:
     def test_matches_per_row_ridge_solve(self):

@@ -419,6 +419,13 @@ class TestSparseTensorFormat:
         ix = mask.as_tuple()
         assert np.array_equal(T[ix], T2[ix])
 
+    def test_save_rejects_a_mask_of_another_shape(self, tmp_path):
+        # the mask's index (2, 2, 2) lies past T's shape and would raise a bare IndexError
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=re.escape("tensor must have the mask's shape (3, 3, 3), got (2, 2, 2)")):
+            save_sparse_tensor(path, np.zeros((2, 2, 2)), ObservationMask.full((3, 3, 3)))
+        assert not path.exists()
+
 
 class TestMatrixCsvFormat:
     def test_fully_observed(self, tmp_path):
@@ -464,6 +471,14 @@ class TestMatrixCsvFormat:
         assert np.array_equal(mask.indices, mask2.indices)
         ix = mask.as_tuple()
         assert np.array_equal(M[ix], M2[ix])
+
+    def test_save_rejects_a_mask_of_another_shape(self, tmp_path):
+        # a loop over M's rows and columns would write '0.0,\n,3.0\n,\n' and drop the observed (3, 3) entry
+        path = tmp_path / "m.csv"
+        M = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(ValueError, match=re.escape("matrix must have the mask's shape (4, 4), got (3, 2)")):
+            save_matrix_csv(path, M, ObservationMask((4, 4), [[0, 0], [1, 1], [3, 3]]))
+        assert not path.exists()
 
 
 class TestRun:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coupled_completion import solver
+from coupled_completion.baselines import coupled_cp_als
 from coupled_completion.datagen import SyntheticSpec, gen_instance
 from coupled_completion.norms import (
     InvalidDescriptorError,
@@ -21,7 +22,8 @@ from coupled_completion.norms import (
     parse_descriptor,
 )
 from coupled_completion.prox import trace_norm
-from coupled_completion.tensor_ops import fold, unfold
+from coupled_completion.solver import CoupledProblem
+from coupled_completion.tensor_ops import ObservationMask, fold, unfold
 from test_solver import state_at
 
 
@@ -321,8 +323,9 @@ class TestBracket:
 
 
 class TestRejectsMalformedOperands:
-    """Each norm evaluation rejects a malformed ``(T, M)`` up front, naming
-    it, where it used to fail inside the solver state or an SVD."""
+    """Every entry point that takes a coupled pair ``(T, M)`` rejects a
+    malformed one up front, naming it, where it used to fail inside the
+    solver state or an SVD."""
 
     # coupling on mode 2 of a 3 x 4 x 5 tensor: M needs 4 rows, not 3
     BAD = {
@@ -332,16 +335,42 @@ class TestRejectsMalformedOperands:
         "nan in T": (np.full((3, 4, 5), np.nan), np.ones((4, 2)), "T must be finite"),
         "inf in M": (np.ones((3, 4, 5)), np.full((4, 2), -np.inf), "M must be finite"),
     }
+    SHAPES = ("2-d T", "1-d M", "M rows fit another mode")
+    # the norm functions, which also reject a non-finite entry
+    NORMS = {
+        "bracket": lambda T, M: bracket(T, M, parse_descriptor("2:(S,O,O)")),
+        "overlapped": lambda T, M: evaluate_overlapped(T, M, parse_descriptor("2:(O,O,O)")),
+        "dual": lambda T, M: dual_norm_latent_type(T, M, parse_descriptor("2:(L,L,L)")),
+        "upper": lambda T, M: dual_norm_overlapped_upper(T, M, 2),
+    }
+    # the entry points that read no entry of a pair before the solver does
+    SHAPE_ONLY = {
+        "problem": lambda T, M: CoupledProblem(
+            T, ObservationMask.full(np.shape(T)), M, ObservationMask.full(np.shape(M)), 2
+        ),
+        "unfold": lambda T, M: unfold(T, 2, M),
+    }
 
-    @pytest.mark.parametrize("case", BAD)
-    @pytest.mark.parametrize(
-        "fn, text", [(bracket, "2:(S,O,O)"), (evaluate_overlapped, "2:(O,O,O)"),
-                     (dual_norm_latent_type, "2:(L,L,L)")], ids=["bracket", "overlapped", "dual"],
-    )
-    def test_raises_a_value_error_naming_the_operand(self, fn, text, case):
+    def assert_rejects(self, fn, case):
         T, M, message = self.BAD[case]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            fn(T, M, parse_descriptor(text))
+            fn(T, M)
+
+    @pytest.mark.parametrize("case", BAD)
+    @pytest.mark.parametrize("fn", NORMS)
+    def test_raises_a_value_error_naming_the_operand(self, fn, case):
+        self.assert_rejects(self.NORMS[fn], case)
+
+    @pytest.mark.parametrize("case", SHAPES)
+    @pytest.mark.parametrize("fn", SHAPE_ONLY)
+    def test_shape_only_entry_points_raise_the_same_error(self, fn, case):
+        self.assert_rejects(self.SHAPE_ONLY[fn], case)
+
+    def test_cp_als_rejects_matrix_rows_other_than_n1(self):
+        # CP shares the tensor's mode 1: 4 rows fit mode 2 only
+        T, M = np.ones((3, 4, 5)), np.ones((4, 2))
+        with pytest.raises(ValueError, match="^" + re.escape("M must be 2-d with a row per index of T's mode 1, got shape (4, 2)")):
+            coupled_cp_als(T, M, ObservationMask.full(T.shape), ObservationMask.full(M.shape), rank=2)
 
 
 class TestDualNorms:

@@ -442,6 +442,18 @@ class TestObjective:
         )
         assert val == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("operand", ["T", "M"])
+    def test_rejects_a_fit_of_another_shape(self, operand, lam):
+        # zeros of shapes (1, 1, 1) and (1, 1) would broadcast to the value at zeros of the right shapes
+        problem = random_problem(dims=(3, 4, 5), cols=2, seed=15)
+        fit = {"T": np.zeros(problem.dims), "M": np.zeros(problem.matrix.shape)}
+        want = fit[operand].shape
+        fit[operand] = np.zeros((1,) * len(want))
+        message = f"{operand} must have the mask's shape {want}, got {fit[operand].shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            objective(problem, NormDescriptor(1, ("O", "O", "O")), lam, fit["T"], fit["M"])
+
     @pytest.mark.parametrize("tol", [0.0, np.nan, -1.0])
     def test_rejects_a_norm_tolerance_that_is_not_finite_and_positive(self, tol):
         # such a tol once ran decompose to its iteration cap, with no signal
@@ -758,12 +770,12 @@ class TestWarmStart:
         assert np.max(np.abs(warm.matrix - cold.matrix)) < 1e-5
 
     @pytest.mark.parametrize(
-        "dims, cols", [((5, 6, 7), 4), ((6, 6, 6), 5)], ids=["tensor", "matrix"]
+        "dims, cols, operand", [((5, 6, 7), 4, "T"), ((6, 6, 6), 5, "M")], ids=["tensor", "matrix"]
     )
-    def test_rejects_start_from_other_shape(self, dims, cols):
+    def test_rejects_start_from_other_shape(self, dims, cols, operand):
         start = solve(random_problem(seed=31), self.D, SolverOptions(lam=0.3, max_iters=5))
         problem = random_problem(dims=dims, cols=cols, seed=31)
-        with pytest.raises(ValueError, match="start is from a problem of shape"):
+        with pytest.raises(ValueError, match=f"start's {operand} must have the mask's shape"):
             solve(problem, self.D, SolverOptions(lam=0.3), start=start)
 
     def test_rejects_start_from_other_layout(self):

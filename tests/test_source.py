@@ -78,3 +78,51 @@ def test_the_check_finds_a_stale_export_and_spares_every_kind_of_binding():
         "class K:\n    h = 6\n__all__ = ['os', 'p', 'A', 'B', 'C', 'D', 'f', 'K', 'pi', 'g', 'h']\n"
     )
     assert stale_exports(text) == ["pi", "g", "h"]
+
+
+def unread_private_names(texts: dict[str, str]) -> list[str]:
+    """``module:line: name`` of each module-level ``_name`` that nothing in ``texts`` reads.
+
+    A module-level name is one a def, a class or an assignment at the top of
+    a module binds; it is private when it starts with ``_`` and is not a
+    dunder.  It is read where an ``ast.Name`` or an ``ast.Attribute`` loads
+    it, in any of the modules, so a helper whose last caller was deleted is
+    reported.
+    """
+    trees = {module: ast.parse(text) for module, text in texts.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.endswith("__") and name not in read]
+    return unread
+
+
+def test_every_private_module_level_name_is_read():
+    assert unread_private_names({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_the_check_finds_an_unread_private_name_and_spares_the_read_the_public_and_the_dunder():
+    texts = {
+        "a.py": (
+            "import os as _os\n_A, (_B, _C) = 1, (2, 3)\n_D: int = 4\ndef _f():\n    return _A\n"
+            "class _K:\n    _h = 5\n_E = 6\n_F = 7\nPUBLIC = 8\n__all__ = []\n"
+        ),
+        "b.py": "import a\na._B = a._C\nprint(a._K, _f())\n_E = 9\n",
+    }
+    # a._B is only written, and _E, bound in both modules, is read in neither
+    assert unread_private_names(texts) == ["a.py:2: _B", "a.py:3: _D", "a.py:8: _E", "a.py:9: _F", "b.py:4: _E"]

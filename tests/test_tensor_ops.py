@@ -15,7 +15,6 @@ from coupled_completion.tensor_ops import (
     check_mode,
     check_settings,
     fold,
-    inner,
     mask_apply,
     tucker_synthesize,
     unfold,
@@ -163,6 +162,14 @@ class TestUnfold:
                 atol=1e-14,
             )
 
+    def test_inner_product_is_invariant_across_unfoldings(self):
+        rng = np.random.default_rng(5)
+        T = rng.standard_normal((3, 4, 5))
+        S = rng.standard_normal((3, 4, 5))
+        base = np.vdot(T, S)
+        for k in (1, 2, 3):
+            assert abs(np.vdot(unfold(T, k), unfold(S, k)) - base) <= 1e-12
+
 
 class TestFold:
     def test_roundtrip_random(self):
@@ -203,7 +210,7 @@ class TestFold:
         assert np.array_equal(fold(unfold(T, k), k, dims), T)
 
 
-class TestConcatMode1:
+class TestCoupledUnfolding:
     """The coupled unfolding ``unfold(T, k, M)``: the matrix appended to ``T_(k)``."""
 
     def test_identity_left_block(self):
@@ -229,7 +236,7 @@ class TestConcatMode1:
 
     def test_row_mismatch(self):
         T = np.zeros((2, 3, 4))
-        with pytest.raises(ValueError, match="mode-2 unfolding has 3 rows, the matrix 2"):
+        with pytest.raises(ValueError, match=re.escape("M must be 2-d with a row per index of T's mode 2, got shape (2, 2)")):
             unfold(T, 2, np.zeros((2, 2)))
 
     def test_matrix_block_follows_the_unfolding(self):
@@ -291,23 +298,10 @@ class TestTuckerSynthesize:
         with pytest.raises(ValueError):
             tucker_synthesize(core, np.eye(4)[:, :3], np.eye(4)[:, :2], np.eye(4)[:, :2])
 
-
-class TestInner:
-    def test_invariance_across_unfoldings(self):
-        rng = np.random.default_rng(5)
-        T = rng.standard_normal((3, 4, 5))
-        S = rng.standard_normal((3, 4, 5))
-        base = inner(T, S)
-        for k in (1, 2, 3):
-            assert abs(inner(unfold(T, k), unfold(S, k)) - base) <= 1e-12
-
-    def test_frobenius_consistency(self):
-        T = np.random.default_rng(6).standard_normal((2, 3, 4))
-        assert inner(T, T) == pytest.approx(np.linalg.norm(T) ** 2, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(np.zeros((2, 2)), np.zeros((2, 3)))
+    def test_rejects_a_core_that_is_not_3_way(self):
+        eye = np.eye(2)
+        with pytest.raises(ValueError, match=re.escape("core must be 3-way, got shape (2, 2)")):
+            tucker_synthesize(np.ones((2, 2)), eye, eye, eye)
 
 
 class TestObservationMask:
@@ -356,6 +350,11 @@ class TestObservationMask:
         with pytest.raises(ValueError, match=re.escape(f"shape must be integer and >= 0, got {shape!r}")):
             ObservationMask(shape, [])
 
+    def test_rejects_a_scalar_shape(self):
+        # the integer rule takes a lone integer, so the shape needs its own rule
+        with pytest.raises(ValueError, match="shape must be a sequence of integers >= 0, got 5"):
+            ObservationMask(5, [])
+
     def test_indicator(self):
         mask = ObservationMask((2, 2), np.array([[0, 1]]))
         assert np.array_equal(mask.indicator(), [[0.0, 1.0], [0.0, 0.0]])
@@ -388,8 +387,8 @@ class TestMaskApply:
         mask = ObservationMask((5, 5), pairs)
         P = mask_apply(X, mask)
         assert np.array_equal(mask_apply(P, mask), P)  # idempotent
-        assert inner(P, X - P) == pytest.approx(0.0, abs=1e-14)
+        assert np.vdot(P, X - P) == pytest.approx(0.0, abs=1e-14)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("X must have the mask's shape (3, 3), got (2, 2)")):
             mask_apply(np.zeros((2, 2)), ObservationMask.full((3, 3)))
