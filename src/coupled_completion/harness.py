@@ -80,8 +80,8 @@ class ExperimentConfig:
     cp_iters: int = 100
     solver: SolverOptions = SolverOptions()
     output_dir: str = "results"
-    # not a setting: beta always tracks lambda (see _cell_opts).  Only bench/
-    # reads it, and it goes with ROADMAP item 8, like the svd/svt import shims.
+    # not a setting: beta tracks lambda up to BETA_CAP (see _cell_opts).  Only
+    # bench/ reads it, and it goes with ROADMAP item 8, like the svd/svt import shims.
     beta_tracks_lambda: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -274,10 +274,16 @@ def cross_validate(fits: list[tuple[float, object, float]]) -> tuple[float, obje
     return best
 
 
-def _cell_opts(cfg: ExperimentConfig, lam: float) -> SolverOptions:
+# the lambda at which the lambda path's beta stops growing (see _cell_opts)
+BETA_CAP = 1.0
+
+
+def _cell_opts(opts: SolverOptions, lam: float) -> SolverOptions:
     # the ADMM proximity parameter scales with lambda, which keeps the
-    # iteration count flat across a wide grid
-    return replace(cfg.solver, lam=lam, beta=max(lam, 1e-3) * cfg.solver.beta)
+    # iteration count flat across a wide grid, up to lambda = BETA_CAP; above
+    # it beta stays at beta0 times the data fit's curvature (1 on every
+    # observed entry), since a larger beta only slows the fit
+    return replace(opts, lam=lam, beta=min(max(lam, 1e-3), BETA_CAP) * opts.beta)
 
 
 def _fit_cell(
@@ -334,7 +340,7 @@ def _fit_cell(
 
         fits, res = [], None
         for lam in cfg.lambda_grid.values()[::-1]:
-            res = fit(lam, _cell_opts(cfg, lam), res)
+            res = fit(lam, _cell_opts(cfg.solver, lam), res)
             # the estimates only: a fit's solver state is spent once the next starts
             estimate = (res.tensor, res.matrix, res.iterations, res.converged)
             fits.append((lam, estimate, val_mse(res.tensor, res.matrix)))
@@ -448,6 +454,8 @@ def load_sparse_tensor(path: str | Path) -> tuple[np.ndarray, ObservationMask]:
 
 
 def save_sparse_tensor(path: str | Path, T: np.ndarray, mask: ObservationMask) -> None:
+    if np.ndim(T) != 3:
+        raise ValueError(f"tensor must be 3-way, got shape {np.shape(T)}")
     mask.check(T, "tensor")
     lines = [f"dims: {T.shape[0]} {T.shape[1]} {T.shape[2]}"]
     for i, j, k in mask.indices:
@@ -488,6 +496,8 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, ObservationMask]:
 
 
 def save_matrix_csv(path: str | Path, M: np.ndarray, mask: ObservationMask) -> None:
+    if np.ndim(M) != 2:
+        raise ValueError(f"matrix must be 2-d, got shape {np.shape(M)}")
     mask.check(M, "matrix")
     obs = {tuple(row) for row in mask.indices}
     lines = []

@@ -318,9 +318,7 @@ def test_criterion_5_exact_recovery():
     d = NormDescriptor(1, ("O", "O", "O"))
     best = None
     for lam in np.geomspace(1e-3, 1.0, 20):
-        opts = SolverOptions(
-            lam=lam, beta=max(lam, 1e-3), tol_primal=1e-5, tol_dual=1e-5
-        )
+        opts = harness._cell_opts(SolverOptions(tol_primal=1e-5, tol_dual=1e-5), lam)
         res = solver.solve(problem, d, opts)
         ix = t_masks[1].as_tuple()
         val = float(np.mean((T[ix] - res.tensor[ix]) ** 2))

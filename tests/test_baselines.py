@@ -13,6 +13,7 @@ from coupled_completion.baselines import (
     complete_tensor,
     coupled_cp_als,
 )
+from coupled_completion.harness import _cell_opts
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.prox import spectral_norm
 from coupled_completion.solver import CoupledProblem, SolverOptions, solve
@@ -53,9 +54,7 @@ class TestCompleteMatrixMtn:
         test = random_mask(M.shape, 0.1, seed=4)
         best = None
         for lam in np.geomspace(1e-3, 1.0, 10):
-            opts = SolverOptions(
-                lam=lam, beta=max(lam, 1e-3), tol_primal=1e-5, tol_dual=1e-5
-            )
+            opts = _cell_opts(SolverOptions(tol_primal=1e-5, tol_dual=1e-5), lam)
             res = complete_matrix_mtn(M, train, lam, opts)
             ix = val.as_tuple()
             mse = float(np.mean((M[ix] - res.matrix[ix]) ** 2))
@@ -112,9 +111,7 @@ class TestCompleteTensor:
         train, val, test = datagen.gen_masks(T.shape, datagen.MaskSpec(0.7, 0.1, 8))
         best = None
         for lam in np.geomspace(1e-3, 1.0, 10):
-            opts = SolverOptions(
-                lam=lam, beta=max(lam, 1e-3), tol_primal=1e-5, tol_dual=1e-5
-            )
+            opts = _cell_opts(SolverOptions(tol_primal=1e-5, tol_dual=1e-5), lam)
             res = complete_tensor(T, train, "overlapped", lam, opts)
             ix = val.as_tuple()
             mse = float(np.mean((T[ix] - res.tensor[ix]) ** 2))

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -356,9 +357,7 @@ class TestCrossValidate:
         train, val, _ = datagen.gen_masks(M.shape, datagen.MaskSpec(0.6, 0.2, 4))
         fits = []
         for lam in np.geomspace(1e-4, 10.0, 12):
-            opts = SolverOptions(
-                lam=lam, beta=max(lam, 1e-3), tol_primal=1e-8, tol_dual=1e-8, max_iters=5000
-            )
+            opts = harness._cell_opts(SolverOptions(tol_primal=1e-8, tol_dual=1e-8, max_iters=5000), lam)
             res = complete_matrix_mtn(M_noisy, train, lam, opts)
             assert res.converged
             ix = val.as_tuple()
@@ -366,6 +365,16 @@ class TestCrossValidate:
         lam_star, _, mse_star = cross_validate(fits)
         assert lam_star > fits[0][0]
         assert mse_star < 0.9 * fits[0][2]
+
+
+class TestCellOpts:
+    @pytest.mark.parametrize("beta0", [1.0, 2.5])
+    def test_beta_tracks_lambda_up_to_the_cap_and_stays_there(self, beta0):
+        opts = SolverOptions(beta=beta0, max_iters=7, tol_primal=1e-5, tol_dual=1e-6)
+        for lam in (0.0, 1e-4, 1e-3, 0.3, 0.999, harness.BETA_CAP, 1.5, 5.0, 320.0):
+            got = harness._cell_opts(opts, lam)
+            beta = (harness.BETA_CAP if lam >= harness.BETA_CAP else max(lam, 1e-3)) * beta0
+            assert got == replace(opts, lam=lam, beta=beta)
 
 
 class TestSparseTensorFormat:
@@ -426,6 +435,13 @@ class TestSparseTensorFormat:
             save_sparse_tensor(path, np.zeros((2, 2, 2)), ObservationMask.full((3, 3, 3)))
         assert not path.exists()
 
+    def test_save_rejects_a_non_3_way_array(self, tmp_path):
+        # the 'dims:' header needs three sizes; a 2-d array would raise a bare IndexError
+        path = tmp_path / "t.txt"
+        with pytest.raises(ValueError, match=re.escape("tensor must be 3-way, got shape (2, 2)")):
+            save_sparse_tensor(path, np.ones((2, 2)), ObservationMask.full((2, 2)))
+        assert not path.exists()
+
 
 class TestMatrixCsvFormat:
     def test_fully_observed(self, tmp_path):
@@ -478,6 +494,13 @@ class TestMatrixCsvFormat:
         M = np.arange(6.0).reshape(3, 2)
         with pytest.raises(ValueError, match=re.escape("matrix must have the mask's shape (4, 4), got (3, 2)")):
             save_matrix_csv(path, M, ObservationMask((4, 4), [[0, 0], [1, 1], [3, 3]]))
+        assert not path.exists()
+
+    def test_save_rejects_a_non_2_d_array(self, tmp_path):
+        # no 3-index position matches a (row, column) cell, so every entry would be dropped: ',\n,\n'
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=re.escape("matrix must be 2-d, got shape (2, 2, 2)")):
+            save_matrix_csv(path, np.ones((2, 2, 2)), ObservationMask.full((2, 2, 2)))
         assert not path.exists()
 
 
@@ -614,6 +637,33 @@ class TestRun:
         for cell in warm:
             assert warm[cell] < cold[cell], cell
         assert emit_report(run(cfg), tmp_path / "b")["results"].read_bytes() == first
+
+    def test_a_cell_with_data_and_grid_scaled_by_64_converges_at_every_grid_point(self, monkeypatch):
+        # above BETA_CAP beta stays at beta0, so the top of a scaled grid fits
+        # about as fast as at scale 1; an uncapped beta = lambda * beta0 needs
+        # more than the 2000 iterations at lambda = 28
+        scale = 64.0
+        spec = datagen.SyntheticSpec.low_noise(
+            dims=(5, 5, 5), multilinear_rank=(2, 2, 2), matrix_cols=7, matrix_rank=2, shared=2, seed=5,
+        )
+        cfg = tiny_config(
+            norms=("1:(S,O,O)",), synthetic=spec, train_fractions=(0.3,),
+            lambda_grid=LambdaGrid(0.001 * scale, 5.0 * scale, 8, "log"),
+        )
+        T, M = (scale * X for X in datagen.gen_instance(spec))
+        t_masks = datagen.gen_masks(T.shape, datagen.MaskSpec(0.3, 0.1, 100_000))
+        m_masks = datagen.gen_masks(M.shape, datagen.MaskSpec(0.3, 0.1, 100_001))
+        converged = []
+        real_solve = harness.solver.solve
+
+        def spy(problem, d, opts, start=None):
+            res = real_solve(problem, d, opts, start)
+            converged.append(res.converged)
+            return res
+
+        monkeypatch.setattr(harness.solver, "solve", spy)
+        harness._fit_cell(cfg, "1:(S,O,O)", T, M, t_masks, m_masks)
+        assert converged == [True] * 8
 
 
 class TestEmitReport:

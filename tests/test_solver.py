@@ -769,6 +769,17 @@ class TestWarmStart:
         assert np.max(np.abs(warm.tensor - cold.tensor)) < 1e-5
         assert np.max(np.abs(warm.matrix - cold.matrix)) < 1e-5
 
+    def test_start_from_other_lambda_at_the_same_beta_reaches_the_cold_solution(self):
+        # above the harness's BETA_CAP consecutive grid fits share beta, and only lambda rescales s - z
+        problem = random_problem(seed=30)
+        tight = dict(max_iters=5000, tol_primal=1e-8, tol_dual=1e-8)
+        prev = solve(problem, self.D, SolverOptions(lam=2.0, beta=1.0, **tight))
+        opts = SolverOptions(lam=1.5, beta=1.0, **tight)
+        cold, warm = solve(problem, self.D, opts), solve(problem, self.D, opts, start=prev)
+        assert warm.converged and warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.tensor - cold.tensor)) < 1e-5
+        assert np.max(np.abs(warm.matrix - cold.matrix)) < 1e-5
+
     @pytest.mark.parametrize(
         "dims, cols, operand", [((5, 6, 7), 4, "T"), ((6, 6, 6), 5, "M")], ids=["tensor", "matrix"]
     )
