@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -368,11 +369,55 @@ def _subset_mask(base: ObservationMask | None, mask: ObservationMask) -> Observa
     return ObservationMask(mask.shape, mask.indices[keep])
 
 
+def _workers(cells: int) -> int:
+    """Worker processes to fit ``cells`` cells in: one per usable CPU, at most one per cell.
+
+    One where the usable CPUs cannot be read (``os.sched_getaffinity`` is
+    missing on macOS and Windows), so the cells run in this process.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
+def _timed_cell(
+    cfg: ExperimentConfig,
+    T: np.ndarray,
+    M: np.ndarray,
+    cell: tuple[str, float, int, tuple, tuple, int],
+) -> CellResult:
+    """Fit one cell and time it.
+
+    ``cell`` is (norm, fraction, repetition, tensor masks, matrix masks,
+    seed); a fit that raises fails only its cell, which carries the error.
+    """
+    norm_id, fraction, rep, t_masks, m_masks, cell_seed = cell
+    t0 = time.perf_counter()
+    try:
+        # _fit_cell returns the fields after repetition, in order
+        result = CellResult(norm_id, fraction, rep, *_fit_cell(
+            cfg, norm_id, T, M, t_masks, m_masks, cell_seed=cell_seed,
+        ))
+    except Exception as exc:  # per-cell failure; run continues
+        result = CellResult(norm_id, fraction, rep, error=str(exc))
+    result.wall_time = time.perf_counter() - t0
+    return result
+
+
 def run(cfg: ExperimentConfig) -> ExperimentReport:
-    """Execute the full (norm x fraction x repetition) grid."""
+    """Execute the full (norm x fraction x repetition) grid.
+
+    The cells are independent fits, so they run in worker processes, as
+    many as ``_workers`` gives.  The workers are forked, not spawned: they
+    start from this process's modules, patched or not, without importing
+    the package again, so call ``run`` from a process with no threads of
+    its own.  With one worker, or where the platform cannot fork, the cells
+    run in this process.  Either way the report lists them in grid order
+    with the same results; each cell's ``wall_time`` is its own fit's.
+    """
     T, M, t_obs, m_obs = _load_data(cfg)
     _check_norms(cfg.norms, T.shape, M.shape[0])
-    report = ExperimentReport(config=cfg)
+    cells = []
     for fraction in cfg.train_fractions:
         for rep in range(cfg.repetitions):
             mask_seed = 100_000 * cfg.seed + 1_000 * rep
@@ -391,18 +436,20 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
                 m_masks = tuple(
                     _subset_mask(m_obs, m) for m in datagen.gen_masks(M.shape, m_spec)
                 )
-            for norm_id in cfg.norms:
-                t0 = time.perf_counter()
-                try:
-                    # _fit_cell returns the fields after repetition, in order
-                    cell = CellResult(norm_id, fraction, rep, *_fit_cell(
-                        cfg, norm_id, T, M, t_masks, m_masks, cell_seed=mask_seed + 7,
-                    ))
-                except Exception as exc:  # per-cell failure; run continues
-                    cell = CellResult(norm_id, fraction, rep, error=str(exc))
-                cell.wall_time = time.perf_counter() - t0
-                report.cells.append(cell)
-    return report
+            cells += [(norm_id, fraction, rep, t_masks, m_masks, mask_seed + 7) for norm_id in cfg.norms]
+    fit = partial(_timed_cell, cfg, T, M)
+    workers = _workers(len(cells))
+    if workers > 1:
+        # imported here, not at the top, so that importing the package does
+        # not pay the pool's import (about 30 ms)
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return ExperimentReport(config=cfg, cells=list(pool.map(fit, cells)))
+    return ExperimentReport(config=cfg, cells=list(map(fit, cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config, file formats, CV, reports."""
 
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -547,6 +548,7 @@ class TestRun:
         assert len(report.failures()) == 1
         assert report.failures()[0].error == "no fit"
         assert report.failures()[0].norm == "1:(S,O,O)"
+        assert report.failures()[0].wall_time > 0
 
     def test_cp_cell_reports_als_convergence(self, tmp_path):
         report = run(tiny_config(norms=("CP",), cp_iters=1))
@@ -626,6 +628,8 @@ class TestRun:
         # the coupled norms call solver.solve, the baselines their own import of it
         monkeypatch.setattr(harness.solver, "solve", spy)
         monkeypatch.setattr(baselines, "solve", spy)
+        # the spy records in this process, so the cells must run here, not in workers
+        monkeypatch.setattr(harness, "_workers", lambda cells: 1)
         first = emit_report(run(cfg), tmp_path / "a")["results"].read_bytes()
         assert len(calls) == 3 * 8
         warm, cold = {}, {}
@@ -637,6 +641,23 @@ class TestRun:
         for cell in warm:
             assert warm[cell] < cold[cell], cell
         assert emit_report(run(cfg), tmp_path / "b")["results"].read_bytes() == first
+
+    @pytest.mark.skipif(harness._workers(2) < 2, reason="one usable CPU, so no worker pool to compare")
+    def test_the_worker_pool_writes_the_serial_path_csvs(self, tmp_path, monkeypatch):
+        cfg = tiny_config(norms=("1:(O,O,O)", "OTN", "MTN", "CP"), repetitions=2)
+        pooled = emit_report(run(cfg), tmp_path / "pool")
+        monkeypatch.setattr(harness, "_workers", lambda cells: 1)
+        serial = emit_report(run(cfg), tmp_path / "serial")
+        for name in ("results", "summary", "plotdata"):
+            assert pooled[name].read_bytes() == serial[name].read_bytes(), name
+        # one timings row per cell, in grid order: fraction, then repetition, then norm
+        # (descriptor ids hold commas, so split each row from the right)
+        rows = [line.rsplit(",", 3)[:3] for line in pooled["timings"].read_text().splitlines()[1:]]
+        assert rows == [[norm, "0.5", str(rep)] for rep in range(2) for norm in cfg.norms]
+
+    def test_one_worker_per_usable_cpu_and_at_most_one_per_cell(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert [harness._workers(n) for n in (1, 2, 10_000)] == [1, min(2, cpus), cpus]
 
     def test_a_cell_with_data_and_grid_scaled_by_64_converges_at_every_grid_point(self, monkeypatch):
         # above BETA_CAP beta stays at beta0, so the top of a scaled grid fits

@@ -1,6 +1,9 @@
 """Checks on the package source itself, with the standard library only."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -126,3 +129,16 @@ def test_the_check_finds_an_unread_private_name_and_spares_the_read_the_public_a
     }
     # a._B is only written, and _E, bound in both modules, is read in neither
     assert unread_private_names(texts) == ["a.py:2: _B", "a.py:3: _D", "a.py:8: _E", "a.py:9: _F", "b.py:4: _E"]
+
+
+def test_importing_the_package_and_its_cli_imports_no_process_pool():
+    # harness.run imports the pool's modules only when it starts workers,
+    # so a benchmark's timed set-up, which imports the package, stays short
+    code = (
+        "import sys, coupled_completion, coupled_completion.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
