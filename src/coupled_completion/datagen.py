@@ -141,7 +141,10 @@ def gen_masks(
     """Disjoint uniformly random (train, validation, test) index sets.
 
     Cardinalities are the fractions rounded to nearest integer; the test set
-    is the remainder and may be empty for extreme fractions.
+    is the remainder and may be empty for extreme fractions.  One random
+    permutation of the flat (C-order) positions is cut into the three sets,
+    and each is sorted and unravelled into index rows, so no grid of every
+    position is built.
     """
     total = int(np.prod(shape))
     n_train = round(maskspec.train_fraction * total)
@@ -150,8 +153,8 @@ def gen_masks(
         raise ValueError("train + validation exceed the number of entries")
     rng = np.random.default_rng(maskspec.seed)
     perm = rng.permutation(total)
-    all_idx = np.indices(shape).reshape(len(shape), -1).T
-    train = ObservationMask(shape, all_idx[perm[:n_train]])
-    val = ObservationMask(shape, all_idx[perm[n_train:n_train + n_val]])
-    test = ObservationMask(shape, all_idx[perm[n_train + n_val:]])
+    train, val, test = (
+        ObservationMask(shape, np.array(np.unravel_index(np.sort(part), shape)).T)
+        for part in np.split(perm, [n_train, n_train + n_val])
+    )
     return train, val, test

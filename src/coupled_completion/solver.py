@@ -77,10 +77,11 @@ __all__ = [
 # over-relaxation factor of the SVT and dual steps (Eckstein & Bertsekas 1992;
 # Boyd et al. 2011, section 3.4.3); 1 is the plain ADMM step
 RELAXATION = 1.8
-# ADMM proximity parameter and iteration cap of :func:`decompose`, the
+# ADMM proximity parameter of :func:`decompose` in units of one over the
+# data scale (beta = DECOMPOSE_BETA / sigma), its iteration cap, the
 # interval at which it evaluates its duality bracket, and the memory of its
 # Anderson acceleration (0 runs the plain iteration)
-DECOMPOSE_BETA = 1.0
+DECOMPOSE_BETA = 3.0
 DECOMPOSE_MEMORY = 4
 DECOMPOSE_MAX_ITERS = 5000
 DECOMPOSE_CHECK_EVERY = 10
@@ -574,9 +575,14 @@ def decompose(
 
     The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
     concatenated block keeps its own dual, so the joint SVT is the correct
-    partial prox.  The data-fit step projects the components onto the sum
-    constraint by an exact entrywise equality-constrained solve.  Starts
-    from the even split ``T / C``.  The SVT inputs ``s`` are extrapolated by
+    partial prox.  Its proximity parameter is in the data's units, ``beta
+    = DECOMPOSE_BETA / sigma`` with ``sigma = ||(T, M)||_F /
+    sqrt(max(dims))``, so the iterates at ``2^k (T, M)`` are ``2^k`` times
+    those at ``(T, M)`` and as many; zero or subnormal ``sigma`` keeps
+    ``DECOMPOSE_BETA``.
+    The data-fit step projects the components onto the sum constraint by an
+    exact entrywise equality-constrained solve.  Starts from the even split
+    ``T / C``.  The SVT inputs ``s`` are extrapolated by
     :class:`_Anderson` of memory ``DECOMPOSE_MEMORY``, whose history is
     freed on return.  Every ``DECOMPOSE_CHECK_EVERY`` iterations, and at
     the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
@@ -589,7 +595,14 @@ def decompose(
     """
     check_settings(locals(), tol=POSITIVE)
     C = lay.n_components
-    state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA, 1.0)
+    # sigma, formed over the largest entry so that it cannot overflow
+    peak = max(np.max(np.abs(T), initial=0.0), np.max(np.abs(M), initial=0.0))
+    sigma = 0.0 if peak == 0 else (
+        peak * math.hypot(np.linalg.norm(T / peak), np.linalg.norm(M / peak)) / math.sqrt(max(lay.dims))
+    )
+    # below the least normal number DECOMPOSE_BETA / sigma could overflow
+    beta = DECOMPOSE_BETA / sigma if sigma >= np.finfo(float).tiny else DECOMPOSE_BETA
+    state = SolverState(lay, [T / C for _ in range(C)], M, beta, 1.0)
     bracket = [-np.inf, np.inf]
 
     def project(state: SolverState) -> None:

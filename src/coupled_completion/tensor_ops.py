@@ -168,9 +168,12 @@ def tucker_synthesize(
 class ObservationMask:
     """Set of observed positions of a matrix or a 3-way tensor.
 
-    ``indices`` is an ``(n_obs, ndim)`` integer array of 0-based positions,
-    kept sorted lexicographically and free of duplicates; ``shape`` is the
-    shape of the array being masked, integers >= 0, kept as a tuple of ints.
+    ``indices`` is an ``(n_obs, ndim)`` ``intp`` array of 0-based positions,
+    free of duplicates and sorted by flat (C-order) position, which is the
+    lexicographic order of the rows; ``shape`` is the shape of the array
+    being masked, integers >= 0, kept as a tuple of ints.  One stable sort
+    of the flat positions orders the rows and finds duplicates as equal
+    neighbours, in linear time when the rows come sorted.
     """
 
     shape: tuple[int, ...]
@@ -190,14 +193,19 @@ class ObservationMask:
             raise ValueError(
                 f"indices must be (n, {len(self.shape)}), got {idx.shape}"
             )
+        # an unsigned index too large for intp turns negative, out of bounds
+        idx = idx.astype(np.intp, copy=False)
         if idx.size:
             if idx.min() < 0 or np.any(idx >= np.asarray(self.shape)):
                 raise ValueError("mask index out of bounds")
-            order = np.lexsort(idx.T[::-1])
-            idx = idx[order]
-            if np.any(np.all(idx[1:] == idx[:-1], axis=1)):
+            # C order of flat positions is the lexicographic order of the rows
+            flat = np.ravel_multi_index(tuple(idx.T), self.shape)
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            if np.any(flat[1:] == flat[:-1]):
                 raise ValueError("duplicate indices in mask")
-        object.__setattr__(self, "indices", idx.astype(np.intp, copy=False))
+            idx = idx[order]
+        object.__setattr__(self, "indices", idx)
 
     @classmethod
     def full(cls, shape: tuple[int, ...]) -> "ObservationMask":

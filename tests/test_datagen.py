@@ -246,6 +246,32 @@ class TestGenMasks:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             MaskSpec(*args)
 
+    @pytest.mark.parametrize(
+        "shape, spec",
+        [((50, 50, 50), MaskSpec(0.3, 0.1, 2)), ((50, 100), MaskSpec(0.3, 0.1, 3)),
+         ((20, 20, 20), MaskSpec(0.7, 0.1, 1)), ((7, 5, 3), MaskSpec(0.5, 0.2, 2)),
+         ((6, 5, 4), MaskSpec(0.6, 0.0, 4)), ((2, 2, 1), MaskSpec(0.8, 0.15, 5))],
+        ids=["50^3", "50x100", "20^3", "7x5x3", "no-validation", "no-test"],
+    )
+    def test_masks_are_the_gather_from_the_grid_of_every_position(self, shape, spec):
+        # the masks as they were first built: the rows of the full index grid
+        # at one permutation's three slices, each sorted lexicographically
+        total = int(np.prod(shape))
+        n_train, n_val = round(spec.train_fraction * total), round(spec.validation_fraction * total)
+        perm = np.random.default_rng(spec.seed).permutation(total)
+        grid = np.indices(shape).reshape(len(shape), -1).T
+        for mask, part in zip(gen_masks(shape, spec), np.split(perm, [n_train, n_train + n_val]), strict=True):
+            rows = grid[part]
+            assert mask.indices.dtype == np.intp and mask.indices.flags.c_contiguous
+            assert np.array_equal(mask.indices, rows[np.lexsort(rows.T[::-1])])
+            assert mask.indices.shape == (len(part), len(shape))
+
+    def test_an_empty_validation_or_test_set_has_no_rows_of_the_shape_s_width(self):
+        _, val, _ = gen_masks((6, 5, 4), MaskSpec(0.6, 0.0, 4))
+        _, _, test = gen_masks((2, 2, 1), MaskSpec(0.8, 0.15, 5))
+        assert val.indices.shape == test.indices.shape == (0, 3)
+        assert val.indices.dtype == test.indices.dtype == np.intp
+
     def test_deterministic(self):
         a = gen_masks((5, 5, 5), MaskSpec(0.4, 0.1, 3))
         b = gen_masks((5, 5, 5), MaskSpec(0.4, 0.1, 3))

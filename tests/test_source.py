@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -142,3 +143,13 @@ def test_importing_the_package_and_its_cli_imports_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_warning_fails_its_test_but_the_one_of_importing_libcst():
+    # pyproject.toml's filters: hypothesis imports libcst to report a failed
+    # property test, and that import's warning must not end the whole run
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("divide by zero encountered in log", RuntimeWarning)
+    with pytest.raises(DeprecationWarning):
+        warnings.warn("typing.TypedDict is deprecated", DeprecationWarning)
+    warnings.warn("mypy_extensions.TypedDict is deprecated, and will be removed", DeprecationWarning)

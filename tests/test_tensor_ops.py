@@ -1,5 +1,6 @@
 """Tests for the dense 3-way tensor algebra."""
 
+import math
 import re
 
 import numpy as np
@@ -317,6 +318,11 @@ class TestObservationMask:
         with pytest.raises(ValueError, match="bounds"):
             ObservationMask((2, 2), np.array([[2, 0]]))
 
+    def test_rejects_an_unsigned_index_beyond_intp(self):
+        # cast to intp it turns negative
+        with pytest.raises(ValueError, match="^mask index out of bounds$"):
+            ObservationMask((2, 2), np.array([[2**64 - 1, 0]], dtype=np.uint64))
+
     def test_full_and_empty(self):
         assert len(ObservationMask.full((2, 3, 4))) == 24
         assert len(ObservationMask.empty((2, 3, 4))) == 0
@@ -358,6 +364,45 @@ class TestObservationMask:
     def test_indicator(self):
         mask = ObservationMask((2, 2), np.array([[0, 1]]))
         assert np.array_equal(mask.indicator(), [[0.0, 1.0], [0.0, 0.0]])
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_order_of_distinct_rows_gives_the_lexicographic_order(self, data):
+        shape, rows = data.draw(distinct_rows(min_size=0))
+        mask = ObservationMask(shape, rows)
+        expected = rows[np.lexsort(rows.T[::-1])] if len(rows) else np.empty((0, len(shape)))
+        assert mask.indices.dtype == np.intp
+        assert np.array_equal(mask.indices, expected) and mask.indices.shape == (len(rows), len(shape))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_duplicate_is_rejected_wherever_it_stands(self, data):
+        shape, rows = data.draw(distinct_rows(min_size=2))
+        # the copy of row i goes last, with at least one other row between them
+        i = data.draw(st.integers(0, len(rows) - 2))
+        with pytest.raises(ValueError, match="^duplicate indices in mask$"):
+            ObservationMask(shape, np.vstack([rows, rows[i]]))
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_row_out_of_bounds_is_rejected_wherever_it_stands(self, data):
+        shape, rows = data.draw(distinct_rows(min_size=1))
+        i = data.draw(st.integers(0, len(rows) - 1))
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        rows = rows.copy()
+        rows[i, axis] = data.draw(st.sampled_from([-1, shape[axis]]))
+        with pytest.raises(ValueError, match="^mask index out of bounds$"):
+            ObservationMask(shape, rows)
+
+
+@st.composite
+def distinct_rows(draw, min_size):
+    """A 2-way or 3-way shape and at least ``min_size`` distinct in-bounds rows of it, in a drawn order."""
+    shapes = st.lists(st.integers(1, 5), min_size=2, max_size=3).map(tuple)
+    shape = draw(shapes.filter(lambda shape: math.prod(shape) >= min_size))
+    cells = st.tuples(*(st.integers(0, n - 1) for n in shape))
+    rows = draw(st.lists(cells, min_size=min_size, max_size=40, unique=True).flatmap(st.permutations))
+    return shape, np.array(rows, dtype=np.int64).reshape(-1, len(shape))
 
 
 class TestMaskApply:
