@@ -15,7 +15,7 @@ from .norms import (
     parse_descriptor,
 )
 from .prox import SvdFactors, spectral_norm, svd, svt, trace_norm
-from .solver import CompletionResult, CoupledProblem, SolverOptions, objective, solve
+from .solver import CompletionResult, CoupledProblem, PathFit, SolverOptions, objective, path, solve
 from .tensor_ops import ObservationMask, fold, mask_apply, tucker_synthesize, unfold
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "format_descriptor", "evaluate", "evaluate_overlapped",
     "dual_norm_latent_type", "dual_norm_overlapped_upper",
     "CoupledProblem", "SolverOptions", "CompletionResult", "solve", "objective",
+    "PathFit", "path",
     "SyntheticSpec", "MaskSpec", "gen_tensor", "gen_coupled_matrix",
     "gen_instance", "add_noise", "gen_masks",
     "complete_matrix_mtn", "complete_tensor", "coupled_cp_als",

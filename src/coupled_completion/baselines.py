@@ -19,6 +19,7 @@ from .tensor_ops import ObservationMask, check_settings, unfold
 
 __all__ = [
     "CpFactors",
+    "individual_problem",
     "complete_matrix_mtn",
     "complete_tensor",
     "coupled_cp_als",
@@ -29,21 +30,30 @@ RIDGE = 1e-8
 CP_TOL = 1e-10
 
 
-def _solve_alone(
-    tensor: np.ndarray,
-    tensor_mask: ObservationMask,
-    matrix: np.ndarray,
-    matrix_mask: ObservationMask,
-    tags: tuple[str, str, str],
-    lam: float,
-    opts: SolverOptions,
-    start: CompletionResult | None,
-) -> CompletionResult:
-    """The coupled solver on a problem whose tensor or matrix part is empty."""
-    if opts.lam != lam:
-        opts = replace(opts, lam=lam)
-    problem = CoupledProblem(tensor, tensor_mask, matrix, matrix_mask, coupled_mode=1)
-    return solve(problem, NormDescriptor(1, tags), opts, start)
+# the tags under which the coupled solver fits each individual convex baseline
+_TAGS = {"MTN": ("O", "O", "O"), "OTN": ("O", "O", "O"), "SLTN": ("S", "S", "S")}
+
+
+def individual_problem(
+    norm_id: str, X: np.ndarray, mask: ObservationMask
+) -> tuple[CoupledProblem, NormDescriptor]:
+    """The coupled problem and descriptor that fit the individual baseline ``norm_id`` to ``X``.
+
+    MTN fits the matrix ``X`` beside an empty ``(n1, 0, 0)`` tensor: under
+    ``1:(O,O,O)`` only the coupled mode-1 block, which is the matrix
+    itself, carries a trace norm.  OTN and SLTN fit the tensor ``X`` beside
+    a 0-column matrix, under ``1:(O,O,O)`` and ``1:(S,S,S)``.
+    """
+    if norm_id not in _TAGS:
+        raise ValueError(f"norm_id must be one of {sorted(_TAGS)}, got {norm_id!r}")
+    X = np.asarray(X, dtype=float)
+    if norm_id == "MTN":
+        empty = np.zeros((X.shape[0], 0, 0))
+        problem = CoupledProblem(empty, ObservationMask.empty(empty.shape), X, mask, coupled_mode=1)
+    else:
+        empty = np.zeros((X.shape[0], 0))
+        problem = CoupledProblem(X, mask, empty, ObservationMask.empty(empty.shape), coupled_mode=1)
+    return problem, NormDescriptor(1, _TAGS[norm_id])
 
 
 def complete_matrix_mtn(
@@ -51,21 +61,9 @@ def complete_matrix_mtn(
     mask: ObservationMask,
     lam: float,
     opts: SolverOptions = SolverOptions(),
-    start: CompletionResult | None = None,
 ) -> CompletionResult:
-    """Trace-norm regularized matrix completion (MTN).
-
-    The coupled solver with an empty ``(n1, 0, 0)`` tensor: under
-    ``1:(O,O,O)`` only the coupled mode-1 block, which is the matrix
-    itself, carries a trace norm.  ``start`` is an earlier MTN result on
-    the same matrix shape, passed to :func:`solver.solve`.
-    """
-    M_obs = np.asarray(M_obs, dtype=float)
-    empty = np.zeros((M_obs.shape[0], 0, 0))
-    return _solve_alone(
-        empty, ObservationMask.empty(empty.shape), M_obs, mask, ("O", "O", "O"), lam, opts,
-        start,
-    )
+    """Trace-norm regularized matrix completion (MTN): :func:`solver.solve` on its :func:`individual_problem`."""
+    return solve(*individual_problem("MTN", M_obs, mask), replace(opts, lam=lam))
 
 
 def complete_tensor(
@@ -74,22 +72,15 @@ def complete_tensor(
     norm: str,
     lam: float,
     opts: SolverOptions = SolverOptions(),
-    start: CompletionResult | None = None,
 ) -> CompletionResult:
-    """Tensor-only completion: the coupled solver with a 0-column matrix.
+    """Tensor-only completion: :func:`solver.solve` on its :func:`individual_problem`.
 
-    ``norm`` is "overlapped" (OTN) or "scaled_latent" (SLTN).  ``start`` is
-    an earlier result of the same norm on the same tensor shape, passed to
-    :func:`solver.solve`.
+    ``norm`` is "overlapped" (OTN) or "scaled_latent" (SLTN).
     """
-    tags = {"overlapped": ("O", "O", "O"), "scaled_latent": ("S", "S", "S")}
-    if norm not in tags:
-        raise ValueError(f"norm must be one of {sorted(tags)}, got {norm!r}")
-    T_obs = np.asarray(T_obs, dtype=float)
-    empty = np.zeros((T_obs.shape[0], 0))
-    return _solve_alone(
-        T_obs, mask, empty, ObservationMask.empty(empty.shape), tags[norm], lam, opts, start
-    )
+    ids = {"overlapped": "OTN", "scaled_latent": "SLTN"}
+    if norm not in ids:
+        raise ValueError(f"norm must be one of {sorted(ids)}, got {norm!r}")
+    return solve(*individual_problem(ids[norm], T_obs, mask), replace(opts, lam=lam))
 
 
 @dataclass

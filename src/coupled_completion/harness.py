@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import ClassVar
@@ -81,7 +81,7 @@ class ExperimentConfig:
     cp_iters: int = 100
     solver: SolverOptions = SolverOptions()
     output_dir: str = "results"
-    # not a setting: beta tracks lambda up to BETA_CAP (see _cell_opts).  Only
+    # not a setting: beta tracks lambda up to solver.BETA_CAP (see solver.path).  Only
     # bench/ reads it, and it goes with ROADMAP item 8, like the svd/svt import shims.
     beta_tracks_lambda: ClassVar[bool] = True
 
@@ -275,18 +275,6 @@ def cross_validate(fits: list[tuple[float, object, float]]) -> tuple[float, obje
     return best
 
 
-# the lambda at which the lambda path's beta stops growing (see _cell_opts)
-BETA_CAP = 1.0
-
-
-def _cell_opts(opts: SolverOptions, lam: float) -> SolverOptions:
-    # the ADMM proximity parameter scales with lambda, which keeps the
-    # iteration count flat across a wide grid, up to lambda = BETA_CAP; above
-    # it beta stays at beta0 times the data fit's curvature (1 on every
-    # observed entry), since a larger beta only slows the fit
-    return replace(opts, lam=lam, beta=min(max(lam, 1e-3), BETA_CAP) * opts.beta)
-
-
 def _fit_cell(
     cfg: ExperimentConfig,
     norm_id: str,
@@ -300,10 +288,10 @@ def _fit_cell(
 
     Validation MSE pools the parts the norm fits: the matrix for MTN, the
     tensor for OTN/SLTN, both otherwise; a part the norm does not fit gets
-    a NaN test MSE.  The convex norms walk the lambda grid from the largest
-    value down, each fit starting from the one before (the largest from
-    zero), so ``iters`` counts the selected fit's iterations from its warm
-    start.
+    a NaN test MSE.  The convex norms fit the lambda grid as one
+    :func:`solver.path` from the largest value down, each fit starting from
+    the one before (the largest from zero), so ``iters`` counts the selected
+    fit's iterations from its warm start.
     """
     t_train, t_val, t_test = t_masks
     m_train, m_val, m_test = m_masks
@@ -326,26 +314,15 @@ def _fit_cell(
         lam, val = float("nan"), val_mse(T_hat, M_hat)
         iters, conv = len(factors.objective_trace), factors.converged
     else:
-        # fit(lam, opts, start) -> CompletionResult
-        if norm_id == "MTN":
-            fit = partial(baselines.complete_matrix_mtn, M, m_train)
-        elif norm_id in ("OTN", "SLTN"):
-            kind = "overlapped" if norm_id == "OTN" else "scaled_latent"
-            fit = partial(baselines.complete_tensor, T, t_train, kind)
+        if norm_id in BASELINE_IDS:
+            data = (M, m_train) if norm_id == "MTN" else (T, t_train)
+            problem, d = baselines.individual_problem(norm_id, *data)
         else:
             d = norms.parse_descriptor(norm_id)
             problem = CoupledProblem(T, t_train, M, m_train, coupled_mode=d.coupled_mode)
-
-            def fit(lam, opts, start):
-                return solver.solve(problem, d, opts, start)
-
-        fits, res = [], None
-        for lam in cfg.lambda_grid.values()[::-1]:
-            res = fit(lam, _cell_opts(cfg.solver, lam), res)
-            # the estimates only: a fit's solver state is spent once the next starts
-            estimate = (res.tensor, res.matrix, res.iterations, res.converged)
-            fits.append((lam, estimate, val_mse(res.tensor, res.matrix)))
-        lam, (T_hat, M_hat, iters, conv), val = cross_validate(fits[::-1])
+        fits = solver.path(problem, d, cfg.lambda_grid.values()[::-1], cfg.solver)
+        lam, fit, val = cross_validate([(f.lam, f, val_mse(f.tensor, f.matrix)) for f in fits[::-1]])
+        T_hat, M_hat, iters, conv = fit.tensor, fit.matrix, fit.iterations, fit.converged
     test_t = _pooled_mse([(T, T_hat, t_test)] if fits_tensor else [])
     test_m = _pooled_mse([(M, M_hat, m_test)] if fits_matrix else [])
     return lam, val, test_t, test_m, iters, conv

@@ -27,19 +27,19 @@ next SVT input ``W / beta + (1 - a) Y + a t`` at the over-relaxed point is
 Douglas-Rachford map ``F(s) = s + a (t(2 prox(s) - s) - prox(s))``, and
 every step but the data fit and the SVTs is one operation on flat arrays.
 The multipliers are formed only where read: in the lower bound of
-:func:`decompose` and the warm start of :func:`solve`.  The state also owns
+:func:`decompose` and the warm starts of :func:`path`.  The state also owns
 the loop's constants, beta, lam and each term's SVT threshold ``lam *
 scale / beta``; the step functions (:func:`update_matrix`,
 :func:`update_tensors`, :func:`update_auxiliaries`) read them there and
-write the state in place, and only :func:`solve` reads a
-:class:`SolverOptions`.
+write the state in place, and only :func:`solve` (one fit) and
+:func:`path` (a warm-started lambda grid) read a :class:`SolverOptions`.
 
 :func:`decompose` accelerates ``F`` by :class:`_Anderson` (type-II
 Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
 input step and the SVTs and drops any extrapolated point whose residual
 ``||F(s) - s||`` exceeds the last accepted point's, restarting from the
 plain step; its history, ``2 * DECOMPOSE_MEMORY + 3`` vectors the size of
-``s``, lives as long as the call.  :func:`solve` runs the plain iteration
+``s``, lives as long as the call.  Completion runs the plain iteration
 and alone computes the residuals its stopping rule reads.
 """
 
@@ -66,7 +66,9 @@ __all__ = [
     "SolverState",
     "TermArrays",
     "CompletionResult",
+    "PathFit",
     "solve",
+    "path",
     "decompose",
     "update_matrix",
     "update_tensors",
@@ -85,6 +87,8 @@ DECOMPOSE_BETA = 3.0
 DECOMPOSE_MEMORY = 4
 DECOMPOSE_MAX_ITERS = 5000
 DECOMPOSE_CHECK_EVERY = 10
+# the lambda at which the beta of :func:`path` stops growing with lambda
+BETA_CAP = 1.0
 
 
 @dataclass(frozen=True)
@@ -240,8 +244,18 @@ class CompletionResult:
     final_dual_residual: float
     iterations: int
     converged: bool
-    # the final iterate, from which a later solve may start (``solve(start=)``)
-    state: SolverState = field(repr=False)
+
+
+@dataclass(frozen=True)
+class PathFit:
+    """One fit of :func:`path`: its lambda and beta, the fit, and how its loop ended."""
+
+    lam: float
+    beta: float
+    tensor: np.ndarray
+    matrix: np.ndarray
+    iterations: int
+    converged: bool
 
 
 def update_matrix(state: SolverState, problem: CoupledProblem) -> None:
@@ -339,19 +353,14 @@ def objective(
     tol: float = 1e-6,
 ) -> float:
     """Value of the completion objective at ``(T, M)``, which must have ``problem``'s shapes."""
-    _check_shapes(problem, T, M)
+    problem.tensor_mask.check(T, "T")
+    problem.matrix_mask.check(M, "M")
     reg = lam * norms.evaluate(T, M, d, tol=tol) if lam else 0.0
     loss = 0.5 * float(
         np.linalg.norm(problem.matrix_indicator * M - problem.matrix_observed) ** 2
         + np.linalg.norm(problem.tensor_indicator * T - problem.tensor_observed) ** 2
     )
     return loss + reg
-
-
-def _check_shapes(problem: CoupledProblem, T, M, of: str = "") -> None:
-    """Raise ``ValueError`` naming ``T`` or ``M`` unless they have ``problem``'s tensor and matrix shapes."""
-    problem.tensor_mask.check(T, of + "T")
-    problem.matrix_mask.check(M, of + "M")
 
 
 def _largest_norm(d: TermArrays) -> float:
@@ -470,22 +479,16 @@ class _Anderson:
         np.copyto(self.x, s)
 
 
-def _warm_state(
-    start: CompletionResult, problem: CoupledProblem, lay: ComponentLayout, opts: SolverOptions
-) -> SolverState:
-    """``start``'s final ``(s, z)`` in a new state at ``opts``'s beta and lam, its multipliers rescaled.
+def _warm_state(prev: SolverState, beta: float, lam: float) -> SolverState:
+    """``prev``'s final ``(s, z)`` in a new state at ``beta`` and ``lam``, its multipliers rescaled.
 
     At the fixed point each multiplier ``W = beta (s - z)`` is lambda times a
-    point of the dual norm ball, so ``s - z`` is scaled by ``(lam_new /
-    lam_old) (beta_old / beta_new)``; from lambda 0 only ``z`` is carried.
-    ``start`` is left as it is.
+    point of the dual norm ball, so ``s - z`` is scaled by ``(lam / prev.lam)
+    (prev.beta / beta)``; from lambda 0 only ``z`` is carried.  ``prev`` is
+    left as it is.
     """
-    prev = start.state
-    _check_shapes(problem, prev.components[0], prev.M, "start's ")
-    if prev.layout != lay:
-        raise ValueError("start is from a descriptor of another component layout")
-    ratio = opts.lam / prev.lam * (prev.beta / opts.beta) if prev.lam else 0.0
-    state = SolverState(lay, prev.components, prev.M, opts.beta, opts.lam)
+    ratio = lam / prev.lam * (prev.beta / beta) if prev.lam else 0.0
+    state = SolverState(prev.layout, prev.components, prev.M, beta, lam)
     s, z = state.s.flat, prev.z.flat
     np.copyto(state.z.flat, z)
     np.subtract(prev.s.flat, z, out=s)
@@ -494,58 +497,79 @@ def _warm_state(
     return state
 
 
-def solve(
-    problem: CoupledProblem,
-    d: NormDescriptor,
-    opts: SolverOptions = SolverOptions(),
-    start: CompletionResult | None = None,
-) -> CompletionResult:
-    """Run completion ADMM to convergence or the iteration cap.
+def _fits(problem: CoupledProblem, d: NormDescriptor, settings, opts: SolverOptions):
+    """Fit at each ``(beta, lam)`` of ``settings`` in turn, yielding ``(state, residuals, iterations, converged)``.
 
-    Deterministic: every variable starts at zero, or at the final state of
-    ``start``, an earlier result of a problem of the same shapes under a
-    descriptor of the same layout, with its multipliers scaled by
-    ``opts.lam / start.state.lam``, the lambda it was fitted at.  The
-    problem is convex, so only the iteration count depends on the start.
-    Stops once both residuals of :func:`_residuals` are within their
-    tolerances relative to max(1, ||observed data||_F).  The result reports
-    the residuals of the last iteration; no per-iteration history is kept,
-    and the objective at the fit is ``objective(problem, d, opts.lam,
-    res.tensor, res.matrix)``.
-    Raises :class:`InvalidDescriptorError` when the descriptor's coupled
-    mode is not the problem's, and ``ValueError`` when ``start`` does not
-    fit the problem or the descriptor.
+    The first fit starts from zero, each later one from the one before
+    (:func:`_warm_state`).  A fit stops at ``opts.max_iters`` or once both
+    residuals of :func:`_residuals` are within their tolerances relative to
+    max(1, ||observed data||_F); ``residuals`` are its last iteration's,
+    and ``state`` its final state.  Raises :class:`InvalidDescriptorError`
+    when the descriptor's coupled mode is not the problem's.
     """
     if d.coupled_mode != problem.coupled_mode:
-        raise InvalidDescriptorError(
-            "descriptor coupled mode does not match the problem"
-        )
+        raise InvalidDescriptorError("descriptor coupled mode does not match the problem")
     lay = norms.layout(d, problem.dims)
 
     def fit_step(state: SolverState) -> None:
         update_matrix(state, problem)
         update_tensors(state, problem)
 
-    if start is None:
-        state = SolverState(
-            lay, [np.zeros(problem.dims) for _ in range(lay.n_components)],
-            np.zeros_like(problem.matrix), opts.beta, opts.lam,
-        )
-    else:
-        state = _warm_state(start, problem, lay, opts)
     scale = max(1.0, float(np.sqrt(
         np.linalg.norm(problem.tensor_observed) ** 2 + np.linalg.norm(problem.matrix_observed) ** 2
     )))
-    residuals = [math.inf, math.inf]  # primal and dual, of the last iteration
+    state = None
+    for beta, lam in settings:
+        if state is None:
+            zeros = [np.zeros(problem.dims) for _ in range(lay.n_components)]
+            state = SolverState(lay, zeros, np.zeros_like(problem.matrix), beta, lam)
+        else:
+            state = _warm_state(state, beta, lam)
+        residuals = [math.inf, math.inf]  # primal and dual, of the last iteration
 
-    def done(it: int) -> bool:
-        residuals[:] = _residuals(state)
-        return residuals[0] <= opts.tol_primal * scale and residuals[1] <= opts.tol_dual * scale
+        def done(it: int) -> bool:
+            residuals[:] = _residuals(state)
+            return residuals[0] <= opts.tol_primal * scale and residuals[1] <= opts.tol_dual * scale
 
-    iterations, converged = _admm(state, opts.max_iters, fit_step, done)
-    return CompletionResult(
-        sum(state.components), state.M, state.components, *residuals, iterations, converged, state,
-    )
+        iterations, converged = _admm(state, opts.max_iters, fit_step, done)
+        yield state, residuals, iterations, converged
+
+
+def solve(
+    problem: CoupledProblem,
+    d: NormDescriptor,
+    opts: SolverOptions = SolverOptions(),
+) -> CompletionResult:
+    """Run completion ADMM at ``opts.lam`` and ``opts.beta`` from zero, as :func:`_fits` does.
+
+    Deterministic.  The result reports the residuals of the last iteration;
+    no per-iteration history is kept, and the objective at the fit is
+    ``objective(problem, d, opts.lam, res.tensor, res.matrix)``.
+    """
+    state, residuals, iterations, converged = next(_fits(problem, d, [(opts.beta, opts.lam)], opts))
+    return CompletionResult(sum(state.components), state.M, state.components, *residuals, iterations, converged)
+
+
+def path(problem: CoupledProblem, d: NormDescriptor, lams, opts: SolverOptions = SolverOptions()) -> list[PathFit]:
+    """Fit ``problem`` under ``d`` at each lambda of ``lams`` in turn, as :func:`_fits` does.
+
+    Each fit starts from the one before, the first from zero (the
+    regularization path of glmnet); the problem is convex, so the start
+    moves only the iteration count.  Each runs at ``beta = min(max(lam,
+    1e-3), BETA_CAP) * opts.beta``: beta tracks lambda, which keeps the
+    iteration count flat across a wide grid, up to ``BETA_CAP``, above
+    which a larger beta only slows the fit.  ``opts.lam`` is not read.
+    Raises ``ValueError`` naming the first lambda that is not finite and
+    >= 0, before any fit.
+    """
+    lams = list(lams)
+    for lam in lams:
+        check_settings({"lam": lam}, lam=NON_NEGATIVE)
+    settings = [(min(max(lam, 1e-3), BETA_CAP) * opts.beta, lam) for lam in lams]
+    return [
+        PathFit(state.lam, state.beta, sum(state.components), state.M, iterations, converged)
+        for state, _, iterations, converged in _fits(problem, d, settings, opts)
+    ]
 
 
 def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
@@ -575,11 +599,12 @@ def decompose(
 
     The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
     concatenated block keeps its own dual, so the joint SVT is the correct
-    partial prox.  Its proximity parameter is in the data's units, ``beta
-    = DECOMPOSE_BETA / sigma`` with ``sigma = ||(T, M)||_F /
-    sqrt(max(dims))``, so the iterates at ``2^k (T, M)`` are ``2^k`` times
-    those at ``(T, M)`` and as many; zero or subnormal ``sigma`` keeps
-    ``DECOMPOSE_BETA``.
+    partial prox.  It runs on ``(T, M) / p`` at ``beta = DECOMPOSE_BETA /
+    (sigma / p)``, ``p`` the power of two in ``(sigma / 2, sigma]``, ``sigma
+    = ||(T, M)||_F / sqrt(max(dims))`` (``p = 1``, ``beta = DECOMPOSE_BETA``
+    at zero input).  Dividing by ``p`` is exact, so the iterates at ``2^k
+    (T, M)`` are ``2^k`` times those at ``(T, M)`` and as many, and none
+    overflows at any scale.
     The data-fit step projects the components onto the sum constraint by an
     exact entrywise equality-constrained solve.  Starts from the even split
     ``T / C``.  The SVT inputs ``s`` are extrapolated by
@@ -590,7 +615,7 @@ def decompose(
     components, ``lower`` the Hoelder bound of :func:`_lower_bound` from
     the current multipliers.  Stops once ``upper - lower <= tol * upper``;
     no residual is computed.  Returns the components and the last
-    ``lower`` and ``upper``; zero input gives ``0, 0``.  ``tol`` must be
+    ``lower`` and ``upper``, scaled back by ``p``; zero input gives ``0, 0``.  ``tol`` must be
     finite and > 0.
     """
     check_settings(locals(), tol=POSITIVE)
@@ -600,9 +625,9 @@ def decompose(
     sigma = 0.0 if peak == 0 else (
         peak * math.hypot(np.linalg.norm(T / peak), np.linalg.norm(M / peak)) / math.sqrt(max(lay.dims))
     )
-    # below the least normal number DECOMPOSE_BETA / sigma could overflow
-    beta = DECOMPOSE_BETA / sigma if sigma >= np.finfo(float).tiny else DECOMPOSE_BETA
-    state = SolverState(lay, [T / C for _ in range(C)], M, beta, 1.0)
+    p = math.ldexp(1.0, math.frexp(sigma)[1] - 1) if sigma else 1.0
+    T, M = T / p, M / p
+    state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA / (sigma / p or 1.0), 1.0)
     bracket = [-np.inf, np.inf]
 
     def project(state: SolverState) -> None:
@@ -615,4 +640,4 @@ def decompose(
         return bracket[1] - bracket[0] <= tol * bracket[1]
 
     _admm(state, DECOMPOSE_MAX_ITERS, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))
-    return state.components, bracket[0], bracket[1]
+    return [c * p for c in state.components], bracket[0] * p, bracket[1] * p

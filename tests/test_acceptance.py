@@ -317,9 +317,9 @@ def test_criterion_5_exact_recovery():
     problem = CoupledProblem(T, t_masks[0], M, m_masks[0], 1)
     d = NormDescriptor(1, ("O", "O", "O"))
     best = None
-    for lam in np.geomspace(1e-3, 1.0, 20):
-        opts = harness._cell_opts(SolverOptions(tol_primal=1e-5, tol_dual=1e-5), lam)
-        res = solver.solve(problem, d, opts)
+    # one warm path from the largest lambda down, as the harness fits a cell
+    fits = solver.path(problem, d, np.geomspace(1e-3, 1.0, 20)[::-1], SolverOptions(tol_primal=1e-5, tol_dual=1e-5))
+    for res in fits[::-1]:
         ix = t_masks[1].as_tuple()
         val = float(np.mean((T[ix] - res.tensor[ix]) ** 2))
         if best is None or val <= best[0]:

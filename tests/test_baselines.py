@@ -12,11 +12,11 @@ from coupled_completion.baselines import (
     complete_matrix_mtn,
     complete_tensor,
     coupled_cp_als,
+    individual_problem,
 )
-from coupled_completion.harness import _cell_opts
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.prox import spectral_norm
-from coupled_completion.solver import CoupledProblem, SolverOptions, solve
+from coupled_completion.solver import CoupledProblem, SolverOptions, path, solve
 from coupled_completion.tensor_ops import ObservationMask, mask_apply
 
 
@@ -53,9 +53,8 @@ class TestCompleteMatrixMtn:
         val = random_mask(M.shape, 0.1, seed=3)
         test = random_mask(M.shape, 0.1, seed=4)
         best = None
-        for lam in np.geomspace(1e-3, 1.0, 10):
-            opts = _cell_opts(SolverOptions(tol_primal=1e-5, tol_dual=1e-5), lam)
-            res = complete_matrix_mtn(M, train, lam, opts)
+        opts = SolverOptions(tol_primal=1e-5, tol_dual=1e-5)
+        for res in path(*individual_problem("MTN", M, train), np.geomspace(1e-3, 1.0, 10)[::-1], opts)[::-1]:
             ix = val.as_tuple()
             mse = float(np.mean((M[ix] - res.matrix[ix]) ** 2))
             if best is None or mse <= best[0]:
@@ -88,6 +87,12 @@ class TestCompleteTensor:
         res2 = solve(problem, NormDescriptor(1, ("O", "O", "O")), opts)
         assert np.max(np.abs(res.tensor - res2.tensor)) < 1e-6
 
+    @pytest.mark.parametrize("norm_id", ["CP", "1:(O,O,O)", "otn"])
+    def test_individual_problem_rejects_an_id_that_is_no_convex_baseline(self, norm_id):
+        T = np.zeros((2, 2, 2))
+        with pytest.raises(ValueError, match=re.escape(f"norm_id must be one of ['MTN', 'OTN', 'SLTN'], got {norm_id!r}")):
+            individual_problem(norm_id, T, ObservationMask.full(T.shape))
+
     def test_lambda_argument_wins_over_options(self):
         T = np.random.default_rng(7).standard_normal((4, 4, 4))
         mask = random_mask(T.shape, 0.7, seed=7)
@@ -110,9 +115,8 @@ class TestCompleteTensor:
         T = datagen.gen_tensor(spec, np.random.default_rng(spec.seed))
         train, val, test = datagen.gen_masks(T.shape, datagen.MaskSpec(0.7, 0.1, 8))
         best = None
-        for lam in np.geomspace(1e-3, 1.0, 10):
-            opts = _cell_opts(SolverOptions(tol_primal=1e-5, tol_dual=1e-5), lam)
-            res = complete_tensor(T, train, "overlapped", lam, opts)
+        opts = SolverOptions(tol_primal=1e-5, tol_dual=1e-5)
+        for res in path(*individual_problem("OTN", T, train), np.geomspace(1e-3, 1.0, 10)[::-1], opts)[::-1]:
             ix = val.as_tuple()
             mse = float(np.mean((T[ix] - res.tensor[ix]) ** 2))
             if best is None or mse <= best[0]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupled_completion import baselines, datagen, harness
+from coupled_completion import baselines, datagen, harness, solver
 from coupled_completion.harness import (
     ExperimentConfig,
     LambdaGrid,
@@ -22,7 +22,7 @@ from coupled_completion.harness import (
     save_matrix_csv,
     save_sparse_tensor,
 )
-from coupled_completion.solver import SolverOptions, solve
+from coupled_completion.solver import SolverOptions, path, solve
 from coupled_completion.tensor_ops import ObservationMask
 
 
@@ -350,32 +350,21 @@ class TestCrossValidate:
         # not the smallest grid point.  At tolerance 1e-8 the curve is within
         # 2e-4 of its converged values, and the optimum (0.214 at lambda 1.2)
         # beats the smallest lambda (0.299) by far more than that.
-        from coupled_completion.baselines import complete_matrix_mtn
-
         rng = np.random.default_rng(4)
         M = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 25))
         M_noisy = M + 0.5 * rng.standard_normal(M.shape)
         train, val, _ = datagen.gen_masks(M.shape, datagen.MaskSpec(0.6, 0.2, 4))
+        problem, d = baselines.individual_problem("MTN", M_noisy, train)
+        opts = SolverOptions(tol_primal=1e-8, tol_dual=1e-8, max_iters=5000)
+        ix = val.as_tuple()
         fits = []
-        for lam in np.geomspace(1e-4, 10.0, 12):
-            opts = harness._cell_opts(SolverOptions(tol_primal=1e-8, tol_dual=1e-8, max_iters=5000), lam)
-            res = complete_matrix_mtn(M_noisy, train, lam, opts)
+        # the harness's order: from the largest lambda down
+        for res in solver.path(problem, d, np.geomspace(1e-4, 10.0, 12)[::-1], opts)[::-1]:
             assert res.converged
-            ix = val.as_tuple()
-            fits.append((lam, res, float(np.mean((M[ix] - res.matrix[ix]) ** 2))))
+            fits.append((res.lam, res, float(np.mean((M[ix] - res.matrix[ix]) ** 2))))
         lam_star, _, mse_star = cross_validate(fits)
         assert lam_star > fits[0][0]
         assert mse_star < 0.9 * fits[0][2]
-
-
-class TestCellOpts:
-    @pytest.mark.parametrize("beta0", [1.0, 2.5])
-    def test_beta_tracks_lambda_up_to_the_cap_and_stays_there(self, beta0):
-        opts = SolverOptions(beta=beta0, max_iters=7, tol_primal=1e-5, tol_dual=1e-6)
-        for lam in (0.0, 1e-4, 1e-3, 0.3, 0.999, harness.BETA_CAP, 1.5, 5.0, 320.0):
-            got = harness._cell_opts(opts, lam)
-            beta = (harness.BETA_CAP if lam >= harness.BETA_CAP else max(lam, 1e-3)) * beta0
-            assert got == replace(opts, lam=lam, beta=beta)
 
 
 class TestSparseTensorFormat:
@@ -538,12 +527,12 @@ class TestRun:
     def test_per_cell_failure_recorded(self, monkeypatch):
         # a fit that raises fails its cell; the failure must be recorded,
         # not raised, and the other cells still run
-        def fails_on_latent(problem, d, opts, start=None):
+        def fails_on_latent(problem, d, lams, opts):
             if d.has_latent():
                 raise ValueError("no fit")
-            return solve(problem, d, opts, start)
+            return path(problem, d, lams, opts)
 
-        monkeypatch.setattr(harness.solver, "solve", fails_on_latent)
+        monkeypatch.setattr(harness.solver, "path", fails_on_latent)
         report = run(tiny_config(norms=("1:(O,O,O)", "1:(S,O,O)")))
         assert len(report.failures()) == 1
         assert report.failures()[0].error == "no fit"
@@ -594,13 +583,12 @@ class TestRun:
             lambda_grid=LambdaGrid(0.1, 0.1, 1),
         )
         seen = []
-        real_solve = harness.solver.solve
 
-        def spy(problem, d, opts, start=None):
+        def spy(problem, d, lams, opts):
             seen.append(problem.matrix_mask)
-            return real_solve(problem, d, opts, start)
+            return path(problem, d, lams, opts)
 
-        monkeypatch.setattr(harness.solver, "solve", spy)
+        monkeypatch.setattr(harness.solver, "path", spy)
         assert not run(cfg).failures()
         assert len(seen) == 1
         assert sorted(map(tuple, seen[0].indices)) == sorted(map(tuple, cells))
@@ -618,28 +606,24 @@ class TestRun:
             train_fractions=(0.3,),
         )
         calls = []
-        real_solve = harness.solver.solve
 
-        def spy(problem, d, opts, start=None):
-            res = real_solve(problem, d, opts, start)
-            calls.append((problem, d, opts, res))
-            return res
+        def spy(problem, d, lams, opts):
+            fits = path(problem, d, lams, opts)
+            calls.append((problem, d, opts, fits))
+            return fits
 
-        # the coupled norms call solver.solve, the baselines their own import of it
-        monkeypatch.setattr(harness.solver, "solve", spy)
-        monkeypatch.setattr(baselines, "solve", spy)
+        monkeypatch.setattr(harness.solver, "path", spy)
         # the spy records in this process, so the cells must run here, not in workers
         monkeypatch.setattr(harness, "_workers", lambda cells: 1)
         first = emit_report(run(cfg), tmp_path / "a")["results"].read_bytes()
-        assert len(calls) == 3 * 8
-        warm, cold = {}, {}
-        for problem, d, opts, res in calls:
-            assert res.converged
-            cell = (d.tags, problem.dims)
-            warm[cell] = warm.get(cell, 0) + res.iterations
-            cold[cell] = cold.get(cell, 0) + real_solve(problem, d, opts).iterations
-        for cell in warm:
-            assert warm[cell] < cold[cell], cell
+        # one path per convex cell, over the grid from the largest lambda down
+        assert len(calls) == 3
+        for problem, d, opts, fits in calls:
+            assert [fit.lam for fit in fits] == list(cfg.lambda_grid.values()[::-1])
+            assert all(fit.converged for fit in fits)
+            warm = sum(fit.iterations for fit in fits)
+            cold = sum(solve(problem, d, replace(opts, lam=fit.lam, beta=fit.beta)).iterations for fit in fits)
+            assert warm < cold, d
         assert emit_report(run(cfg), tmp_path / "b")["results"].read_bytes() == first
 
     @pytest.mark.skipif(harness._workers(2) < 2, reason="one usable CPU, so no worker pool to compare")
@@ -675,14 +659,13 @@ class TestRun:
         t_masks = datagen.gen_masks(T.shape, datagen.MaskSpec(0.3, 0.1, 100_000))
         m_masks = datagen.gen_masks(M.shape, datagen.MaskSpec(0.3, 0.1, 100_001))
         converged = []
-        real_solve = harness.solver.solve
 
-        def spy(problem, d, opts, start=None):
-            res = real_solve(problem, d, opts, start)
-            converged.append(res.converged)
-            return res
+        def spy(problem, d, lams, opts):
+            fits = path(problem, d, lams, opts)
+            converged.extend(fit.converged for fit in fits)
+            return fits
 
-        monkeypatch.setattr(harness.solver, "solve", spy)
+        monkeypatch.setattr(harness.solver, "path", spy)
         harness._fit_cell(cfg, "1:(S,O,O)", T, M, t_masks, m_masks)
         assert converged == [True] * 8
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_completion import norms, solver
-from coupled_completion.baselines import complete_matrix_mtn, complete_tensor
+from coupled_completion.baselines import complete_matrix_mtn, complete_tensor, individual_problem
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
     RELAXATION,
@@ -19,6 +19,7 @@ from coupled_completion.solver import (
     SolverOptions,
     SolverState,
     objective,
+    path,
     solve,
     update_auxiliaries,
     update_matrix,
@@ -742,15 +743,33 @@ class TestMetamorphic:
         assert np.max(np.abs(fit - ref)) <= fit_rtol * np.max(np.abs(ref))
 
 
-class TestWarmStart:
+def recording_states(monkeypatch):
+    """Make every state the solver builds a recorded one; returns the list the states are appended to.
+
+    Each keeps, as ``built_with``, its ``s``, ``z`` and ``components`` as built.
+    """
+    built = []
+
+    class RecordedState(SolverState):
+        def __post_init__(self):
+            super().__post_init__()
+            self.built_with = (self.s, self.z, self.components)
+            built.append(self)
+
+    monkeypatch.setattr(solver, "SolverState", RecordedState)
+    return built
+
+
+class TestPath:
     D = NormDescriptor(1, ("S", "O", "O"))
 
     def test_restart_at_same_lambda_converges_in_one_iteration(self):
         problem = random_problem(seed=29)
-        opts = SolverOptions(lam=0.3, max_iters=5000, tol_primal=1e-7, tol_dual=1e-7)
-        res = solve(problem, self.D, opts)
+        # beta0 = 1 / lam, so both fits run at beta = 1
+        opts = SolverOptions(beta=1 / 0.3, max_iters=5000, tol_primal=1e-7, tol_dual=1e-7)
+        res, again = path(problem, self.D, [0.3, 0.3], opts)
+        assert res.beta == again.beta == 1.0
         assert res.converged and res.iterations > 10
-        again = solve(problem, self.D, opts, start=res)
         assert again.converged
         assert again.iterations == 1
         # the scale the solver judges its residuals by
@@ -759,59 +778,66 @@ class TestWarmStart:
         assert np.linalg.norm(again.tensor - res.tensor) <= opts.tol_dual * scale
         assert np.linalg.norm(again.matrix - res.matrix) <= opts.tol_dual * scale
 
-    def test_start_from_other_lambda_reaches_the_cold_solution(self):
+    @pytest.mark.parametrize("lams", [(1.0, 0.3), (2.0, 1.5)], ids=["beta-tracks", "above-the-cap"])
+    def test_a_warm_fit_reaches_the_cold_solution(self, lams):
+        # above BETA_CAP consecutive fits share beta, and only lambda rescales s - z
         problem = random_problem(seed=30)
-        tight = dict(max_iters=5000, tol_primal=1e-8, tol_dual=1e-8)
-        prev = solve(problem, self.D, SolverOptions(lam=1.0, beta=1.0, **tight))
-        opts = SolverOptions(lam=0.3, beta=0.3, **tight)
-        cold, warm = solve(problem, self.D, opts), solve(problem, self.D, opts, start=prev)
+        opts = SolverOptions(max_iters=5000, tol_primal=1e-8, tol_dual=1e-8)
+        _, warm = path(problem, self.D, lams, opts)
+        cold = solve(problem, self.D, replace(opts, lam=warm.lam, beta=warm.beta))
+        assert warm.beta == min(lams[1], solver.BETA_CAP)
         assert warm.converged and warm.iterations < cold.iterations
         assert np.max(np.abs(warm.tensor - cold.tensor)) < 1e-5
         assert np.max(np.abs(warm.matrix - cold.matrix)) < 1e-5
 
-    def test_start_from_other_lambda_at_the_same_beta_reaches_the_cold_solution(self):
-        # above the harness's BETA_CAP consecutive grid fits share beta, and only lambda rescales s - z
-        problem = random_problem(seed=30)
-        tight = dict(max_iters=5000, tol_primal=1e-8, tol_dual=1e-8)
-        prev = solve(problem, self.D, SolverOptions(lam=2.0, beta=1.0, **tight))
-        opts = SolverOptions(lam=1.5, beta=1.0, **tight)
-        cold, warm = solve(problem, self.D, opts), solve(problem, self.D, opts, start=prev)
-        assert warm.converged and warm.iterations < cold.iterations
-        assert np.max(np.abs(warm.tensor - cold.tensor)) < 1e-5
-        assert np.max(np.abs(warm.matrix - cold.matrix)) < 1e-5
-
-    @pytest.mark.parametrize(
-        "dims, cols, operand", [((5, 6, 7), 4, "T"), ((6, 6, 6), 5, "M")], ids=["tensor", "matrix"]
-    )
-    def test_rejects_start_from_other_shape(self, dims, cols, operand):
-        start = solve(random_problem(seed=31), self.D, SolverOptions(lam=0.3, max_iters=5))
-        problem = random_problem(dims=dims, cols=cols, seed=31)
-        with pytest.raises(ValueError, match=f"start's {operand} must have the mask's shape"):
-            solve(problem, self.D, SolverOptions(lam=0.3), start=start)
-
-    def test_rejects_start_from_other_layout(self):
-        problem = random_problem(seed=32)
-        start = solve(problem, self.D, SolverOptions(lam=0.3, max_iters=5))
-        with pytest.raises(ValueError, match="another component layout"):
-            solve(problem, NormDescriptor(1, ("O", "S", "O")), SolverOptions(), start=start)
-
-    def test_no_start_is_bit_equal_to_cold_solve_and_start_is_left_intact(self):
+    def test_the_first_fit_is_the_cold_solve_bit_for_bit(self):
         problem = random_problem(seed=33)
-        opts = SolverOptions(lam=0.3, max_iters=80)
-        cold = solve(problem, self.D, opts)
-        start = solve(problem, self.D, SolverOptions(lam=0.6, max_iters=40))
-        def held(res):
-            return [res.tensor, res.matrix, *res.components, res.state.M, res.state.s.flat, res.state.z.flat]
+        opts = SolverOptions(max_iters=80)
+        first = path(problem, self.D, [0.3, 0.6], opts)[0]
+        cold = solve(problem, self.D, replace(opts, lam=0.3, beta=0.3))
+        assert first.iterations == cold.iterations
+        assert np.array_equal(first.tensor, cold.tensor)
+        assert np.array_equal(first.matrix, cold.matrix)
 
-        kept = [a.copy() for a in held(start)]
-        solve(problem, self.D, opts, start=start)
-        assert all(np.array_equal(a, b) for a, b in zip(kept, held(start), strict=True))
-        again = solve(problem, self.D, opts, start=None)
-        assert again.iterations == cold.iterations
-        assert np.array_equal(again.tensor, cold.tensor)
-        assert np.array_equal(again.matrix, cold.matrix)
-        assert again.final_primal_residual == cold.final_primal_residual
-        assert again.final_dual_residual == cold.final_dual_residual
+    @pytest.mark.parametrize("kind", ["coupled", "mtn"])
+    def test_each_fit_is_independent_of_the_later_ones(self, kind):
+        # a later fit starts from an earlier one's state and leaves its fit as it is
+        if kind == "coupled":
+            problem, d = random_problem(seed=35), self.D
+        else:
+            matrix = random_problem(dims=(6, 6, 6), cols=5, seed=36)
+            problem, d = individual_problem("MTN", matrix.matrix, matrix.matrix_mask)
+        lams = [3.0, 0.8, 0.2, 0.0, 0.05]
+        opts = SolverOptions(max_iters=60)
+        whole = path(problem, d, lams, opts)
+        assert len(whole) == len(lams)
+        for k in range(1, len(lams) + 1):
+            part, fit = path(problem, d, lams[:k], opts)[-1], whole[k - 1]
+            assert (part.lam, part.beta, part.iterations, part.converged) == (
+                fit.lam, fit.beta, fit.iterations, fit.converged)
+            assert np.array_equal(part.tensor, fit.tensor)
+            assert np.array_equal(part.matrix, fit.matrix)
+
+    @pytest.mark.parametrize("beta0", [1.0, 2.5])
+    def test_beta_tracks_lambda_up_to_the_cap_and_stays_there(self, beta0):
+        opts = SolverOptions(beta=beta0, max_iters=7, tol_primal=1e-5, tol_dual=1e-6)
+        lams = [0.0, 1e-4, 1e-3, 0.3, 0.999, solver.BETA_CAP, 1.5, 5.0, 320.0]
+        fits = path(random_problem(seed=37), self.D, lams, opts)
+        for lam, fit in zip(lams, fits, strict=True):
+            beta = (solver.BETA_CAP if lam >= solver.BETA_CAP else max(lam, 1e-3)) * beta0
+            assert (fit.lam, fit.beta) == (lam, beta)
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, True])
+    def test_rejects_a_lambda_that_is_not_finite_and_non_negative_before_any_fit(self, bad, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fitted")
+
+        monkeypatch.setattr(solver, "_admm", no_fit)
+        with pytest.raises(ValueError, match=re.escape(f"lam must be finite and >= 0, got {bad!r}")):
+            path(random_problem(seed=38), self.D, [0.5, bad], SolverOptions())
+
+    def test_an_empty_grid_fits_nothing(self):
+        assert path(random_problem(seed=39), self.D, [], SolverOptions()) == []
 
 
 class TestMultiplierArrays:
@@ -843,39 +869,35 @@ class TestMultiplierArrays:
                 assert np.shares_memory(tensors[mode], buf)
 
     @pytest.mark.parametrize("text", ["1:(O,O,O)", "1:(S,O,O)", "1:(L,L,L)"])
-    def test_cold_and_warm_solves_keep_them_at_every_iteration(self, text, monkeypatch):
-        built, steps = [], []
-
-        class RecordedState(SolverState):
-            def __post_init__(self):
-                super().__post_init__()
-                built.append((self, self.s, self.z, self.components))
+    def test_cold_and_warm_fits_keep_them_at_every_iteration(self, text, monkeypatch):
+        steps = []
 
         def recorded_update_auxiliaries(state, accelerate=None):
             steps.append((state, TestMultiplierArrays.snapshot(state)))
             return update_auxiliaries(state, accelerate)
 
-        monkeypatch.setattr(solver, "SolverState", RecordedState)
+        built = recording_states(monkeypatch)
         monkeypatch.setattr(solver, "update_auxiliaries", recorded_update_auxiliaries)
         problem = random_problem(seed=34)
         d = norms.parse_descriptor(text)
-        # tolerances no iterate meets, so each solve runs all its iterations
+        # tolerances no iterate meets, so each fit runs all its iterations
         tight = dict(tol_primal=1e-300, tol_dual=1e-300)
-        cold = solve(problem, d, SolverOptions(lam=0.6, max_iters=7, **tight))
-        warm = solve(problem, d, SolverOptions(lam=0.2, max_iters=4, **tight), start=cold)
+        fits = path(problem, d, [0.6, 0.2], SolverOptions(max_iters=7, **tight))
         assert len(built) == 2
-        for res, (state, s, z, components) in zip((cold, warm), built):
-            assert state is res.state and state.scratch is None
-            assert res.components is components
+        for fit, state in zip(fits, built):
+            s, z, components = state.built_with
+            assert fit.matrix is state.M and state.scratch is None and state.components is components
+            assert np.array_equal(fit.tensor, sum(components))
             seen = [taken for owner, taken in steps if owner is state]
-            assert len(seen) == res.iterations
+            assert len(seen) == fit.iterations == 7
             first = seen[0]
             assert first[1] is s and id(z) in first[0]
             for later in seen:
                 self.assert_same(first, later, state.layout.coupled_mode)
             assert state.s is s and id(state.z) in first[0]
-        cold_arrays = [cold.state.s.flat, cold.state.z.flat, *cold.components]
-        warm_arrays = [warm.state.s.flat, warm.state.z.flat, *warm.components]
+        cold_arrays, warm_arrays = (
+            [state.s.flat, state.z.flat, state.M, *state.components] for state in built
+        )
         assert not any(np.shares_memory(a, b) for a in cold_arrays for b in warm_arrays)
 
 
@@ -943,8 +965,9 @@ def _empty_matrix_problem(seed):
 
 
 class TestTextbookEquivalence:
-    """The ``(s, z)`` loop of :func:`solve` is the textbook relaxed ADMM:
-    primal, auxiliary and multiplier iterates agree to rounding."""
+    """The ``(s, z)`` loop of :func:`solve` and :func:`path` is the textbook
+    relaxed ADMM: primal, auxiliary and multiplier iterates agree to
+    rounding."""
 
     CASES = [
         ("1:(O,O,O)", lambda: random_problem(seed=50)),
@@ -956,11 +979,10 @@ class TestTextbookEquivalence:
     IDS = ["OOO", "SOO", "LLL-gram", "tensor-only", "mtn"]
 
     @staticmethod
-    def assert_agree(res, ref):
-        state = res.state
+    def assert_agree(state, ref):
         W, WM, Y, X = textbook(state)
-        pairs = [(res.matrix, ref.M), (X, ref.X), (WM, ref.WM)]
-        pairs += list(zip(res.components, ref.t, strict=True))
+        pairs = [(state.M, ref.M), (X, ref.X), (WM, ref.WM)]
+        pairs += list(zip(state.components, ref.t, strict=True))
         pairs += [(Y[m], ref.Y[m]) for m in ref.Y] + [(W[m], ref.W[m]) for m in ref.W]
         # relative to the iterate's size: a small block (a latent component
         # near zero) carries the rounding of the larger ones it is formed from
@@ -970,22 +992,28 @@ class TestTextbookEquivalence:
             assert np.linalg.norm(new - old) <= 1e-12 * size
 
     @pytest.mark.parametrize("text, make", CASES, ids=IDS)
-    def test_cold_and_warm_iterates_agree(self, text, make):
+    def test_cold_and_warm_iterates_agree(self, text, make, monkeypatch):
+        built = recording_states(monkeypatch)
         problem, d = make(), norms.parse_descriptor(text)
-        # tolerances no iterate meets, so each solve runs all its iterations
+        # tolerances no iterate meets, so each fit runs all its iterations
         tight = dict(tol_primal=1e-300, tol_dual=1e-300)
         ref = TextbookADMM(problem, d)
         first = SolverOptions(lam=0.6, beta=1.0, max_iters=15, **tight)
         for it in range(1, 16):
             ref.step(first.lam, first.beta)
-            res = solve(problem, d, replace(first, max_iters=it))
-            self.assert_agree(res, ref)
-        # a warm start at a beta that does not track lambda
-        second = SolverOptions(lam=0.2, beta=0.35, max_iters=15, **tight)
-        ref.warm(second.lam / first.lam)
+            solve(problem, d, replace(first, max_iters=it))
+            self.assert_agree(built[-1], ref)
+        # a path across BETA_CAP: the second fit's beta ratio (0.35) is not its lambda ratio (0.175)
+        ref = TextbookADMM(problem, d)
+        fits = path(problem, d, [2.0, 0.35], first)
+        assert [fit.beta for fit in fits] == [1.0, 0.35]
         for _ in range(15):
-            ref.step(second.lam, second.beta)
-        self.assert_agree(solve(problem, d, second, start=res), ref)
+            ref.step(2.0, 1.0)
+        self.assert_agree(built[-2], ref)
+        ref.warm(0.35 / 2.0)
+        for _ in range(15):
+            ref.step(0.35, 0.35)
+        self.assert_agree(built[-1], ref)
 
 
 LATENT = [d for d in ALL_SUPPORTED if d.has_latent()]
@@ -1117,10 +1145,11 @@ class TestAcceleratedDecompose:
         assert upper - lower <= tol * upper
         assert np.allclose(sum(components), T, rtol=0.0, atol=1e-12 * np.max(np.abs(T)))
 
-    @pytest.mark.parametrize("k", [-7, 7])
+    @pytest.mark.parametrize("k", [-1000, -7, 7, 1000])
     @pytest.mark.parametrize("d", LATENT, ids=norms.format_descriptor)
     def test_scaling_the_data_by_a_power_of_two_scales_the_bracket_bit_for_bit(self, d, k, monkeypatch):
-        # beta is in the data's units, so every iterate scales by 2^k exactly
+        # the loop runs on the data divided by a power of two near its scale,
+        # so every iterate scales by 2^k exactly, and none overflows at 2^1000
         iterations = []
         admm = solver._admm
 
@@ -1137,11 +1166,10 @@ class TestAcceleratedDecompose:
         assert (lower_k, upper_k) == (2.0**k * lower, 2.0**k * upper)
         assert iterations[0] == iterations[1] > solver.DECOMPOSE_CHECK_EVERY
 
-    def test_data_whose_scale_is_subnormal_runs_at_the_unscaled_beta(self, monkeypatch):
-        # DECOMPOSE_BETA / sigma would overflow there; under this suite's
-        # filters the overflow warning would fail the test.  The bracket
-        # does not close at that scale, so the cap is cut to keep it short.
-        monkeypatch.setattr(solver, "DECOMPOSE_MAX_ITERS", 20)
+    def test_data_whose_scale_is_subnormal_gives_a_subnormal_bracket(self):
+        # the loop runs on the data divided by a subnormal power of two, at
+        # normal scale, so nothing overflows (under this suite's filters an
+        # overflow warning would fail the test); the bracket is scaled back
         T, M = decompose_instance((6, 5, 4), 3, seed=46)
         lay = norms.layout(NormDescriptor(1, ("S", "S", "S")), T.shape)
         _, lower, upper = solver.decompose(2.0**-1060 * T, 2.0**-1060 * M, lay, 1e-6)

@@ -132,6 +132,77 @@ def test_the_check_finds_an_unread_private_name_and_spares_the_read_the_public_a
     assert unread_private_names(texts) == ["a.py:2: _B", "a.py:3: _D", "a.py:8: _E", "a.py:9: _F", "b.py:4: _E"]
 
 
+def unpassed_defaults(texts: dict[str, str]) -> list[str]:
+    """``module:line: function(parameter=)`` of each defaulted parameter of a private function that no call passes.
+
+    A function, a method or a nested function, is private when its name
+    starts with ``_`` and is not a dunder.  A call in any of the modules is
+    taken to be a call of every such function of the name it calls
+    (``f(...)`` or ``x.f(...)``); it passes a parameter by its keyword, by
+    its position (a method's ``self`` or ``cls`` is not counted unless it
+    is a static method) or through ``*`` or ``**`` unpacking.  A default
+    that no call overrides is a fork whose other branch nothing reaches.
+    """
+    trees = {module: ast.parse(text) for module, text in texts.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    methods = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                methods.update(
+                    f for f in node.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and "staticmethod" not in [getattr(dec, "id", None) for dec in f.decorator_list]
+                )
+
+    def passes(call: ast.Call, position: int | None, name: str) -> bool:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg in (None, name) for k in call.keywords):
+            return True
+        return position is not None and len(call.args) > position
+
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not node.name.startswith("_") or node.name.endswith("__"):
+                continue
+            args, bound = node.args, int(node in methods)
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - bound, a) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [f"{module}:{node.lineno}: {node.name}({a.arg}=)" for position, a in defaulted
+                      if not any(passes(call, position, a.arg) for call in calls.get(node.name, []))]
+    return found
+
+
+def test_every_default_of_a_private_function_is_overridden_by_some_call():
+    assert unpassed_defaults({path.name: path.read_text() for path in MODULES}) == []
+
+
+def test_the_check_finds_a_default_no_call_passes_and_spares_those_some_call_passes():
+    texts = {
+        "a.py": (
+            "def _f(x, y=1, z=2, *, k=3, n=4):\n    pass\n"
+            "def _g(a=1, b=2):\n    pass\n"
+            "def _h(a=1):\n    pass\n"
+            "def public(a=1):\n    pass\n"
+            "class K:\n    def _m(self, a=1, b=2):\n        pass\n"
+            "    @staticmethod\n    def _s(a=1):\n        pass\n"
+            "    def __init__(self, a=1):\n        pass\n"
+        ),
+        "b.py": "import a\na._f(0, 5, k=6)\n_g(*[1])\nK()._m(1)\nK._s(1)\n",
+    }
+    # y is passed by position, k by keyword, _g's by unpacking, _m's a at
+    # position 1 after self; z, n, _h's a and _m's b by no call
+    assert unpassed_defaults(texts) == [
+        "a.py:1: _f(z=)", "a.py:1: _f(n=)", "a.py:5: _h(a=)", "a.py:10: _m(b=)",
+    ]
+
+
 def test_importing_the_package_and_its_cli_imports_no_process_pool():
     # harness.run imports the pool's modules only when it starts workers,
     # so a benchmark's timed set-up, which imports the package, stays short
