@@ -96,8 +96,10 @@ class ExperimentConfig:
         # the synthetic matrix has a row per tensor mode-1 index; file data is checked once read, in run
         dims = self.synthetic.dims if self.synthetic else None
         _check_norms(self.norms, dims, dims and dims[0])
-        for f in self.train_fractions:
+        for i, f in enumerate(self.train_fractions):
             datagen.MaskSpec(f, self.validation_fraction)  # raises on a bad split
+            if f in self.train_fractions[:i]:
+                raise ValueError(f"train fraction {f} is listed twice")
         # every norm but CP selects its lambda on the validation entries it fits
         if self.validation_fraction == 0 and set(self.norms) != {"CP"}:
             raise ValueError("validation_fraction must be > 0 to select lambda for a non-CP norm")
@@ -106,15 +108,23 @@ class ExperimentConfig:
 
 
 def _check_norms(norm_ids: tuple[str, ...], dims: tuple[int, ...] | None, rows: int | None) -> None:
-    """Raise ``ValueError`` on a malformed descriptor id among ``norm_ids``.
+    """Raise ``ValueError`` on a malformed descriptor id among ``norm_ids``, or on a norm listed twice.
 
-    Given the tensor's ``dims`` and the matrix's ``rows``, also on the first
-    descriptor, or ``CP`` (whose shared factor is the tensor's mode 1), whose
-    coupled tensor mode has not ``rows`` indices.
+    Descriptors are compared in their :func:`norms.format_descriptor` form,
+    so ``1:( O,O,O)`` repeats ``1:(O,O,O)``.  Given the tensor's ``dims``
+    and the matrix's ``rows``, also raise on the first descriptor, or ``CP``
+    (whose shared factor is the tensor's mode 1), whose coupled tensor mode
+    has not ``rows`` indices.
     """
+    seen = {}
     for n in norm_ids:
-        if n == "CP" or n not in BASELINE_IDS:
-            k = 1 if n == "CP" else norms.parse_descriptor(n).coupled_mode
+        d = None if n in BASELINE_IDS else norms.parse_descriptor(n)
+        key = norms.format_descriptor(d) if d else n
+        if key in seen:
+            raise ValueError(f"norm {key} is listed twice ({seen[key]!r} and {n!r})")
+        seen[key] = n
+        if d or n == "CP":
+            k = d.coupled_mode if d else 1
             if dims and dims[k - 1] != rows:
                 raise ValueError(f"norm {n} couples tensor mode {k} ({dims[k - 1]} indices) to {rows} matrix rows")
 

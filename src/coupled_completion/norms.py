@@ -234,7 +234,7 @@ def bracket(
     if not d.has_latent():
         value = decomposition_value([T], lay, M)
         return value, value
-    _, lower, upper = decompose(T, M, lay, tol=tol)
+    _, lower, upper, _ = decompose(T, M, lay, tol=tol)
     return lower, upper
 
 

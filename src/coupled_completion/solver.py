@@ -28,19 +28,21 @@ Douglas-Rachford map ``F(s) = s + a (t(2 prox(s) - s) - prox(s))``, and
 every step but the data fit and the SVTs is one operation on flat arrays.
 The multipliers are formed only where read: in the lower bound of
 :func:`decompose` and the warm starts of :func:`path`.  The state also owns
-the loop's constants, beta, lam and each term's SVT threshold ``lam *
-scale / beta``; the step functions (:func:`update_matrix`,
-:func:`update_tensors`, :func:`update_auxiliaries`) read them there and
-write the state in place, and only :func:`solve` (one fit) and
-:func:`path` (a warm-started lambda grid) read a :class:`SolverOptions`.
+the loop's constants, beta, lam, each component's penalty ``beta_c`` (beta
+in completion) and each term's SVT threshold ``lam * scale / beta_c``; the
+step functions (:func:`update_matrix`, :func:`update_tensors`,
+:func:`update_auxiliaries`) read them there and write the state in place,
+and only :func:`solve` (one fit) and :func:`path` (a warm-started lambda
+grid) read a :class:`SolverOptions`.
 
 :func:`decompose` accelerates ``F`` by :class:`_Anderson` (type-II
 Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
 input step and the SVTs and drops any extrapolated point whose residual
 ``||F(s) - s||`` exceeds the last accepted point's, restarting from the
 plain step; its history, ``2 * DECOMPOSE_MEMORY + 3`` vectors the size of
-``s``, lives as long as the call.  Completion runs the plain iteration
-and alone computes the residuals its stopping rule reads.
+``s``, lives as long as the call, and a step allocates no other vector.
+Completion runs the plain iteration and alone computes the residuals its
+stopping rule reads.
 """
 
 from __future__ import annotations
@@ -54,11 +56,10 @@ import numpy as np
 
 from . import norms
 from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
-# svd and unfold are not called here; bench/test_bench.py patches and checks them
+# svd is not called here; bench/test_bench.py patches and checks it
 from .prox import svd  # noqa: F401
 from .prox import svt
-from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_pair, check_settings, fold, mask_apply
-from .tensor_ops import unfold  # noqa: F401
+from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_pair, check_settings, fold, mask_apply, unfold
 
 __all__ = [
     "CoupledProblem",
@@ -80,10 +81,10 @@ __all__ = [
 # Boyd et al. 2011, section 3.4.3); 1 is the plain ADMM step
 RELAXATION = 1.8
 # ADMM proximity parameter of :func:`decompose` in units of one over the
-# data scale (beta = DECOMPOSE_BETA / sigma), its iteration cap, the
-# interval at which it evaluates its duality bracket, and the memory of its
-# Anderson acceleration (0 runs the plain iteration)
-DECOMPOSE_BETA = 3.0
+# data scale (beta = DECOMPOSE_BETA / sigma, times each component's scale),
+# its iteration cap, the interval at which it evaluates its duality bracket,
+# and the memory of its Anderson acceleration (0 runs the plain iteration)
+DECOMPOSE_BETA = 3.5
 DECOMPOSE_MEMORY = 4
 DECOMPOSE_MAX_ITERS = 5000
 DECOMPOSE_CHECK_EVERY = 10
@@ -182,14 +183,17 @@ class SolverState:
     The ADMM state is ``s``, the SVT inputs of all norm terms, and ``z =
     prox(s)``, their outputs: ``z``'s tensor views are the auxiliaries
     ``Y[mode]``, its matrix columns the auxiliary ``X``, and the multipliers
-    ``W = beta (s - z)`` are formed only where read.  While :func:`_admm`
+    ``W = beta_c (s - z)`` are formed only where read.  While :func:`_admm`
     runs, ``scratch`` holds a third such array.  Built from the start point
     ``(components, M)``, both copied: ``z`` takes the components and a zero
     ``X``, and ``s = z``.  The data-fit step then writes ``M`` and the
     components in place.  ``terms`` (the layout's ``(mode, scale,
     component)`` norm terms), ``g`` (terms per component) and ``widths``
-    (block widths) come from ``layout``; ``tau[mode]`` is the SVT threshold
-    ``lam * scale / beta`` of the term on ``mode``.
+    (block widths) come from ``layout``.  ``betas[c]``, the penalty of
+    component c's terms, is ``beta`` times their (shared) scale when
+    ``per_component``, else ``beta``, which alone the matrix step and the
+    residuals read; ``tau[mode]`` is the SVT threshold ``lam * scale /
+    beta_c`` of the term on ``mode``.
     """
 
     layout: ComponentLayout
@@ -197,11 +201,13 @@ class SolverState:
     M: np.ndarray
     beta: float
     lam: float
+    per_component: bool = False
     s: TermArrays = field(init=False, repr=False)
     z: TermArrays = field(init=False, repr=False)
     scratch: TermArrays | None = field(init=False, repr=False, default=None)
     terms: list[tuple[int, float, int]] = field(init=False, repr=False)
     g: np.ndarray = field(init=False, repr=False)
+    betas: np.ndarray = field(init=False, repr=False)
     widths: dict[int, int] = field(init=False, repr=False)
     tau: dict[int, float] = field(init=False, repr=False)
 
@@ -209,7 +215,11 @@ class SolverState:
         self.components = [np.array(c, dtype=float) for c in self.components]
         self.M = np.array(self.M, dtype=float, order="C")
         self.terms = self.layout.regularized_modes()
-        self.tau = {m: self.lam * scale / self.beta for m, scale, _ in self.terms}
+        self.betas = np.full(self.layout.n_components, float(self.beta))
+        if self.per_component:
+            for _, scale, c in self.terms:
+                self.betas[c] = self.beta * scale
+        self.tau = {m: self.lam * scale / float(self.betas[c]) for m, scale, c in self.terms}
         dims, coupled = self.layout.dims, self.layout.coupled_mode
         self.widths = {
             m: math.prod(dims[: m - 1] + dims[m:]) + self.M.shape[1] * (m == coupled)
@@ -275,30 +285,35 @@ def _fit_entries(
 ) -> None:
     """The latent components' entrywise data-fit step, in place.
 
-    Component c gets ``t_c = v_c + r / (beta g_c (rho + sum_c 1 / (beta g_c)))``,
-    where ``v_c`` is its mean of the fit point ``Y - W / beta`` (the tensor
-    views of ``state.scratch``) over its ``g_c`` norm terms and ``r =
-    residual(sum_c v_c)``, which may overwrite its argument.  For completion
-    rho = 1 and ``r`` is the observed data minus the masked sum; for the
-    exact constraint sum_c t_c = T, rho = 0 and ``r = T - sum``.
+    Component c gets ``t_c = v_c + r / (w_c (rho + sum_c 1 / w_c))``, ``w_c
+    = beta_c g_c``, where ``v_c`` is its mean of the fit point ``Y - W /
+    beta_c`` (the tensor views of ``state.scratch``) over its ``g_c`` norm
+    terms and ``r = residual(sum_c v_c)``, which may overwrite its argument.
+    For completion rho = 1 and ``r`` is the observed data minus the masked
+    sum; for the exact constraint sum_c t_c = T, rho = 0 and ``r = T -
+    sum``.
     """
-    t, beta = state.components, state.beta
-    for tc in t:
-        tc.fill(0.0)
+    t, weights = state.components, state.betas * state.g
+    started = set()
     for m, _, c in state.terms:
-        t[c] += state.scratch.tensors[m]
+        if c in started:
+            t[c] += state.scratch.tensors[m]
+        else:
+            np.copyto(t[c], state.scratch.tensors[m])
+            started.add(c)
     for tc, g in zip(t, state.g):
-        tc /= g
+        if g > 1:
+            tc /= g
     r = t[0].copy()
     for tc in t[1:]:
         r += tc
     r = residual(r)
-    r /= rho + float(np.sum(1.0 / (beta * state.g)))
-    # r becomes r / (beta g_c) for each component in turn
+    r /= rho + float(np.sum(1.0 / weights))
+    # r becomes r / w_c for each component in turn
     prev = 1.0
-    for tc, g in zip(t, state.g):
-        r *= prev / (beta * g)
-        prev = beta * g
+    for tc, w in zip(t, weights):
+        r *= prev / w
+        prev = w
         tc += r
 
 
@@ -469,13 +484,14 @@ class _Anderson:
                 self.gram[h] = self.gram[:, h] = self.dF @ self.dF[h]
                 self.count = min(self.count + 1, self.memory)
                 self.head = (h + 1) % self.memory
-            np.copyto(self.f, f)
+            # f's array becomes the accepted f, and the old one is spare until x is written
+            self.f, self.x = f, self.f
             np.copyto(self.g, s)
             self.best = norm
             if self.count:
                 k = self.count
                 gamma = np.linalg.lstsq(self.gram[:k, :k], self.dF[:k] @ self.f, rcond=None)[0]
-                s -= gamma @ self.dG[:k]
+                s -= np.matmul(gamma, self.dG[:k], out=self.x)
         np.copyto(self.x, s)
 
 
@@ -575,16 +591,18 @@ def path(problem: CoupledProblem, d: NormDescriptor, lams, opts: SolverOptions =
 def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
     """Hoelder lower bound ``(<G, T> + <WM, M>) / D`` on the norm :func:`decompose` minimizes.
 
-    The multipliers ``W = beta (s - z)`` are formed here.  ``G`` is the mean
-    over components of ``G_c``, the sum of component c's multipliers.  The
-    split ``G_k = W[k] + (G - G_c) / g_c`` sums to ``G`` over every
-    component's terms, so ``D``, its :func:`norms.split_dual_bound`, bounds
-    the dual norm of ``(G, WM)`` and the bound holds whatever the
-    multipliers are.
+    The multipliers ``W = beta_c (s - z)`` are formed in ``state.scratch``
+    (the previous ``z``, not read again).  ``G`` is the mean over
+    components of ``G_c``, the sum of component c's multipliers.  The split
+    ``G_k = W[k] + (G - G_c) / g_c`` sums to ``G`` over every component's
+    terms, so ``D``, its :func:`norms.split_dual_bound`, bounds the dual
+    norm of ``(G, WM)`` and the bound holds whatever the multipliers are.
     """
-    W = state.views(state.beta * (state.s.flat - state.z.flat))
-    Gc = [np.zeros(state.layout.dims) for _ in state.g]
+    W = state.scratch
+    np.subtract(state.s.flat, state.z.flat, out=W.flat)
+    Gc = [0.0] * len(state.g)
     for m, _, c in state.terms:
+        W.blocks[m] *= state.betas[c]
         Gc[c] = Gc[c] + W.tensors[m]
     G = sum(Gc) / len(Gc)
     split = {m: W.tensors[m] + (G - Gc[c]) / state.g[c] for m, _, c in state.terms}
@@ -592,14 +610,30 @@ def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
     return float(np.vdot(G, T) + np.vdot(W.matrix, M)) / D if D > 0 else 0.0
 
 
+def _value_estimate(components: list[np.ndarray], lay: ComponentLayout, M: np.ndarray) -> float:
+    """:func:`norms.decomposition_value` from each term's Gram eigenvalues, shrunk below it.
+
+    The eigenvalues carry an absolute error of about eps times the largest;
+    the 1e-3 relative shrink is far above it.
+    """
+    total = 0.0
+    for mode, scale, c in lay.regularized_modes():
+        A = unfold(components[c], mode, M if mode == lay.coupled_mode else None)
+        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        total += scale * float(np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)).sum())
+    return (1.0 - 1e-3) * total
+
+
 def decompose(
     T: np.ndarray, M: np.ndarray, lay: ComponentLayout, tol: float
-) -> tuple[list[np.ndarray], float, float]:
+) -> tuple[list[np.ndarray], float, float, int]:
     """Minimize the norm terms of ``lay`` subject to the components summing to ``T``.
 
     The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
     concatenated block keeps its own dual, so the joint SVT is the correct
-    partial prox.  It runs on ``(T, M) / p`` at ``beta = DECOMPOSE_BETA /
+    partial prox.  It runs on ``(T, M) / p`` with one penalty per component,
+    ``beta_c = beta * scale_c`` (Boyd et al. 2011, section 3.4.1), so every
+    term is thresholded at ``1 / beta``, where ``beta = DECOMPOSE_BETA /
     (sigma / p)``, ``p`` the power of two in ``(sigma / 2, sigma]``, ``sigma
     = ||(T, M)||_F / sqrt(max(dims))`` (``p = 1``, ``beta = DECOMPOSE_BETA``
     at zero input).  Dividing by ``p`` is exact, so the iterates at ``2^k
@@ -611,12 +645,14 @@ def decompose(
     :class:`_Anderson` of memory ``DECOMPOSE_MEMORY``, whose history is
     freed on return.  Every ``DECOMPOSE_CHECK_EVERY`` iterations, and at
     the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
-    infimum: ``upper`` is the norm-term sum of the current (feasible)
-    components, ``lower`` the Hoelder bound of :func:`_lower_bound` from
-    the current multipliers.  Stops once ``upper - lower <= tol * upper``;
-    no residual is computed.  Returns the components and the last
-    ``lower`` and ``upper``, scaled back by ``p``; zero input gives ``0, 0``.  ``tol`` must be
-    finite and > 0.
+    infimum: ``lower`` is the Hoelder bound of :func:`_lower_bound` from
+    the current multipliers, ``upper`` the norm-term sum of the current
+    (feasible) components.  Stops once ``upper - lower <= tol * upper``;
+    no residual is computed.  Before the cap, ``upper`` (an SVD per term)
+    is computed only once ``lower >= (1 - tol) *`` :func:`_value_estimate`,
+    as below that the check must fail.  Returns the components, the last
+    ``lower`` and ``upper``, scaled back by ``p`` (zero input gives ``0,
+    0``), and the iteration count.  ``tol`` must be finite and > 0.
     """
     check_settings(locals(), tol=POSITIVE)
     C = lay.n_components
@@ -627,17 +663,23 @@ def decompose(
     )
     p = math.ldexp(1.0, math.frexp(sigma)[1] - 1) if sigma else 1.0
     T, M = T / p, M / p
-    state = SolverState(lay, [T / C for _ in range(C)], M, DECOMPOSE_BETA / (sigma / p or 1.0), 1.0)
+    beta = DECOMPOSE_BETA / (sigma / p or 1.0)
+    state = SolverState(lay, [T / C for _ in range(C)], M, beta, 1.0, per_component=True)
     bracket = [-np.inf, np.inf]
 
     def project(state: SolverState) -> None:
         _fit_entries(state, 0.0, lambda S: np.subtract(T, S, out=S))
 
     def done(it: int) -> bool:
-        if it % DECOMPOSE_CHECK_EVERY and it < DECOMPOSE_MAX_ITERS:
+        final = it >= DECOMPOSE_MAX_ITERS
+        if it % DECOMPOSE_CHECK_EVERY and not final:
             return False
-        bracket[:] = _lower_bound(state, T, M), norms.decomposition_value(state.components, lay, M)
+        lower = _lower_bound(state, T, M)
+        # lower < (1 - tol) upper fails the check; the estimate is below upper
+        if not final and tol < 1 and lower < (1.0 - tol) * _value_estimate(state.components, lay, M):
+            return False
+        bracket[:] = lower, norms.decomposition_value(state.components, lay, M)
         return bracket[1] - bracket[0] <= tol * bracket[1]
 
-    _admm(state, DECOMPOSE_MAX_ITERS, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))
-    return [c * p for c in state.components], bracket[0] * p, bracket[1] * p
+    iterations, _ = _admm(state, DECOMPOSE_MAX_ITERS, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))
+    return [c * p for c in state.components], bracket[0] * p, bracket[1] * p, iterations

@@ -6,7 +6,8 @@ Four computations whose answers the paper's results rest on:
   20^3 config of the benchmark's ``sweep-paper`` workload at seed 1 (seven
   norms, one repetition, train fraction 0.3);
 - the certified ``norms.bracket`` of the nine solver-supported descriptors
-  on one fixed 8^3 instance, in ``brackets.json``;
+  on one fixed 8^3 instance, with ``solver.decompose``'s iteration count
+  for each, in ``brackets.json``;
 - one ``solver.solve`` of ``1:(O,O,O)`` at 20^3, its iterations,
   convergence flag and final values, in ``solve.json``.
 
@@ -15,13 +16,13 @@ answer on purpose regenerates the files, from the repository root, with::
 
     PYTHONPATH=src python tests/expected_answers.py
 
-and the diff of ``tests/data/`` shows the move.
+and the diff of ``tests/data/`` shows the move.  It refuses to write a
+bracket that is disjoint from the committed one.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -64,12 +65,37 @@ def sweep(name: str, out_dir: Path) -> dict[str, Path]:
     return harness.emit_report(harness.run(sweep_config(*SWEEPS[name])), out_dir)
 
 
-def brackets() -> dict[str, list[float]]:
-    """``[lower, upper]`` of each descriptor's norm on the 8^3 + 8 x 12 instance of seed 3."""
+def brackets() -> dict[str, dict]:
+    """Each descriptor's norm on the 8^3 + 8 x 12 instance of seed 3: its bracket and its cost.
+
+    ``lower`` and ``upper`` are the certified ends of ``norms.bracket``, and
+    ``iterations`` the count of ``solver.decompose``, which computes the
+    latent ones (0 for the closed-form ``1:(O,O,O)``).
+    """
     T, M = datagen.gen_instance(datagen.SyntheticSpec.low_noise(
         dims=(8, 8, 8), multilinear_rank=(3, 3, 3), matrix_cols=12, matrix_rank=3, shared=3, seed=3,
     ))
-    return {d: list(norms.bracket(T, M, norms.parse_descriptor(d), BRACKET_TOL)) for d in DESCRIPTORS}
+    out = {}
+    for text in DESCRIPTORS:
+        d = norms.parse_descriptor(text)
+        if d.has_latent():
+            _, lower, upper, iterations = solver.decompose(T, M, norms.layout(d, T.shape), BRACKET_TOL)
+        else:
+            (lower, upper), iterations = norms.bracket(T, M, d, BRACKET_TOL), 0
+        out[text] = {"lower": lower, "upper": upper, "iterations": iterations}
+    return out
+
+
+def disjoint(new: dict[str, dict], committed: dict[str, dict]) -> list[str]:
+    """The descriptors whose ``new`` bracket shares no point with the ``committed`` one.
+
+    Both certify the same norm value, so each such pair holds a broken
+    certificate.
+    """
+    return [
+        d for d, ends in new.items()
+        if d in committed and (ends["upper"] < committed[d]["lower"] or committed[d]["upper"] < ends["lower"])
+    ]
 
 
 def solve() -> dict:
@@ -97,15 +123,24 @@ def solve() -> dict:
 
 
 def write() -> None:
-    """Recompute every expected answer and write it under ``tests/data/``."""
+    """Recompute every expected answer and write it under ``tests/data/``.
+
+    Refuses, writing nothing, when a new bracket is :func:`disjoint` from
+    the committed one.
+    """
+    answers = {"brackets": brackets(), "solve": solve()}
+    broken = disjoint(answers["brackets"], json.loads((DATA / "brackets.json").read_text()))
+    if broken:
+        raise SystemExit(f"brackets disjoint from the committed ones, a broken certificate: {', '.join(broken)}")
+    # raises on a non-finite number
+    texts = {name: json.dumps(value, indent=1, allow_nan=False) + "\n" for name, value in answers.items()}
     for name in SWEEPS:
         written = sweep(name, DATA / name)
         # the other two CSVs depend on the host's speed or repeat summary.csv
         for key in ("plotdata", "timings"):
             written[key].unlink()
-    for name, value in (("brackets", brackets()), ("solve", solve())):
-        assert all(math.isfinite(v) for v in np.ravel(list(value.values()))), name
-        (DATA / f"{name}.json").write_text(json.dumps(value, indent=1) + "\n")
+    for name, text in texts.items():
+        (DATA / f"{name}.json").write_text(text)
 
 
 if __name__ == "__main__":

@@ -51,8 +51,29 @@ def test_the_brackets_of_the_nine_descriptors_are_the_expected_ones():
     want = json.loads((expected.DATA / "brackets.json").read_text())
     got = expected.brackets()
     assert list(got) == list(want)
-    for d, ends in want.items():
-        assert all(close(g, w) for g, w in zip(got[d], ends, strict=True)), (d, got[d], ends)
+    for d, entry in want.items():
+        assert got[d]["iterations"] == entry["iterations"], (d, got[d], entry)
+        assert close(got[d]["lower"], entry["lower"]) and close(got[d]["upper"], entry["upper"]), (d, got[d], entry)
+
+
+def test_a_bracket_disjoint_from_the_committed_one_is_refused(tmp_path, monkeypatch):
+    committed = {"1:(L,L,L)": {"lower": 1.0, "upper": 1.1, "iterations": 30},
+                 "1:(S,S,S)": {"lower": 2.0, "upper": 2.1, "iterations": 40}}
+    touching = {"1:(L,L,L)": {"lower": 1.1, "upper": 1.2, "iterations": 20},
+                "1:(S,S,S)": {"lower": 2.05, "upper": 2.06, "iterations": 50}}
+    assert expected.disjoint(touching, committed) == []
+    moved = {**touching, "1:(S,S,S)": {"lower": 2.1000001, "upper": 2.2, "iterations": 50}}
+    assert expected.disjoint(moved, committed) == ["1:(S,S,S)"]
+    # write refuses before it computes a sweep or writes a file
+    (tmp_path / "brackets.json").write_text(json.dumps(committed))
+    monkeypatch.setattr(expected, "DATA", tmp_path)
+    monkeypatch.setattr(expected, "brackets", lambda: moved)
+    monkeypatch.setattr(expected, "solve", lambda: {"iterations": 1})
+    monkeypatch.setattr(expected, "sweep", None)
+    with pytest.raises(SystemExit, match=r"1:\(S,S,S\)"):
+        expected.write()
+    assert json.loads((tmp_path / "brackets.json").read_text()) == committed
+    assert [p.name for p in tmp_path.iterdir()] == ["brackets.json"]
 
 
 def test_a_solve_takes_the_expected_iterations_to_the_expected_values():

@@ -131,6 +131,28 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             tiny_config(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"norms": ("MTN", "MTN", "1:(O,O,O)")}, r"norm MTN is listed twice \('MTN' and 'MTN'\)"),
+         ({"norms": ("1:(O,O,O)", "1:( O,O,O)")}, r"norm 1:\(O,O,O\) is listed twice \('1:\(O,O,O\)' and '1:\( O,O,O\)'\)"),
+         ({"train_fractions": (0.5, 0.3, 0.5)}, "train fraction 0.5 is listed twice")],
+    )
+    def test_rejects_a_norm_or_a_train_fraction_listed_twice(self, kwargs, message):
+        # each cell was fitted twice, and summary.csv repeated its rows
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**kwargs)
+
+    def test_load_config_rejects_a_repeated_norm(self, tmp_path):
+        doc = {
+            "norms": ["MTN", "MTN", "1:(O,O,O)"],
+            "data": {"synthetic": {"dims": [8, 8, 8]}},
+            "masks": {"train_fractions": [0.5]},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="norm MTN is listed twice"):
+            load_config(path)
+
     def test_rejects_train_fraction_leaving_no_test_split(self):
         # 0.95 + 0.1 validation leaves no test entries; caught before any fit
         with pytest.raises(ValueError, match="sum below 1"):
@@ -513,16 +535,6 @@ class TestRun:
         report = run(cfg)
         assert not report.failures()
         assert report.cells[0].test_mse_tensor < 1e-4
-
-    def test_identical_norm_entries_identical_rows(self):
-        cfg = tiny_config(norms=("OTN", "OTN"))
-        report = run(cfg)
-        a, b = report.cells
-        assert (a.selected_lambda, a.validation_mse, a.test_mse_tensor) == (
-            b.selected_lambda,
-            b.validation_mse,
-            b.test_mse_tensor,
-        )
 
     def test_per_cell_failure_recorded(self, monkeypatch):
         # a fit that raises fails its cell; the failure must be recorded,

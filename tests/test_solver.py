@@ -1140,31 +1140,36 @@ class TestAcceleratedDecompose:
     def test_every_latent_descriptor_ends_certified(self, d, dims, cols):
         T, M = decompose_instance(dims, cols, seed=41)
         tol = 1e-6
-        components, lower, upper = solver.decompose(T, M, norms.layout(d, T.shape), tol)
+        components, lower, upper, _ = solver.decompose(T, M, norms.layout(d, T.shape), tol)
         assert 0.0 < lower <= upper
         assert upper - lower <= tol * upper
         assert np.allclose(sum(components), T, rtol=0.0, atol=1e-12 * np.max(np.abs(T)))
 
     @pytest.mark.parametrize("k", [-1000, -7, 7, 1000])
     @pytest.mark.parametrize("d", LATENT, ids=norms.format_descriptor)
-    def test_scaling_the_data_by_a_power_of_two_scales_the_bracket_bit_for_bit(self, d, k, monkeypatch):
+    def test_scaling_the_data_by_a_power_of_two_scales_the_bracket_bit_for_bit(self, d, k):
         # the loop runs on the data divided by a power of two near its scale,
         # so every iterate scales by 2^k exactly, and none overflows at 2^1000
-        iterations = []
+        T, M = decompose_instance((6, 5, 4), 3, seed=45)
+        lay = norms.layout(d, T.shape)
+        _, lower, upper, iterations = solver.decompose(T, M, lay, 1e-6)
+        _, lower_k, upper_k, iterations_k = solver.decompose(2.0**k * T, 2.0**k * M, lay, 1e-6)
+        assert (lower_k, upper_k) == (2.0**k * lower, 2.0**k * upper)
+        assert iterations == iterations_k > solver.DECOMPOSE_CHECK_EVERY
+
+    def test_returns_the_iteration_count_of_its_loop(self, monkeypatch):
+        counts = []
         admm = solver._admm
 
         def counted(*args):
             out = admm(*args)
-            iterations.append(out[0])
+            counts.append(out[0])
             return out
 
         monkeypatch.setattr(solver, "_admm", counted)
         T, M = decompose_instance((6, 5, 4), 3, seed=45)
-        lay = norms.layout(d, T.shape)
-        _, lower, upper = solver.decompose(T, M, lay, 1e-6)
-        _, lower_k, upper_k = solver.decompose(2.0**k * T, 2.0**k * M, lay, 1e-6)
-        assert (lower_k, upper_k) == (2.0**k * lower, 2.0**k * upper)
-        assert iterations[0] == iterations[1] > solver.DECOMPOSE_CHECK_EVERY
+        *_, iterations = solver.decompose(T, M, norms.layout(NormDescriptor(1, ("O", "S", "O")), T.shape), 1e-6)
+        assert counts == [iterations] and iterations % solver.DECOMPOSE_CHECK_EVERY == 0
 
     def test_data_whose_scale_is_subnormal_gives_a_subnormal_bracket(self):
         # the loop runs on the data divided by a subnormal power of two, at
@@ -1172,7 +1177,7 @@ class TestAcceleratedDecompose:
         # overflow warning would fail the test); the bracket is scaled back
         T, M = decompose_instance((6, 5, 4), 3, seed=46)
         lay = norms.layout(NormDescriptor(1, ("S", "S", "S")), T.shape)
-        _, lower, upper = solver.decompose(2.0**-1060 * T, 2.0**-1060 * M, lay, 1e-6)
+        _, lower, upper, _ = solver.decompose(2.0**-1060 * T, 2.0**-1060 * M, lay, 1e-6)
         assert 0.0 <= lower <= upper < np.finfo(float).tiny
 
     def test_the_safeguard_drops_points_and_the_bracket_still_closes(self, monkeypatch):
@@ -1187,7 +1192,7 @@ class TestAcceleratedDecompose:
         T, M = decompose_instance((6, 5, 4), 3, seed=0)
         tol = 1e-6
         lay = norms.layout(NormDescriptor(1, ("S", "S", "S")), T.shape)
-        _, lower, upper = solver.decompose(T, M, lay, tol)
+        _, lower, upper, _ = solver.decompose(T, M, lay, tol)
         assert len(made) == 1 and made[0].memory == solver.DECOMPOSE_MEMORY
         assert made[0].rejections >= 1
         assert 0.0 < lower and upper - lower <= tol * upper
@@ -1221,7 +1226,7 @@ class TestAcceleratedDecompose:
         T, M = decompose_instance((6, 5, 4), 3, seed=44)
         kept = M.copy()
         lay = norms.layout(NormDescriptor(1, ("O", "S", "O")), T.shape)
-        _, lower, upper = solver.decompose(T, M, lay, 1e-6)
+        _, lower, upper, _ = solver.decompose(T, M, lay, 1e-6)
         assert np.array_equal(M, kept)
         assert 0.0 < lower and upper - lower <= 1e-6 * upper
 
@@ -1233,7 +1238,7 @@ class TestAcceleratedDecompose:
         T, M = decompose_instance((6, 5, 4), 3, seed=43)
         tol = 1e-6
         lay = norms.layout(NormDescriptor(1, ("S", "O", "O")), T.shape)
-        _, lower, upper = solver.decompose(T, M, lay, tol)
+        _, lower, upper, _ = solver.decompose(T, M, lay, tol)
         assert 0.0 < lower and upper - lower <= tol * upper
         # solve's stopping rule is the one that reads them
         with pytest.raises(AssertionError, match="residuals computed"):
@@ -1255,3 +1260,101 @@ class TestAcceleratedDecompose:
         plain = solver.decompose(T, M, lay, 1e-6)
         assert zero[1:] == plain[1:]
         assert all(np.array_equal(a, b) for a, b in zip(zero[0], plain[0], strict=True))
+
+
+class TestDecomposeCost:
+    """``decompose``'s per-component penalty and its gate on the exact upper end."""
+
+    @pytest.mark.parametrize(
+        "dims, cols, zero", [((20, 20, 20), 30, False), ((10, 15, 8), 12, False), ((3, 3, 3), 2, False),
+                             ((6, 5, 4), 3, True)],
+        ids=["20^3", "10x15x8", "3^3", "zero"],
+    )
+    def test_the_gate_never_changes_a_decision(self, dims, cols, zero, monkeypatch):
+        T, M = decompose_instance(dims, cols, seed=47)
+        if zero:
+            T, M = np.zeros_like(T), np.zeros_like(M)
+        exact = {True: 0, False: 0}  # exact upper ends computed, gated and not
+        gated = True
+        value = norms.decomposition_value
+
+        def counted(*args):
+            exact[gated] += 1
+            return value(*args)
+
+        monkeypatch.setattr(norms, "decomposition_value", counted)
+        for d in ALL_SUPPORTED:
+            lay = norms.layout(d, dims)
+            gated = True
+            kept = solver.decompose(T, M, lay, 1e-6)
+            gated = False
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_value_estimate", lambda *args: -math.inf)
+                plain = solver.decompose(T, M, lay, 1e-6)
+            assert kept[1:] == plain[1:], d
+            assert all(np.array_equal(a, b) for a, b in zip(kept[0], plain[0], strict=True))
+        # the gate skips exact ends, except at zero input, whose first check closes
+        if zero:
+            assert exact[True] == exact[False] == len(ALL_SUPPORTED)
+        else:
+            assert exact[True] < exact[False]
+
+    def test_at_tol_1_or_more_every_check_is_exact(self, monkeypatch):
+        # there (1 - tol) upper <= 0, and an estimate below upper says nothing of it
+        def no_estimate(*args):
+            raise AssertionError("estimate computed")
+
+        monkeypatch.setattr(solver, "_value_estimate", no_estimate)
+        T, M = decompose_instance((6, 5, 4), 3, seed=52)
+        _, lower, upper, _ = solver.decompose(T, M, norms.layout(NormDescriptor(1, ("S", "O", "O")), T.shape), 1.0)
+        assert upper - lower <= upper
+
+    def test_the_estimate_stays_below_the_exact_value(self):
+        for seed, (dims, cols) in enumerate([((20, 20, 20), 30), ((3, 3, 3), 2), ((12, 4, 9), 40)]):
+            T, M = decompose_instance(dims, cols, seed=seed)
+            for d in ALL_SUPPORTED:
+                lay = norms.layout(d, dims)
+                parts = [T * w for w in np.linspace(1.0, 2.0, lay.n_components)]
+                exact = norms.decomposition_value(parts, lay, M)
+                estimate = solver._value_estimate(parts, lay, M)
+                assert (1.0 - 2e-3) * exact < estimate < exact
+
+    @pytest.mark.parametrize("n, seed", [(8, 48), (5, 49)])
+    def test_scaled_latent_per_component_is_uniform_beta_over_root_n(self, n, seed, monkeypatch):
+        # on a cube every (S,S,S) term has the scale n^-1/2, so the penalty
+        # beta n^-1/2 of each component is one uniform penalty
+        T, M = decompose_instance((n, n, n), n + 2, seed=seed)
+        lay = norms.layout(NormDescriptor(1, ("S", "S", "S")), T.shape)
+        _, lower, upper, iterations = solver.decompose(T, M, lay, 1e-6)
+        monkeypatch.setattr(solver, "DECOMPOSE_BETA", solver.DECOMPOSE_BETA / math.sqrt(n))
+        monkeypatch.setattr(solver, "SolverState", lambda *args, per_component: SolverState(*args))
+        _, lower_u, upper_u, iterations_u = solver.decompose(T, M, lay, 1e-6)
+        assert iterations == iterations_u
+        assert math.isclose(lower, lower_u, rel_tol=1e-12) and math.isclose(upper, upper_u, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("text", ["1:(S,O,O)", "1:(O,S,O)", "1:(S,S,S)"])
+    def test_each_component_has_the_penalty_of_its_terms_scale(self, text):
+        T, M = decompose_instance((6, 5, 4), 3, seed=50)
+        lay = norms.layout(norms.parse_descriptor(text), T.shape)
+        state = SolverState(lay, [T] * lay.n_components, M, 2.0, 1.0, per_component=True)
+        for mode, scale, c in lay.regularized_modes():
+            assert state.betas[c] == 2.0 * scale
+            assert math.isclose(state.tau[mode], 0.5, rel_tol=1e-15)
+        uniform = SolverState(lay, [T] * lay.n_components, M, 2.0, 1.0)
+        assert list(uniform.betas) == [2.0] * lay.n_components
+
+
+def test_the_accelerator_keeps_its_arrays_from_call_to_call():
+    # after the first call, which takes a copy of the starting point, every
+    # call works in the 2 * memory + 3 arrays it holds
+    rng = np.random.default_rng(51)
+    A = 0.9 * np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    acc = solver._Anderson(6, 3)
+    x = rng.standard_normal(6)
+    acc(x)
+    held = {id(acc.x), id(acc.f), id(acc.g), id(acc.dF), id(acc.dG)}
+    for _ in range(12):
+        x = A @ np.sin(x) + 1.0
+        acc(x)
+        assert {id(acc.x), id(acc.f), id(acc.g), id(acc.dF), id(acc.dG)} == held
+        assert acc.x is not acc.f
