@@ -91,6 +91,8 @@ class ExperimentConfig:
                        matrix_file=(str, type(None)))
         if not self.norms or not self.train_fractions:
             raise ValueError("at least one norm and one train fraction are required")
+        if (self.tensor_file is None) != (self.matrix_file is None):
+            raise ValueError("data.tensor_file and data.matrix_file must be given together")
         if (self.synthetic is None) == (self.tensor_file is None):
             raise ValueError("configure exactly one of synthetic data or files")
         # the synthetic matrix has a row per tensor mode-1 index; file data is checked once read, in run
@@ -376,7 +378,8 @@ def _timed_cell(
     """Fit one cell and time it.
 
     ``cell`` is (norm, fraction, repetition, tensor masks, matrix masks,
-    seed); a fit that raises fails only its cell, which carries the error.
+    seed); a fit that raises fails only its cell, which carries the error
+    message, or the exception's type name when the message is empty.
     """
     norm_id, fraction, rep, t_masks, m_masks, cell_seed = cell
     t0 = time.perf_counter()
@@ -386,7 +389,7 @@ def _timed_cell(
             cfg, norm_id, T, M, t_masks, m_masks, cell_seed=cell_seed,
         ))
     except Exception as exc:  # per-cell failure; run continues
-        result = CellResult(norm_id, fraction, rep, error=str(exc))
+        result = CellResult(norm_id, fraction, rep, error=str(exc) or type(exc).__name__)
     result.wall_time = time.perf_counter() - t0
     return result
 

@@ -238,21 +238,18 @@ def bracket(
     return lower, upper
 
 
-def split_dual_bound(
-    lay: ComponentLayout, split: dict[int, np.ndarray], GM: np.ndarray
-) -> float:
-    """``max_k ||unfold(split[k], k, GM if k is coupled)||_2 / scale_k`` over the terms.
+def split_dual_bound(lay: ComponentLayout, blocks: dict[int, np.ndarray]) -> float:
+    """``max_k ||blocks[k]||_2 / scale_k`` over the terms of ``lay``.
 
-    When the ``split[k]`` of every component's terms sum to the same tensor
-    ``G``, this bounds the dual norm of ``(G, GM)`` from above: any
-    decomposition of ``(T, M)`` pairs with ``(G, GM)`` term by term.  For
-    the all-latent layouts, whose components have one term each, the split
-    ``split[k] = G`` gives the dual norm itself.
+    ``blocks[k]`` is the term's matrix: the mode-``k`` unfolding of a split
+    tensor ``G_k``, concatenated with ``GM`` on the coupled mode.  When the
+    ``G_k`` of every component's terms sum to the same tensor ``G``, this
+    bounds the dual norm of ``(G, GM)`` from above: any decomposition of
+    ``(T, M)`` pairs with ``(G, GM)`` term by term.  For the all-latent
+    layouts, whose components have one term each, the split ``G_k = G``
+    gives the dual norm itself.
     """
-    return max(
-        spectral_norm(unfold(split[mode], mode, GM if mode == lay.coupled_mode else None)) / scale
-        for mode, scale, _ in lay.regularized_modes()
-    )
+    return max(spectral_norm(blocks[mode]) / scale for mode, scale, _ in lay.regularized_modes())
 
 
 def dual_norm_latent_type(
@@ -269,7 +266,8 @@ def dual_norm_latent_type(
             f"closed-form dual available for (L,L,L) and (S,S,S) only, got {d.tags}"
         )
     T, M = _operands(T, M, d.coupled_mode)
-    return split_dual_bound(layout(d, T.shape), {k: T for k in (1, 2, 3)}, M)
+    blocks = {k: unfold(T, k, M if k == d.coupled_mode else None) for k in (1, 2, 3)}
+    return split_dual_bound(layout(d, T.shape), blocks)
 
 
 def dual_norm_overlapped_upper(

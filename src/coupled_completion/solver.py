@@ -27,7 +27,9 @@ next SVT input ``W / beta + (1 - a) Y + a t`` at the over-relaxed point is
 Douglas-Rachford map ``F(s) = s + a (t(2 prox(s) - s) - prox(s))``, and
 every step but the data fit and the SVTs is one operation on flat arrays.
 The multipliers are formed only where read: in the lower bound of
-:func:`decompose` and the warm starts of :func:`path`.  The state also owns
+:func:`decompose`, which splits its dual point among the term blocks in
+place and reads their spectral norms there, and in the warm starts of
+:func:`path`.  The state also owns
 the loop's constants, beta, lam, each component's penalty ``beta_c`` (beta
 in completion) and each term's SVT threshold ``lam * scale / beta_c``; the
 step functions (:func:`update_matrix`, :func:`update_tensors`,
@@ -56,10 +58,11 @@ import numpy as np
 
 from . import norms
 from .norms import ComponentLayout, InvalidDescriptorError, NormDescriptor
-# svd is not called here; bench/test_bench.py patches and checks it
+# svd and unfold are not called here; bench/test_bench.py patches and checks them
 from .prox import svd  # noqa: F401
 from .prox import svt
-from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_pair, check_settings, fold, mask_apply, unfold
+from .tensor_ops import NON_NEGATIVE, POSITIVE, ObservationMask, check_pair, check_settings, fold, mask_apply
+from .tensor_ops import unfold  # noqa: F401
 
 __all__ = [
     "CoupledProblem",
@@ -593,10 +596,12 @@ def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
 
     The multipliers ``W = beta_c (s - z)`` are formed in ``state.scratch``
     (the previous ``z``, not read again).  ``G`` is the mean over
-    components of ``G_c``, the sum of component c's multipliers.  The split
-    ``G_k = W[k] + (G - G_c) / g_c`` sums to ``G`` over every component's
-    terms, so ``D``, its :func:`norms.split_dual_bound`, bounds the dual
-    norm of ``(G, WM)`` and the bound holds whatever the multipliers are.
+    components of ``G_c``, the sum of component c's multipliers.  Adding
+    ``(G - G_c) / g_c`` into each term's ``W[k]`` in place (``G`` and the
+    ``G_c`` are arrays of their own) splits ``G`` among every component's
+    terms, so ``D``, the :func:`norms.split_dual_bound` of the term blocks
+    as they then stand, bounds the dual norm of ``(G, WM)`` and the bound
+    holds whatever the multipliers are.
     """
     W = state.scratch
     np.subtract(state.s.flat, state.z.flat, out=W.flat)
@@ -605,23 +610,10 @@ def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:
         W.blocks[m] *= state.betas[c]
         Gc[c] = Gc[c] + W.tensors[m]
     G = sum(Gc) / len(Gc)
-    split = {m: W.tensors[m] + (G - Gc[c]) / state.g[c] for m, _, c in state.terms}
-    D = norms.split_dual_bound(state.layout, split, W.matrix)
+    for m, _, c in state.terms:
+        W.tensors[m] += (G - Gc[c]) / state.g[c]
+    D = norms.split_dual_bound(state.layout, W.blocks)
     return float(np.vdot(G, T) + np.vdot(W.matrix, M)) / D if D > 0 else 0.0
-
-
-def _value_estimate(components: list[np.ndarray], lay: ComponentLayout, M: np.ndarray) -> float:
-    """:func:`norms.decomposition_value` from each term's Gram eigenvalues, shrunk below it.
-
-    The eigenvalues carry an absolute error of about eps times the largest;
-    the 1e-3 relative shrink is far above it.
-    """
-    total = 0.0
-    for mode, scale, c in lay.regularized_modes():
-        A = unfold(components[c], mode, M if mode == lay.coupled_mode else None)
-        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-        total += scale * float(np.sqrt(np.maximum(np.linalg.eigvalsh(G), 0.0)).sum())
-    return (1.0 - 1e-3) * total
 
 
 def decompose(
@@ -644,15 +636,14 @@ def decompose(
     ``T / C``.  The SVT inputs ``s`` are extrapolated by
     :class:`_Anderson` of memory ``DECOMPOSE_MEMORY``, whose history is
     freed on return.  Every ``DECOMPOSE_CHECK_EVERY`` iterations, and at
-    the cap ``DECOMPOSE_MAX_ITERS``, it brackets the
-    infimum: ``lower`` is the Hoelder bound of :func:`_lower_bound` from
-    the current multipliers, ``upper`` the norm-term sum of the current
-    (feasible) components.  Stops once ``upper - lower <= tol * upper``;
-    no residual is computed.  Before the cap, ``upper`` (an SVD per term)
-    is computed only once ``lower >= (1 - tol) *`` :func:`_value_estimate`,
-    as below that the check must fail.  Returns the components, the last
-    ``lower`` and ``upper``, scaled back by ``p`` (zero input gives ``0,
-    0``), and the iteration count.  ``tol`` must be finite and > 0.
+    the cap ``DECOMPOSE_MAX_ITERS``, it brackets the infimum, both ends at
+    every check: ``lower`` is the Hoelder bound of :func:`_lower_bound`
+    from the current multipliers, ``upper`` the norm-term sum of the
+    current (feasible) components (an SVD per term).  Stops once ``upper -
+    lower <= tol * upper``; no residual is computed.  Returns the
+    components, the last ``lower`` and ``upper``, scaled back by ``p``
+    (zero input gives ``0, 0``), and the iteration count.  ``tol`` must be
+    finite and > 0.
     """
     check_settings(locals(), tol=POSITIVE)
     C = lay.n_components
@@ -671,14 +662,9 @@ def decompose(
         _fit_entries(state, 0.0, lambda S: np.subtract(T, S, out=S))
 
     def done(it: int) -> bool:
-        final = it >= DECOMPOSE_MAX_ITERS
-        if it % DECOMPOSE_CHECK_EVERY and not final:
+        if it % DECOMPOSE_CHECK_EVERY and it < DECOMPOSE_MAX_ITERS:
             return False
-        lower = _lower_bound(state, T, M)
-        # lower < (1 - tol) upper fails the check; the estimate is below upper
-        if not final and tol < 1 and lower < (1.0 - tol) * _value_estimate(state.components, lay, M):
-            return False
-        bracket[:] = lower, norms.decomposition_value(state.components, lay, M)
+        bracket[:] = _lower_bound(state, T, M), norms.decomposition_value(state.components, lay, M)
         return bracket[1] - bracket[0] <= tol * bracket[1]
 
     iterations, _ = _admm(state, DECOMPOSE_MAX_ITERS, project, done, _Anderson(state.s.flat.size, DECOMPOSE_MEMORY))

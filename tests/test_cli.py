@@ -96,6 +96,35 @@ def test_bounds_and_gen_without_a_synthetic_spec_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"coupled-completion: error: {command} requires a synthetic data spec\n"
 
 
+
+@pytest.mark.parametrize(
+    "data",
+    [{"tensor_file": "t.txt"}, {"matrix_file": "m.csv"}, {"synthetic": SYNTHETIC, "matrix_file": "m.csv"}],
+    ids=["tensor file only", "matrix file only", "matrix file beside synthetic"],
+)
+def test_a_config_naming_one_data_file_exits_2(tmp_path, capsys, data):
+    config = write_config(tmp_path / "c.json", norms=["1:(O,O,O)"], data=data, output_dir=str(tmp_path / "out"))
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == (
+        "coupled-completion: error: data.tensor_file and data.matrix_file must be given together\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_cell_failing_with_an_empty_message_exits_1(tmp_path, capsys, monkeypatch):
+    def fails(*args):
+        raise ValueError()
+
+    monkeypatch.setattr(harness.solver, "path", fails)
+    config = write_config(
+        tmp_path / "c.json", norms=["1:(O,O,O)"], data={"synthetic": SYNTHETIC},
+        lambda_grid={"min": 0.1, "max": 0.1, "count": 1}, masks={"train_fractions": [0.5]}, repetitions=1,
+        output_dir=str(tmp_path / "out"),
+    )
+    assert main(["run", config]) == 1
+    assert capsys.readouterr().err.endswith("rep=0: ValueError\n")
+    assert (tmp_path / "out" / "results.csv").read_text().splitlines()[1].endswith(",ValueError")
+
 UNEVEN = {**SYNTHETIC, "dims": [6, 7, 8]}
 MISFIT = "coupled-completion: error: norm 2:(O,O,O) couples tensor mode 2 (7 indices) to 6 matrix rows\n"
 

@@ -551,6 +551,15 @@ class TestRun:
         assert report.failures()[0].norm == "1:(S,O,O)"
         assert report.failures()[0].wall_time > 0
 
+    @pytest.mark.parametrize("error", [ValueError(), MemoryError()], ids=["ValueError", "MemoryError"])
+    def test_a_failure_with_an_empty_message_carries_its_type_name(self, monkeypatch, error):
+        def fails(*args):
+            raise error
+
+        monkeypatch.setattr(harness.solver, "path", fails)
+        report = run(tiny_config())
+        assert [c.error for c in report.failures()] == [type(error).__name__]
+
     def test_cp_cell_reports_als_convergence(self, tmp_path):
         report = run(tiny_config(norms=("CP",), cp_iters=1))
         assert not report.failures()

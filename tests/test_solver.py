@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coupled_completion import norms, solver
+from coupled_completion import norms, solver, tensor_ops
 from coupled_completion.baselines import complete_matrix_mtn, complete_tensor, individual_problem
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
@@ -25,7 +25,7 @@ from coupled_completion.solver import (
     update_matrix,
     update_tensors,
 )
-from coupled_completion.prox import svt
+from coupled_completion.prox import spectral_norm, svt
 from coupled_completion.tensor_ops import ObservationMask, fold, mask_apply, unfold
 from test_prox import assert_svt_optimal
 
@@ -1263,61 +1263,7 @@ class TestAcceleratedDecompose:
 
 
 class TestDecomposeCost:
-    """``decompose``'s per-component penalty and its gate on the exact upper end."""
-
-    @pytest.mark.parametrize(
-        "dims, cols, zero", [((20, 20, 20), 30, False), ((10, 15, 8), 12, False), ((3, 3, 3), 2, False),
-                             ((6, 5, 4), 3, True)],
-        ids=["20^3", "10x15x8", "3^3", "zero"],
-    )
-    def test_the_gate_never_changes_a_decision(self, dims, cols, zero, monkeypatch):
-        T, M = decompose_instance(dims, cols, seed=47)
-        if zero:
-            T, M = np.zeros_like(T), np.zeros_like(M)
-        exact = {True: 0, False: 0}  # exact upper ends computed, gated and not
-        gated = True
-        value = norms.decomposition_value
-
-        def counted(*args):
-            exact[gated] += 1
-            return value(*args)
-
-        monkeypatch.setattr(norms, "decomposition_value", counted)
-        for d in ALL_SUPPORTED:
-            lay = norms.layout(d, dims)
-            gated = True
-            kept = solver.decompose(T, M, lay, 1e-6)
-            gated = False
-            with monkeypatch.context() as m:
-                m.setattr(solver, "_value_estimate", lambda *args: -math.inf)
-                plain = solver.decompose(T, M, lay, 1e-6)
-            assert kept[1:] == plain[1:], d
-            assert all(np.array_equal(a, b) for a, b in zip(kept[0], plain[0], strict=True))
-        # the gate skips exact ends, except at zero input, whose first check closes
-        if zero:
-            assert exact[True] == exact[False] == len(ALL_SUPPORTED)
-        else:
-            assert exact[True] < exact[False]
-
-    def test_at_tol_1_or_more_every_check_is_exact(self, monkeypatch):
-        # there (1 - tol) upper <= 0, and an estimate below upper says nothing of it
-        def no_estimate(*args):
-            raise AssertionError("estimate computed")
-
-        monkeypatch.setattr(solver, "_value_estimate", no_estimate)
-        T, M = decompose_instance((6, 5, 4), 3, seed=52)
-        _, lower, upper, _ = solver.decompose(T, M, norms.layout(NormDescriptor(1, ("S", "O", "O")), T.shape), 1.0)
-        assert upper - lower <= upper
-
-    def test_the_estimate_stays_below_the_exact_value(self):
-        for seed, (dims, cols) in enumerate([((20, 20, 20), 30), ((3, 3, 3), 2), ((12, 4, 9), 40)]):
-            T, M = decompose_instance(dims, cols, seed=seed)
-            for d in ALL_SUPPORTED:
-                lay = norms.layout(d, dims)
-                parts = [T * w for w in np.linspace(1.0, 2.0, lay.n_components)]
-                exact = norms.decomposition_value(parts, lay, M)
-                estimate = solver._value_estimate(parts, lay, M)
-                assert (1.0 - 2e-3) * exact < estimate < exact
+    """``decompose``'s per-component penalty."""
 
     @pytest.mark.parametrize("n, seed", [(8, 48), (5, 49)])
     def test_scaled_latent_per_component_is_uniform_beta_over_root_n(self, n, seed, monkeypatch):
@@ -1343,6 +1289,52 @@ class TestDecomposeCost:
         uniform = SolverState(lay, [T] * lay.n_components, M, 2.0, 1.0)
         assert list(uniform.betas) == [2.0] * lay.n_components
 
+
+def unfolded_lower_bound(state, T, M):
+    """The bound of ``solver._lower_bound`` from a copy of the multipliers, each term's split tensor unfolded.
+
+    ``W[k] + (G - G_c) / g_c`` is unfolded on mode k, with the matrix
+    multipliers on the coupled mode.
+    """
+    W = state.views(state.s.flat - state.z.flat)
+    Gc = [0.0] * len(state.g)
+    for m, _, c in state.terms:
+        W.blocks[m] *= state.betas[c]
+        Gc[c] = Gc[c] + W.tensors[m]
+    G = sum(Gc) / len(Gc)
+    D = max(
+        spectral_norm(unfold(W.tensors[m] + (G - Gc[c]) / state.g[c], m,
+                             W.matrix if m == state.layout.coupled_mode else None)) / scale
+        for m, scale, c in state.terms
+    )
+    return float(np.vdot(G, T) + np.vdot(W.matrix, M)) / D
+
+
+@pytest.mark.parametrize("dims, cols", [((20, 20, 20), 30), ((3, 3, 3), 2)], ids=["20^3", "3^3"])
+def test_the_lower_bound_reads_the_split_in_the_term_blocks_bit_for_bit(dims, cols, monkeypatch):
+    # on random multiplier states of every latent layout, adding the split
+    # into the term blocks in place gives the unfolded split's bound exactly,
+    # and no unfolding is made
+    T, M = decompose_instance(dims, cols, seed=53)
+    rng = np.random.default_rng(54)
+    unfolded = []
+
+    def spy(*args):
+        unfolded.append(args)
+        return unfold(*args)
+
+    for d in ALL_SUPPORTED[1:]:
+        lay = norms.layout(d, dims)
+        state = SolverState(lay, [T] * lay.n_components, M, 1.5, 1.0, per_component=True)
+        state.s.flat[...] = rng.standard_normal(state.s.flat.size)
+        state.z.flat[...] = rng.standard_normal(state.z.flat.size)
+        state.scratch = state.views(np.empty_like(state.s.flat))
+        expected = unfolded_lower_bound(state, T, M)
+        with monkeypatch.context() as m:
+            for module in (norms, solver, tensor_ops):
+                m.setattr(module, "unfold", spy)
+            assert solver._lower_bound(state, T, M) == expected, d
+    assert unfolded == []
 
 def test_the_accelerator_keeps_its_arrays_from_call_to_call():
     # after the first call, which takes a copy of the starting point, every

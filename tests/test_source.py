@@ -21,6 +21,11 @@ def exported(tree: ast.Module) -> list[str]:
     return []
 
 
+def marked(node: ast.stmt, lines: list[str]) -> bool:
+    """Whether a line of the import ``node`` is marked ``# noqa: F401``: kept on purpose, unused here."""
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+
+
 def unused_imports(text: str) -> list[str]:
     """``line: name`` of each name the module imports and neither uses nor lists in ``__all__``.
 
@@ -31,7 +36,7 @@ def unused_imports(text: str) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
-            if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            if marked(node, lines):
                 continue
             for alias in node.names:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -50,6 +55,47 @@ def test_the_check_finds_an_unused_import_and_spares_the_used_and_the_marked():
         "from re import sub\n__all__ = ['sub']\nprint(sys.argv, pi)\n"
     )
     assert unused_imports(text) == ["1: os", "3: tau"]
+
+
+def unread_shims(texts: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module:line: name`` of each name a ``# noqa: F401`` import of ``texts`` binds that no reader reads.
+
+    Such an import is kept only for code outside the package, which reads
+    it as ``<module>.<name>`` (``bench/`` patches and checks
+    ``solver.svd``); once no reader in ``readers`` reads it so, it is dead.
+    The module of an attribute read is the name just before it, so
+    ``cc.solver.svd`` reads ``solver.svd``.
+    """
+    read = set()
+    for text in readers.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                read.add(f"{owner}.{node.attr}")
+    found = []
+    for module, text in texts.items():
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and marked(node, lines):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                found += [f"{module}:{node.lineno}: {name}" for name in names
+                          if f"{module.removesuffix('.py')}.{name}" not in read]
+    return found
+
+
+def test_every_import_shim_has_a_reader_in_bench():
+    readers = {path.name: path.read_text() for path in sorted((SRC.parent / "bench").glob("*.py"))}
+    assert unread_shims({path.name: path.read_text() for path in MODULES}, readers) == []
+
+
+def test_the_check_finds_a_shim_no_reader_reads_and_spares_the_read_and_the_used():
+    texts = {
+        "a.py": "from math import pi  # noqa: F401\nfrom math import tau  # noqa: F401\nimport os\n",
+        "b.py": "from json import (\n    dumps,  # noqa: F401\n    loads,\n)\n",
+    }
+    readers = {"r.py": "import pkg\npkg.a.pi\nb.loads\na.os\n"}
+    # pi is read through pkg and loads as it is; a marked line marks its whole import; os is no shim
+    assert unread_shims(texts, readers) == ["a.py:2: tau", "b.py:1: dumps"]
 
 
 def stale_exports(text: str) -> list[str]:
