@@ -14,13 +14,12 @@ import numpy as np
 from .norms import NormDescriptor
 # svt is not called here; bench/test_bench.py patches and checks baselines.svt
 from .prox import svt  # noqa: F401
-from .solver import CompletionResult, CoupledProblem, SolverOptions, solve
+from .solver import CoupledProblem, PathFit, SolverOptions, solve
 from .tensor_ops import ObservationMask, check_settings, unfold
 
 __all__ = [
     "CpFactors",
     "individual_problem",
-    "complete_matrix_mtn",
     "complete_tensor",
     "coupled_cp_als",
 ]
@@ -56,23 +55,14 @@ def individual_problem(
     return problem, NormDescriptor(1, _TAGS[norm_id])
 
 
-def complete_matrix_mtn(
-    M_obs: np.ndarray,
-    mask: ObservationMask,
-    lam: float,
-    opts: SolverOptions = SolverOptions(),
-) -> CompletionResult:
-    """Trace-norm regularized matrix completion (MTN): :func:`solver.solve` on its :func:`individual_problem`."""
-    return solve(*individual_problem("MTN", M_obs, mask), replace(opts, lam=lam))
-
-
+# kept for bench/test_bench.py, which calls it and counts the span of the module-global solve it calls
 def complete_tensor(
     T_obs: np.ndarray,
     mask: ObservationMask,
     norm: str,
     lam: float,
     opts: SolverOptions = SolverOptions(),
-) -> CompletionResult:
+) -> PathFit:
     """Tensor-only completion: :func:`solver.solve` on its :func:`individual_problem`.
 
     ``norm`` is "overlapped" (OTN) or "scaled_latent" (SLTN).

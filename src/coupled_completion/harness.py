@@ -94,7 +94,7 @@ class ExperimentConfig:
         if (self.tensor_file is None) != (self.matrix_file is None):
             raise ValueError("data.tensor_file and data.matrix_file must be given together")
         if (self.synthetic is None) == (self.tensor_file is None):
-            raise ValueError("configure exactly one of synthetic data or files")
+            raise ValueError("configure exactly one of data.synthetic or data.tensor_file/data.matrix_file")
         # the synthetic matrix has a row per tensor mode-1 index; file data is checked once read, in run
         dims = self.synthetic.dims if self.synthetic else None
         _check_norms(self.norms, dims, dims and dims[0])

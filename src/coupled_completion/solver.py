@@ -35,7 +35,8 @@ in completion) and each term's SVT threshold ``lam * scale / beta_c``; the
 step functions (:func:`update_matrix`, :func:`update_tensors`,
 :func:`update_auxiliaries`) read them there and write the state in place,
 and only :func:`solve` (one fit) and :func:`path` (a warm-started lambda
-grid) read a :class:`SolverOptions`.
+grid) read a :class:`SolverOptions`.  Both return records of one type,
+:class:`PathFit`, built by the one fit generator they share.
 
 :func:`decompose` accelerates ``F`` by :class:`_Anderson` (type-II
 Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
@@ -69,7 +70,6 @@ __all__ = [
     "SolverOptions",
     "SolverState",
     "TermArrays",
-    "CompletionResult",
     "PathFit",
     "solve",
     "path",
@@ -248,25 +248,21 @@ class SolverState:
         return TermArrays(flat, blocks, tensors, blocks[coupled][:, self.widths[coupled] - cols :])
 
 
-@dataclass
-class CompletionResult:
-    tensor: np.ndarray
-    matrix: np.ndarray
-    components: list[np.ndarray]
-    final_primal_residual: float
-    final_dual_residual: float
-    iterations: int
-    converged: bool
-
-
 @dataclass(frozen=True)
 class PathFit:
-    """One fit of :func:`path`: its lambda and beta, the fit, and how its loop ended."""
+    """One completion fit, of :func:`solve` or :func:`path`: its lambda and beta, the fit, and how its loop ended.
+
+    ``tensor`` is the sum of the latent ``components``, ``matrix`` the
+    fitted matrix; the two residuals are those of the last iteration.
+    """
 
     lam: float
     beta: float
     tensor: np.ndarray
     matrix: np.ndarray
+    components: list[np.ndarray]
+    final_primal_residual: float
+    final_dual_residual: float
     iterations: int
     converged: bool
 
@@ -517,14 +513,16 @@ def _warm_state(prev: SolverState, beta: float, lam: float) -> SolverState:
 
 
 def _fits(problem: CoupledProblem, d: NormDescriptor, settings, opts: SolverOptions):
-    """Fit at each ``(beta, lam)`` of ``settings`` in turn, yielding ``(state, residuals, iterations, converged)``.
+    """Fit at each ``(beta, lam)`` of ``settings`` in turn, yielding one :class:`PathFit` each.
 
     The first fit starts from zero, each later one from the one before
-    (:func:`_warm_state`).  A fit stops at ``opts.max_iters`` or once both
-    residuals of :func:`_residuals` are within their tolerances relative to
-    max(1, ||observed data||_F); ``residuals`` are its last iteration's,
-    and ``state`` its final state.  Raises :class:`InvalidDescriptorError`
-    when the descriptor's coupled mode is not the problem's.
+    (:func:`_warm_state`, which copies the arrays a record holds, so a
+    later fit leaves them as they are).  A fit stops at ``opts.max_iters``
+    or once both residuals of :func:`_residuals` are within their
+    tolerances relative to max(1, ||observed data||_F); its record reports
+    its last iteration's.  The only place a :class:`PathFit` is built.
+    Raises :class:`InvalidDescriptorError` when the descriptor's coupled
+    mode is not the problem's.
     """
     if d.coupled_mode != problem.coupled_mode:
         raise InvalidDescriptorError("descriptor coupled mode does not match the problem")
@@ -551,22 +549,21 @@ def _fits(problem: CoupledProblem, d: NormDescriptor, settings, opts: SolverOpti
             return residuals[0] <= opts.tol_primal * scale and residuals[1] <= opts.tol_dual * scale
 
         iterations, converged = _admm(state, opts.max_iters, fit_step, done)
-        yield state, residuals, iterations, converged
+        yield PathFit(lam, beta, sum(state.components), state.M, state.components, *residuals, iterations, converged)
 
 
 def solve(
     problem: CoupledProblem,
     d: NormDescriptor,
     opts: SolverOptions = SolverOptions(),
-) -> CompletionResult:
-    """Run completion ADMM at ``opts.lam`` and ``opts.beta`` from zero, as :func:`_fits` does.
+) -> PathFit:
+    """Fit ``problem`` under ``d`` at ``opts.lam`` and ``opts.beta`` from zero, as :func:`_fits` does.
 
-    Deterministic.  The result reports the residuals of the last iteration;
-    no per-iteration history is kept, and the objective at the fit is
-    ``objective(problem, d, opts.lam, res.tensor, res.matrix)``.
+    Deterministic.  The record carries ``opts.lam`` and ``opts.beta``; no
+    per-iteration history is kept, and the objective at the fit is
+    ``objective(problem, d, fit.lam, fit.tensor, fit.matrix)``.
     """
-    state, residuals, iterations, converged = next(_fits(problem, d, [(opts.beta, opts.lam)], opts))
-    return CompletionResult(sum(state.components), state.M, state.components, *residuals, iterations, converged)
+    return next(_fits(problem, d, [(opts.beta, opts.lam)], opts))
 
 
 def path(problem: CoupledProblem, d: NormDescriptor, lams, opts: SolverOptions = SolverOptions()) -> list[PathFit]:
@@ -585,10 +582,7 @@ def path(problem: CoupledProblem, d: NormDescriptor, lams, opts: SolverOptions =
     for lam in lams:
         check_settings({"lam": lam}, lam=NON_NEGATIVE)
     settings = [(min(max(lam, 1e-3), BETA_CAP) * opts.beta, lam) for lam in lams]
-    return [
-        PathFit(state.lam, state.beta, sum(state.components), state.M, iterations, converged)
-        for state, _, iterations, converged in _fits(problem, d, settings, opts)
-    ]
+    return list(_fits(problem, d, settings, opts))
 
 
 def _lower_bound(state: SolverState, T: np.ndarray, M: np.ndarray) -> float:

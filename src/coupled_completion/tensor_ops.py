@@ -1,7 +1,7 @@
 """Dense 3-way tensor algebra: unfolding/folding, the coupled unfolding,
 Tucker synthesis and observation masks, and the one check of each kind of
-operand: a coupled pair (:func:`check_pair`) and an array against its mask
-(:meth:`ObservationMask.check`).
+operand: a tensor alone or in a coupled pair (:func:`check_pair`) and an
+array against its mask (:meth:`ObservationMask.check`).
 
 Conventions
 -----------
@@ -85,16 +85,16 @@ def check_mode(k, name: str = "mode", error: type[ValueError] = ValueError) -> i
 
 
 def check_pair(T, M, k, name: str = "mode") -> int:
-    """The 0-based axis of mode ``k`` of the coupled pair ``(T, M)``.
+    """The 0-based axis of mode ``k`` of the coupled pair ``(T, M)``, or of ``T`` alone when ``M`` is None.
 
     Raises ``ValueError`` naming ``name``, ``T`` or ``M`` unless ``k`` is a
-    mode (:func:`check_mode`), ``T`` is 3-way and ``M`` is 2-d with a row
-    per index of ``T``'s mode ``k``.  Reads shapes only.
+    mode (:func:`check_mode`), ``T`` is 3-way and ``M``, when given, is 2-d
+    with a row per index of ``T``'s mode ``k``.  Reads shapes only.
     """
     axis = check_mode(k, name)
     if np.ndim(T) != 3:
         raise ValueError(f"T must be 3-way, got shape {np.shape(T)}")
-    if np.ndim(M) != 2 or np.shape(M)[0] != np.shape(T)[axis]:
+    if M is not None and (np.ndim(M) != 2 or np.shape(M)[0] != np.shape(T)[axis]):
         raise ValueError(f"M must be 2-d with a row per index of T's mode {k}, got shape {np.shape(M)}")
     return axis
 
@@ -102,15 +102,12 @@ def check_pair(T, M, k, name: str = "mode") -> int:
 def unfold(T: np.ndarray, k: int, M: np.ndarray | None = None) -> np.ndarray:
     """Mode-``k`` unfolding of a 3-way tensor into an ``n_k x (N/n_k)`` matrix.
 
-    With a matrix ``M``, the coupled unfolding ``[T_(k) | M]`` of the pair
-    (:func:`check_pair`): the term by which every coupled norm shares the
-    common mode.
+    With a matrix ``M``, the coupled unfolding ``[T_(k) | M]`` of the pair:
+    the term by which every coupled norm shares the common mode.  Both
+    arities are checked by :func:`check_pair`.
     """
-    axis = check_mode(k) if M is None else check_pair(T, M, k)
-    T = np.asarray(T)
-    if T.ndim != 3:
-        raise ValueError(f"expected a 3-way tensor, got ndim={T.ndim}")
-    T = T.transpose(_AXES[axis])
+    axis = check_pair(T, M, k)
+    T = np.asarray(T).transpose(_AXES[axis])
     n, a, b = T.shape
     Tk = T.reshape((n, a * b), order="F")
     return Tk if M is None else np.concatenate([Tk, M], axis=1)

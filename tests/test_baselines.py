@@ -1,6 +1,7 @@
 """Tests for the reference completion methods."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +10,14 @@ from coupled_completion import datagen
 from coupled_completion.baselines import (
     RIDGE,
     _masked_ls_rows,
-    complete_matrix_mtn,
     complete_tensor,
     coupled_cp_als,
     individual_problem,
 )
-from coupled_completion.norms import NormDescriptor
 from coupled_completion.prox import spectral_norm
-from coupled_completion.solver import CoupledProblem, SolverOptions, path, solve
+from coupled_completion.solver import SolverOptions, path, solve
 from coupled_completion.tensor_ops import ObservationMask, mask_apply
+from test_solver import assert_same_fit
 
 
 def low_rank_matrix(shape, rank, seed):
@@ -32,10 +32,10 @@ def random_mask(shape, density, seed):
     return ObservationMask(shape, np.array(np.unravel_index(picks, shape)).T)
 
 
-class TestCompleteMatrixMtn:
+class TestMtn:
     def test_lambda_zero_full_mask_exact(self):
         M = low_rank_matrix((6, 5), 3, seed=0)
-        res = complete_matrix_mtn(M, ObservationMask.full(M.shape), 0.0)
+        res = solve(*individual_problem("MTN", M, ObservationMask.full(M.shape)), SolverOptions(lam=0.0))
         assert res.converged
         assert np.max(np.abs(res.matrix - M)) < 1e-5
 
@@ -43,7 +43,7 @@ class TestCompleteMatrixMtn:
         M = low_rank_matrix((6, 5), 3, seed=1)
         mask = random_mask(M.shape, 0.6, seed=1)
         lam = 1.05 * spectral_norm(mask_apply(M, mask))
-        res = complete_matrix_mtn(M, mask, lam)
+        res = solve(*individual_problem("MTN", M, mask), SolverOptions(lam=lam))
         assert res.converged
         assert np.max(np.abs(res.matrix)) < 1e-5
 
@@ -75,17 +75,14 @@ class TestCompleteTensor:
         with pytest.raises(ValueError, match="norm must be"):
             complete_tensor(T, ObservationMask.full(T.shape), "latent", 0.1)
 
-    def test_matches_coupled_solver_with_empty_matrix(self):
+    @pytest.mark.parametrize("norm, norm_id", [("overlapped", "OTN"), ("scaled_latent", "SLTN")])
+    def test_is_the_coupled_solver_with_an_empty_matrix_bit_for_bit(self, norm, norm_id):
         T = np.random.default_rng(6).standard_normal((5, 5, 5))
         mask = random_mask(T.shape, 0.6, seed=6)
-        opts = SolverOptions(lam=0.4, tol_primal=1e-6, tol_dual=1e-6)
-        res = complete_tensor(T, mask, "overlapped", 0.4, opts)
-        empty = np.zeros((5, 0))
-        problem = CoupledProblem(
-            T, mask, empty, ObservationMask.empty(empty.shape), 1
-        )
-        res2 = solve(problem, NormDescriptor(1, ("O", "O", "O")), opts)
-        assert np.max(np.abs(res.tensor - res2.tensor)) < 1e-6
+        opts = SolverOptions(lam=2.0, tol_primal=1e-6, tol_dual=1e-6)
+        res = complete_tensor(T, mask, norm, 0.4, opts)
+        res2 = solve(*individual_problem(norm_id, T, mask), replace(opts, lam=0.4))
+        assert_same_fit(res, res2)
 
     @pytest.mark.parametrize("norm_id", ["CP", "1:(O,O,O)", "otn"])
     def test_individual_problem_rejects_an_id_that_is_no_convex_baseline(self, norm_id):

@@ -111,6 +111,19 @@ def test_a_config_naming_one_data_file_exits_2(tmp_path, capsys, data):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "data", [{}, {"synthetic": SYNTHETIC, "tensor_file": "t.txt", "matrix_file": "m.csv"}],
+    ids=["no source", "synthetic beside both files"],
+)
+def test_a_config_with_other_than_one_data_source_exits_2_naming_the_keys(tmp_path, capsys, data):
+    config = write_config(tmp_path / "c.json", norms=["1:(O,O,O)"], data=data, output_dir=str(tmp_path / "out"))
+    assert main(["run", config]) == 2
+    assert capsys.readouterr().err == (
+        "coupled-completion: error: configure exactly one of data.synthetic or data.tensor_file/data.matrix_file\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_cell_failing_with_an_empty_message_exits_1(tmp_path, capsys, monkeypatch):
     def fails(*args):
         raise ValueError()

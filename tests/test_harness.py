@@ -91,7 +91,7 @@ class TestExperimentConfig:
             tiny_config(norms=("1:(L,L,O)",))
 
     def test_rejects_no_data_source(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="configure exactly one of data.synthetic or data.tensor_file"):
             tiny_config(synthetic=None)
 
     def test_accepts_baseline_ids(self):
@@ -336,6 +336,16 @@ class TestExperimentConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="data.synthetic.noise must be"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "data", [{}, {"synthetic": {}, "tensor_file": "t.txt", "matrix_file": "m.csv"}],
+        ids=["no source", "synthetic beside both files"],
+    )
+    def test_load_config_rejects_other_than_one_data_source_naming_its_keys(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"norms": ["MTN"], "data": data}))
+        with pytest.raises(ValueError, match=re.escape("configure exactly one of data.synthetic or data.tensor_file/data.matrix_file")):
             load_config(path)
 
 

@@ -3,7 +3,7 @@
 import inspect
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_completion import norms, solver, tensor_ops
-from coupled_completion.baselines import complete_matrix_mtn, complete_tensor, individual_problem
+from coupled_completion.baselines import individual_problem
 from coupled_completion.norms import NormDescriptor
 from coupled_completion.solver import (
     RELAXATION,
@@ -732,11 +732,11 @@ class TestMetamorphic:
         opts = SolverOptions(lam=0.3, beta=1.0)
         res = solve(blinded, NormDescriptor(1, ("O", "O", "O")), opts)
         if blind == "matrix":
-            alone = complete_tensor(problem.tensor, problem.tensor_mask, "overlapped", 0.3, opts)
+            alone = solve(*individual_problem("OTN", problem.tensor, problem.tensor_mask), opts)
             assert not res.matrix.any()
             fit, ref, fit_rtol = res.tensor, alone.tensor, rtol
         else:
-            alone = complete_matrix_mtn(problem.matrix, problem.matrix_mask, 0.3, opts)
+            alone = solve(*individual_problem("MTN", problem.matrix, problem.matrix_mask), opts)
             assert np.max(np.abs(res.tensor)) <= rtol * np.max(np.abs(alone.matrix))
             fit, ref, fit_rtol = res.matrix, alone.matrix, 1e-13
         assert res.iterations == alone.iterations
@@ -758,6 +758,18 @@ def recording_states(monkeypatch):
 
     monkeypatch.setattr(solver, "SolverState", RecordedState)
     return built
+
+
+def assert_same_fit(fit, other):
+    """Every field of two :class:`PathFit` records is equal, the arrays bit for bit."""
+    assert (fit.lam, fit.beta, fit.iterations, fit.converged) == (
+        other.lam, other.beta, other.iterations, other.converged)
+    assert (fit.final_primal_residual, fit.final_dual_residual) == (
+        other.final_primal_residual, other.final_dual_residual)
+    assert np.array_equal(fit.tensor, other.tensor)
+    assert np.array_equal(fit.matrix, other.matrix)
+    assert len(fit.components) == len(other.components)
+    assert all(np.array_equal(c, o) for c, o in zip(fit.components, other.components))
 
 
 class TestPath:
@@ -795,9 +807,18 @@ class TestPath:
         opts = SolverOptions(max_iters=80)
         first = path(problem, self.D, [0.3, 0.6], opts)[0]
         cold = solve(problem, self.D, replace(opts, lam=0.3, beta=0.3))
-        assert first.iterations == cold.iterations
-        assert np.array_equal(first.tensor, cold.tensor)
-        assert np.array_equal(first.matrix, cold.matrix)
+        assert (cold.lam, cold.beta) == (0.3, 0.3)
+        assert_same_fit(first, cold)
+
+    def test_solve_and_path_return_one_frozen_record(self):
+        problem, opts = random_problem(seed=34), SolverOptions(max_iters=5)
+        fits = [solve(problem, self.D, opts), path(problem, self.D, [0.3], opts)[0]]
+        assert all(type(fit) is solver.PathFit for fit in fits)
+        assert [f.name for f in fields(solver.PathFit)] == [
+            "lam", "beta", "tensor", "matrix", "components", "final_primal_residual", "final_dual_residual",
+            "iterations", "converged"]
+        with pytest.raises(FrozenInstanceError):
+            fits[0].lam = 1.0
 
     @pytest.mark.parametrize("kind", ["coupled", "mtn"])
     def test_each_fit_is_independent_of_the_later_ones(self, kind):
@@ -812,11 +833,7 @@ class TestPath:
         whole = path(problem, d, lams, opts)
         assert len(whole) == len(lams)
         for k in range(1, len(lams) + 1):
-            part, fit = path(problem, d, lams[:k], opts)[-1], whole[k - 1]
-            assert (part.lam, part.beta, part.iterations, part.converged) == (
-                fit.lam, fit.beta, fit.iterations, fit.converged)
-            assert np.array_equal(part.tensor, fit.tensor)
-            assert np.array_equal(part.matrix, fit.matrix)
+            assert_same_fit(path(problem, d, lams[:k], opts)[-1], whole[k - 1])
 
     @pytest.mark.parametrize("beta0", [1.0, 2.5])
     def test_beta_tracks_lambda_up_to_the_cap_and_stays_there(self, beta0):

@@ -145,6 +145,11 @@ class TestUnfold:
         with pytest.raises(ValueError):
             unfold(np.zeros((2, 2, 2)), 4)
 
+    @pytest.mark.parametrize("M", [None, np.ones((2, 3))], ids=["alone", "coupled"])
+    def test_a_tensor_that_is_not_3_way_has_one_message_with_or_without_a_matrix(self, M):
+        with pytest.raises(ValueError, match=re.escape("T must be 3-way, got shape (2, 2)")):
+            unfold(np.ones((2, 2)), 1, M)
+
     def test_a_boolean_is_not_a_mode(self):
         # True == 1, so a membership test in (1, 2, 3) would take it as mode 1
         with pytest.raises(ValueError, match="mode must be 1, 2 or 3, got True"):
