@@ -31,7 +31,8 @@ The multipliers are formed only where read: in the lower bound of
 place and reads their spectral norms there, and in the warm starts of
 :func:`path`.  The state also owns
 the loop's constants, beta, lam, each component's penalty ``beta_c`` (beta
-in completion) and each term's SVT threshold ``lam * scale / beta_c``; the
+in completion, beta times the sum of its terms' scales in :func:`decompose`)
+and each term's SVT threshold ``lam * scale / beta_c``; the
 step functions (:func:`update_matrix`, :func:`update_tensors`,
 :func:`update_auxiliaries`) read them there and write the state in place,
 and only :func:`solve` (one fit) and :func:`path` (a warm-started lambda
@@ -43,7 +44,9 @@ Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
 input step and the SVTs and drops any extrapolated point whose residual
 ``||F(s) - s||`` exceeds the last accepted point's, restarting from the
 plain step; its history, ``2 * DECOMPOSE_MEMORY + 3`` vectors the size of
-``s``, lives as long as the call, and a step allocates no other vector.
+``s`` in two arrays, lives as long as the call, a step reads the stored
+differences of the residual once and forms the next point in one pass, and
+it allocates no other vector.
 Completion runs the plain iteration and alone computes the residuals its
 stopping rule reads.
 """
@@ -84,9 +87,10 @@ __all__ = [
 # Boyd et al. 2011, section 3.4.3); 1 is the plain ADMM step
 RELAXATION = 1.8
 # ADMM proximity parameter of :func:`decompose` in units of one over the
-# data scale (beta = DECOMPOSE_BETA / sigma, times each component's scale),
-# its iteration cap, the interval at which it evaluates its duality bracket,
-# and the memory of its Anderson acceleration (0 runs the plain iteration)
+# data scale (beta = DECOMPOSE_BETA / sigma, times the sum of each
+# component's term scales), its iteration cap, the interval at which it
+# evaluates its duality bracket, and the memory of its Anderson acceleration
+# (0 runs the plain iteration)
 DECOMPOSE_BETA = 3.5
 DECOMPOSE_MEMORY = 4
 DECOMPOSE_MAX_ITERS = 5000
@@ -193,10 +197,10 @@ class SolverState:
     components in place.  ``terms`` (the layout's ``(mode, scale,
     component)`` norm terms), ``g`` (terms per component) and ``widths``
     (block widths) come from ``layout``.  ``betas[c]``, the penalty of
-    component c's terms, is ``beta`` times their (shared) scale when
-    ``per_component``, else ``beta``, which alone the matrix step and the
-    residuals read; ``tau[mode]`` is the SVT threshold ``lam * scale /
-    beta_c`` of the term on ``mode``.
+    component c's terms, is ``beta`` times the sum of their scales, ``beta
+    scale_c g_c``, when ``per_component``, else ``beta``, which alone the
+    matrix step and the residuals read; ``tau[mode]`` is the SVT threshold
+    ``lam * scale / beta_c`` of the term on ``mode``.
     """
 
     layout: ComponentLayout
@@ -218,10 +222,11 @@ class SolverState:
         self.components = [np.array(c, dtype=float) for c in self.components]
         self.M = np.array(self.M, dtype=float, order="C")
         self.terms = self.layout.regularized_modes()
-        self.betas = np.full(self.layout.n_components, float(self.beta))
+        n, owners = self.layout.n_components, [c for _, _, c in self.terms]
+        self.g = np.bincount(owners, minlength=n).astype(float)
+        self.betas = np.full(n, float(self.beta))
         if self.per_component:
-            for _, scale, c in self.terms:
-                self.betas[c] = self.beta * scale
+            self.betas = self.beta * np.bincount(owners, [scale for _, scale, _ in self.terms], minlength=n)
         self.tau = {m: self.lam * scale / float(self.betas[c]) for m, scale, c in self.terms}
         dims, coupled = self.layout.dims, self.layout.coupled_mode
         self.widths = {
@@ -233,9 +238,6 @@ class SolverState:
         for mode, _, c in self.terms:
             np.copyto(self.z.tensors[mode], self.components[c])
         np.copyto(self.s.flat, self.z.flat)
-        self.g = np.bincount(
-            [c for _, _, c in self.terms], minlength=self.layout.n_components
-        ).astype(float)
 
     def views(self, flat: np.ndarray) -> TermArrays:
         """``flat``, of the size of ``s``, viewed term by term."""
@@ -444,54 +446,79 @@ class _Anderson:
     are solved in the least-squares sense, so a singular one is no fault.
     Safeguard: an extrapolated point whose residual norm exceeds the last
     accepted point's is dropped, the history is cleared, and the next point
-    is the plain step ``F`` of the accepted point, which is accepted.  Holds
-    ``2 * memory + 3`` vectors of the size of ``s``; memory 0 leaves every
-    ``s`` as it is.  ``rejections`` counts dropped points.
+    is the plain step ``F`` of the accepted point, which is accepted.
+
+    Holds ``2 * memory + 3`` vectors of the size of ``s``, in two arrays:
+    ``dF``, whose rows ``:memory`` hold the differences of f and whose last
+    two hold f at the accepted point and the point handed out last, trading
+    places; and ``g``, a ring of g at the last ``memory + 1`` accepted
+    points, from which the next point is formed in one pass as ``g``'s rows
+    times coefficients (``dG``'s row j is the difference of two of them).
+    Each step reads the rows of ``dF`` once, for the new Gram row and ``dF
+    @ f`` together.  Memory 0 leaves every ``s`` as it is.  ``rejections``
+    counts dropped points.
     """
 
     def __init__(self, size: int, memory: int):
         self.memory = memory
-        # differences of f and g in rows ``:count``, written cyclically from
-        # row 0 after each reset; row ``head`` is written next
-        self.dF = np.zeros((memory, size))
-        self.dG = np.zeros((memory, size))
+        # differences of f in rows :count, written cyclically from row 0 after
+        # each reset (row head is written next); difference j is that of the
+        # rows pairs[j] = (newer, older) of g, whose row gh is the accepted point's
+        self.dF = np.zeros((memory + 2, size))
+        self.g = np.zeros((memory + 1, size))
+        self.pairs = [(0, 0)] * memory
+        self.fr, self.xr = memory, memory + 1  # the rows of dF holding f and x
         self.gram = np.zeros((memory, memory))
-        self.count = self.head = 0
-        self.x: np.ndarray | None = None  # the point handed out last
-        self.f = np.zeros(size)  # f and g at the accepted point
-        self.g = np.zeros(size)
+        self.coef = np.zeros(memory + 1)  # of the next point over the rows of g
+        self.count = self.head = self.gh = 0
+        self.started = False
         self.best = math.inf  # ||f|| at the accepted point; inf before the first
         self.rejections = 0
 
     def __call__(self, s: np.ndarray) -> None:
         if not self.memory:
             return
-        if self.x is None:
-            self.x = s.copy()
+        m, dF = self.memory, self.dF
+        if not self.started:
+            self.started = True
+            np.copyto(dF[self.xr], s)
             return
-        f = np.subtract(s, self.x, out=self.x)  # x's array holds f until the next point
+        f = np.subtract(s, dF[self.xr], out=dF[self.xr])  # x's row holds f until the next point
         norm = math.sqrt(float(f @ f))
         if self.count and norm > self.best:  # an extrapolated point, worse than the accepted one
             self.rejections += 1
             self.count = self.head = 0
-            np.copyto(s, self.g)
-        else:
-            if self.best < math.inf:  # the differences from the previous accepted point
-                h = self.head
-                np.subtract(f, self.f, out=self.dF[h])
-                np.subtract(s, self.g, out=self.dG[h])
-                self.gram[h] = self.gram[:, h] = self.dF @ self.dF[h]
-                self.count = min(self.count + 1, self.memory)
-                self.head = (h + 1) % self.memory
-            # f's array becomes the accepted f, and the old one is spare until x is written
-            self.f, self.x = f, self.f
-            np.copyto(self.g, s)
-            self.best = norm
-            if self.count:
-                k = self.count
-                gamma = np.linalg.lstsq(self.gram[:k, :k], self.dF[:k] @ self.f, rcond=None)[0]
-                s -= np.matmul(gamma, self.dG[:k], out=self.x)
-        np.copyto(self.x, s)
+            np.copyto(s, self.g[self.gh])
+            np.copyto(dF[self.xr], s)
+            return
+        new = (self.gh + 1) % (m + 1) if self.best < math.inf else self.gh
+        np.copyto(self.g[new], s)
+        if self.best < math.inf:  # the differences from the previous accepted point
+            h = self.head
+            np.subtract(f, dF[self.fr], out=dF[h])
+            # rows h and xr of dF are dF[h] and f: the Gram row of dF[h] and dF @ f
+            products = dF[:m] @ dF[h :: self.xr - h][:2].T
+            self.gram[h] = self.gram[:, h] = products[:, 0]
+            self.pairs[h] = (new, self.gh)
+            self.count = min(self.count + 1, m)
+            self.head = (h + 1) % m
+        self.gh, self.best = new, norm
+        # f's row becomes the accepted f's, and the old one is spare until x is written
+        self.fr, self.xr = self.xr, self.fr
+        x = dF[self.xr]
+        if not self.count:
+            np.copyto(x, s)
+            return
+        k = self.count
+        gamma = np.linalg.lstsq(self.gram[:k, :k], products[:k, 1], rcond=None)[0]
+        coef = self.coef
+        coef[:] = 0.0
+        coef[new] = 1.0
+        for j, (newer, older) in enumerate(self.pairs[:k]):
+            coef[newer] -= gamma[j]
+            coef[older] += gamma[j]
+        np.matmul(coef, self.g, out=x)
+        np.copyto(s, x)
 
 
 def _warm_state(prev: SolverState, beta: float, lam: float) -> SolverState:
@@ -618,8 +645,9 @@ def decompose(
     The ADMM iteration at lam = 1 with the matrix ``M`` held fixed: its
     concatenated block keeps its own dual, so the joint SVT is the correct
     partial prox.  It runs on ``(T, M) / p`` with one penalty per component,
-    ``beta_c = beta * scale_c`` (Boyd et al. 2011, section 3.4.1), so every
-    term is thresholded at ``1 / beta``, where ``beta = DECOMPOSE_BETA /
+    ``beta_c = beta * scale_c * g_c``, the sum of its ``g_c`` terms' scales
+    (Boyd et al. 2011, section 3.4.1), so each term of component c is
+    thresholded at ``1 / (beta g_c)``, where ``beta = DECOMPOSE_BETA /
     (sigma / p)``, ``p`` the power of two in ``(sigma / 2, sigma]``, ``sigma
     = ||(T, M)||_F / sqrt(max(dims))`` (``p = 1``, ``beta = DECOMPOSE_BETA``
     at zero input).  Dividing by ``p`` is exact, so the iterates at ``2^k
@@ -633,7 +661,8 @@ def decompose(
     the cap ``DECOMPOSE_MAX_ITERS``, it brackets the infimum, both ends at
     every check: ``lower`` is the Hoelder bound of :func:`_lower_bound`
     from the current multipliers, ``upper`` the norm-term sum of the
-    current (feasible) components (an SVD per term).  Stops once ``upper -
+    current (feasible) components (:func:`norms.decomposition_value`, a QR
+    and a small SVD per term).  Stops once ``upper -
     lower <= tol * upper``; no residual is computed.  Returns the
     components, the last ``lower`` and ``upper``, scaled back by ``p``
     (zero input gives ``0, 0``), and the iteration count.  ``tol`` must be

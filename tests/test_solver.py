@@ -1295,14 +1295,20 @@ class TestDecomposeCost:
         assert iterations == iterations_u
         assert math.isclose(lower, lower_u, rel_tol=1e-12) and math.isclose(upper, upper_u, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("text", ["1:(S,O,O)", "1:(O,S,O)", "1:(S,S,S)"])
+    @pytest.mark.parametrize("text", ["1:(S,O,O)", "1:(O,S,O)", "1:(S,S,S)", "1:(O,L,O)"])
     def test_each_component_has_the_penalty_of_its_terms_scale(self, text):
+        # beta times the sum of its terms' scales, beta scale_c g_c, so each
+        # term is thresholded at 1 / (beta g_c): the overlapped component of
+        # (O,L,O) has two terms and the penalty 2 beta
         T, M = decompose_instance((6, 5, 4), 3, seed=50)
         lay = norms.layout(norms.parse_descriptor(text), T.shape)
         state = SolverState(lay, [T] * lay.n_components, M, 2.0, 1.0, per_component=True)
         for mode, scale, c in lay.regularized_modes():
-            assert state.betas[c] == 2.0 * scale
-            assert math.isclose(state.tau[mode], 0.5, rel_tol=1e-15)
+            g = state.g[c]
+            assert state.betas[c] == 2.0 * scale * g
+            assert math.isclose(state.tau[mode], 1.0 / (2.0 * g), rel_tol=1e-15)
+        if text == "1:(O,L,O)":
+            assert list(state.betas) == [4.0, 2.0]
         uniform = SolverState(lay, [T] * lay.n_components, M, 2.0, 1.0)
         assert list(uniform.betas) == [2.0] * lay.n_components
 
@@ -1354,16 +1360,40 @@ def test_the_lower_bound_reads_the_split_in_the_term_blocks_bit_for_bit(dims, co
     assert unfolded == []
 
 def test_the_accelerator_keeps_its_arrays_from_call_to_call():
-    # after the first call, which takes a copy of the starting point, every
-    # call works in the 2 * memory + 3 arrays it holds
+    # every call works in the arrays it holds, 2 * memory + 3 rows the size
+    # of the state: dF (the differences and the rows of f and x, which trade
+    # places) and the ring of g
     rng = np.random.default_rng(51)
     A = 0.9 * np.linalg.qr(rng.standard_normal((6, 6)))[0]
     acc = solver._Anderson(6, 3)
+    assert acc.dF.shape[0] + acc.g.shape[0] == 2 * 3 + 3
+    held = {id(acc.dF), id(acc.g), id(acc.gram), id(acc.coef)}
     x = rng.standard_normal(6)
     acc(x)
-    held = {id(acc.x), id(acc.f), id(acc.g), id(acc.dF), id(acc.dG)}
     for _ in range(12):
         x = A @ np.sin(x) + 1.0
         acc(x)
-        assert {id(acc.x), id(acc.f), id(acc.g), id(acc.dF), id(acc.dG)} == held
-        assert acc.x is not acc.f
+        assert {id(acc.dF), id(acc.g), id(acc.gram), id(acc.coef)} == held
+        assert {acc.fr, acc.xr} == {3, 4}
+        # x's row holds the point handed out
+        assert np.array_equal(acc.dF[acc.xr], x)
+
+
+def test_the_accelerator_takes_a_singular_gram_matrix():
+    # at a fixed point every residual is zero, so every difference and the
+    # whole Gram matrix are zero; two equal differences also make it singular
+    acc = solver._Anderson(4, 3)
+    x = np.arange(4.0)
+    for _ in range(6):
+        acc(x)
+        assert np.array_equal(x, np.arange(4.0))
+    assert acc.count == 3 and not acc.gram.any() and acc.rejections == 0
+    # x <- -x reaches its fixed point 0 in one extrapolation; the later
+    # differences are parallel or zero, so the Gram matrix has rank one
+    acc, x = solver._Anderson(4, 3), np.arange(1.0, 5.0)
+    acc(x)
+    for _ in range(4):
+        x = -x
+        acc(x)
+    assert acc.count == 3 and np.linalg.matrix_rank(acc.gram) == 1
+    assert np.array_equal(x, np.zeros(4))
