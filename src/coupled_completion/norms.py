@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import spectral_norm
+from .prox import spectral_norm, trace_norm
 # svt is not called here; bench/test_bench.py patches and checks norms.svt
 from .prox import svt  # noqa: F401
 from .tensor_ops import POSITIVE, check_mode, check_pair, check_settings, unfold
@@ -182,21 +182,11 @@ def decomposition_value(
     lay: ComponentLayout,
     M: np.ndarray,
 ) -> float:
-    """Norm-term sum of a concrete additive decomposition (an upper bound).
-
-    Each term's trace norm is the sum of the singular values of ``R``, the
-    triangular factor of a Householder QR of its unfolding in the tall
-    orientation (transposed when wide): ``R`` has the unfolding's singular
-    values and is only as large as its short side.  QR is backward stable,
-    so the values carry the error of an SVD of the unfolding itself.
-    """
-    value = 0.0
-    for mode, scale, c in lay.regularized_modes():
-        A = unfold(components[c], mode, M if mode == lay.coupled_mode else None)
-        tall = A.T if A.shape[0] < A.shape[1] else A
-        if tall.shape[1]:
-            value += scale * float(np.linalg.svd(np.linalg.qr(tall, mode="r"), compute_uv=False).sum())
-    return value
+    """Norm-term sum of a concrete additive decomposition (an upper bound)."""
+    return sum(
+        scale * trace_norm(unfold(components[c], mode, M if mode == lay.coupled_mode else None))
+        for mode, scale, c in lay.regularized_modes()
+    )
 
 
 def evaluate(

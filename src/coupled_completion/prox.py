@@ -65,10 +65,16 @@ def svd(X: np.ndarray) -> SvdFactors:
 
 
 def _singular_values(X: np.ndarray) -> np.ndarray:
+    """Singular values of ``X``, from the triangular factor of a QR of its tall orientation.
+
+    ``R`` of a Householder QR of ``X`` (of ``X^T`` when wide) has the
+    singular values of ``X`` and is only as large as its short side.  QR is
+    backward stable, so they carry the error of an SVD of ``X`` itself.
+    """
     X = _matrix(X)
     if min(X.shape) == 0:
         return np.zeros(0)
-    return np.linalg.svd(X, compute_uv=False)
+    return np.linalg.svd(np.linalg.qr(X.T if X.shape[0] < X.shape[1] else X, mode="r"), compute_uv=False)
 
 
 def trace_norm(X: np.ndarray) -> float:

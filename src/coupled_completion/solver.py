@@ -44,9 +44,7 @@ Anderson of memory ``DECOMPOSE_MEMORY``), which rewrites ``s`` between the
 input step and the SVTs and drops any extrapolated point whose residual
 ``||F(s) - s||`` exceeds the last accepted point's, restarting from the
 plain step; its history, ``2 * DECOMPOSE_MEMORY + 3`` vectors the size of
-``s`` in two arrays, lives as long as the call, a step reads the stored
-differences of the residual once and forms the next point in one pass, and
-it allocates no other vector.
+``s``, lives as long as the call, and a step allocates no other vector.
 Completion runs the plain iteration and alone computes the residuals its
 stopping rule reads.
 """
@@ -446,79 +444,54 @@ class _Anderson:
     are solved in the least-squares sense, so a singular one is no fault.
     Safeguard: an extrapolated point whose residual norm exceeds the last
     accepted point's is dropped, the history is cleared, and the next point
-    is the plain step ``F`` of the accepted point, which is accepted.
-
-    Holds ``2 * memory + 3`` vectors of the size of ``s``, in two arrays:
-    ``dF``, whose rows ``:memory`` hold the differences of f and whose last
-    two hold f at the accepted point and the point handed out last, trading
-    places; and ``g``, a ring of g at the last ``memory + 1`` accepted
-    points, from which the next point is formed in one pass as ``g``'s rows
-    times coefficients (``dG``'s row j is the difference of two of them).
-    Each step reads the rows of ``dF`` once, for the new Gram row and ``dF
-    @ f`` together.  Memory 0 leaves every ``s`` as it is.  ``rejections``
-    counts dropped points.
+    is the plain step ``F`` of the accepted point, which is accepted.  Holds
+    ``2 * memory + 3`` vectors of the size of ``s``; memory 0 leaves every
+    ``s`` as it is.  ``rejections`` counts dropped points.
     """
 
     def __init__(self, size: int, memory: int):
         self.memory = memory
-        # differences of f in rows :count, written cyclically from row 0 after
-        # each reset (row head is written next); difference j is that of the
-        # rows pairs[j] = (newer, older) of g, whose row gh is the accepted point's
-        self.dF = np.zeros((memory + 2, size))
-        self.g = np.zeros((memory + 1, size))
-        self.pairs = [(0, 0)] * memory
-        self.fr, self.xr = memory, memory + 1  # the rows of dF holding f and x
+        # differences of f and g in rows ``:count``, written cyclically from
+        # row 0 after each reset; row ``head`` is written next
+        self.dF = np.zeros((memory, size))
+        self.dG = np.zeros((memory, size))
         self.gram = np.zeros((memory, memory))
-        self.coef = np.zeros(memory + 1)  # of the next point over the rows of g
-        self.count = self.head = self.gh = 0
-        self.started = False
+        self.count = self.head = 0
+        self.x: np.ndarray | None = None  # the point handed out last
+        self.f = np.zeros(size)  # f and g at the accepted point
+        self.g = np.zeros(size)
         self.best = math.inf  # ||f|| at the accepted point; inf before the first
         self.rejections = 0
 
     def __call__(self, s: np.ndarray) -> None:
         if not self.memory:
             return
-        m, dF = self.memory, self.dF
-        if not self.started:
-            self.started = True
-            np.copyto(dF[self.xr], s)
+        if self.x is None:
+            self.x = s.copy()
             return
-        f = np.subtract(s, dF[self.xr], out=dF[self.xr])  # x's row holds f until the next point
+        f = np.subtract(s, self.x, out=self.x)  # x's array holds f until the next point
         norm = math.sqrt(float(f @ f))
         if self.count and norm > self.best:  # an extrapolated point, worse than the accepted one
             self.rejections += 1
             self.count = self.head = 0
-            np.copyto(s, self.g[self.gh])
-            np.copyto(dF[self.xr], s)
-            return
-        new = (self.gh + 1) % (m + 1) if self.best < math.inf else self.gh
-        np.copyto(self.g[new], s)
-        if self.best < math.inf:  # the differences from the previous accepted point
-            h = self.head
-            np.subtract(f, dF[self.fr], out=dF[h])
-            # rows h and xr of dF are dF[h] and f: the Gram row of dF[h] and dF @ f
-            products = dF[:m] @ dF[h :: self.xr - h][:2].T
-            self.gram[h] = self.gram[:, h] = products[:, 0]
-            self.pairs[h] = (new, self.gh)
-            self.count = min(self.count + 1, m)
-            self.head = (h + 1) % m
-        self.gh, self.best = new, norm
-        # f's row becomes the accepted f's, and the old one is spare until x is written
-        self.fr, self.xr = self.xr, self.fr
-        x = dF[self.xr]
-        if not self.count:
-            np.copyto(x, s)
-            return
-        k = self.count
-        gamma = np.linalg.lstsq(self.gram[:k, :k], products[:k, 1], rcond=None)[0]
-        coef = self.coef
-        coef[:] = 0.0
-        coef[new] = 1.0
-        for j, (newer, older) in enumerate(self.pairs[:k]):
-            coef[newer] -= gamma[j]
-            coef[older] += gamma[j]
-        np.matmul(coef, self.g, out=x)
-        np.copyto(s, x)
+            np.copyto(s, self.g)
+        else:
+            if self.best < math.inf:  # the differences from the previous accepted point
+                h = self.head
+                np.subtract(f, self.f, out=self.dF[h])
+                np.subtract(s, self.g, out=self.dG[h])
+                self.gram[h] = self.gram[:, h] = self.dF @ self.dF[h]
+                self.count = min(self.count + 1, self.memory)
+                self.head = (h + 1) % self.memory
+            # f's array becomes the accepted f, and the old one is spare until x is written
+            self.f, self.x = f, self.f
+            np.copyto(self.g, s)
+            self.best = norm
+            if self.count:
+                k = self.count
+                gamma = np.linalg.lstsq(self.gram[:k, :k], self.dF[:k] @ self.f, rcond=None)[0]
+                s -= np.matmul(gamma, self.dG[:k], out=self.x)
+        np.copyto(self.x, s)
 
 
 def _warm_state(prev: SolverState, beta: float, lam: float) -> SolverState:

@@ -21,7 +21,7 @@ from coupled_completion.norms import (
     layout,
     parse_descriptor,
 )
-from coupled_completion.prox import spectral_norm, trace_norm
+from coupled_completion.prox import trace_norm
 from coupled_completion.solver import CoupledProblem
 from coupled_completion.tensor_ops import ObservationMask, fold, unfold
 from test_solver import state_at
@@ -320,37 +320,6 @@ class TestBracket:
                 W[m] = rng.uniform(0.5, 2.0) * T + 0.1 * rng.standard_normal(T.shape)
             lower = solver._lower_bound(state_at(lay, 1.0, 1.0, (W, WM), zero), T, M)
             assert 0.0 < lower <= upper
-
-
-class TestDecompositionValue:
-    """The upper end, from the triangular factor of a QR of each unfolding."""
-
-    @pytest.mark.parametrize(
-        "dims, cols, kind",
-        [
-            ((3, 4, 5), 2, "random"),  # wide unfoldings, the matrix columns on mode 1
-            ((30, 2, 2), 1, "random"),  # mode 1 tall: 30 x (4 + 1)
-            ((4, 2, 2), 0, "random"),  # mode 1 square: 4 x 4
-            ((5, 5, 5), 3, "rank-one"),  # rank-deficient unfoldings
-            ((4, 0, 3), 2, "random"),  # modes 2 and 3 empty, mode 1 the matrix alone
-            ((3, 3, 3), 2, "zero"),
-        ],
-    )
-    def test_agrees_with_the_svd_of_each_unfolding(self, dims, cols, kind):
-        rng = np.random.default_rng(60)
-        if kind == "rank-one":
-            a = rng.standard_normal(dims[0])
-            T = np.einsum("i,j,k->ijk", a, rng.standard_normal(dims[1]), rng.standard_normal(dims[2]))
-            M = np.outer(a, rng.standard_normal(cols))
-        else:
-            T, M = rng.standard_normal(dims), rng.standard_normal((dims[0], cols))
-            if kind == "zero":
-                T, M = 0.0 * T, 0.0 * M
-        lay = layout(NormDescriptor(1, ("L", "L", "L")), dims)
-        unfoldings = [unfold(T, k, M if k == 1 else None) for k in (1, 2, 3)]
-        expected = sum(trace_norm(A) for A in unfoldings)
-        slack = sum(max(A.shape) * np.finfo(float).eps * spectral_norm(A) for A in unfoldings)
-        assert abs(decomposition_value([T, T, T], lay, M) - expected) <= slack
 
 
 class TestRejectsMalformedOperands:

@@ -92,6 +92,20 @@ class TestTraceNorm:
         assert trace_norm(np.zeros((3, 4))) == 0.0
         assert trace_norm(np.full((2, 2), 1e-12)) > 0.0
 
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [((20, 430), 20), ((430, 20), 20), ((7, 7), 7), ((12, 40), 3), ((0, 5), 0), ((5, 0), 0)],
+        ids=["wide", "tall", "square", "rank-deficient", "no-rows", "no-columns"],
+    )
+    def test_the_triangular_factor_gives_the_svd_value(self, shape, rank):
+        # taken from R of a QR of the tall orientation: within max(shape) eps
+        # ||X||_2 of the sum of LAPACK's singular values of X itself
+        rng = np.random.default_rng(61)
+        X = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        expected = float(np.linalg.svd(X, compute_uv=False).sum()) if X.size else 0.0
+        slack = max(shape) * np.finfo(float).eps * spectral_norm(X)
+        assert abs(trace_norm(X) - expected) <= slack
+
 
 class TestSpectralNorm:
     def test_diagonal(self):
