@@ -99,7 +99,8 @@ class TestTraceNorm:
     )
     def test_the_triangular_factor_gives_the_svd_value(self, shape, rank):
         # taken from R of a QR of the tall orientation: within max(shape) eps
-        # ||X||_2 of the sum of LAPACK's singular values of X itself
+        # ||X||_2 of the sum of LAPACK's singular values of X itself; 20 x 430
+        # is a 20^3 tensor's unfolding with 30 matrix columns appended
         rng = np.random.default_rng(61)
         X = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
         expected = float(np.linalg.svd(X, compute_uv=False).sum()) if X.size else 0.0
